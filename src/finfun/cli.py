@@ -86,9 +86,14 @@ def _load_modified(target: str, mode: str | None) -> FunctorInstance:
     return g
 
 
-def _checked_max_size(n: int, with_modification: bool) -> int:
+def _checked_size(n: int, flag: str) -> int:
     if n < 0:
-        raise ValueError(f"--max-size must be non-negative, got {n}")
+        raise ValueError(f"{flag} must be non-negative, got {n}")
+    return n
+
+
+def _checked_max_size(n: int, with_modification: bool) -> int:
+    _checked_size(n, "--max-size")
     if with_modification and n < 2:
         raise ValueError(
             "--max-size must be at least 2 when a modification is involved: "
@@ -284,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[target, mod],
                        help="list the elements of F(n)")
     p.add_argument("--size", type=int, required=True, metavar="N")
-    p.set_defaults(func=lambda a: cmd_eval(a.target, a.size, a.modify))
+    p.set_defaults(func=lambda a: cmd_eval(
+        a.target, _checked_size(a.size, "--size"), a.modify))
 
     p = sub.add_parser("map", parents=[target, mod],
                        help="apply F to one function")
@@ -303,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="canonical term such as 'p(0,2)', or an index")
     p.add_argument("--order", choices=["asc", "desc"], default="asc",
                    help="removal order for the greedy pass")
-    p.set_defaults(func=lambda a: cmd_supp(a.target, a.size, a.element,
-                                           a.order, a.modify))
+    p.set_defaults(func=lambda a: cmd_supp(
+        a.target, _checked_size(a.size, "--size"), a.element, a.order,
+        a.modify))
 
     p = sub.add_parser("modify", parents=[target],
                        help="print F°∅ or F∘∅ and the maps out of it")

@@ -79,7 +79,7 @@ class FiniteFunction:
         return self.table[i]
 
     def __repr__(self) -> str:
-        return f"({','.join(map(str, self.table))}):{self.dom.size}->{self.cod.size}"
+        return table_repr(self.dom.size, self.cod.size, self.table)
 
 
 @dataclass(frozen=True)
@@ -172,13 +172,24 @@ def is_surjective(f: FiniteFunction) -> bool:
     return len(set(f.table)) == f.cod.size
 
 
-def enumerate_functions(x: FiniteSet, y: FiniteSet) -> Iterator[FiniteFunction]:
-    """All |y|^|x| functions x -> y, in lexicographic table order.
+def table_repr(x: int, y: int, table: tuple[int, ...]) -> str:
+    """How a function x -> y with the given table is written in reports."""
+    return f"({','.join(map(str, table))}):{x}->{y}"
 
-    Yields the single empty function when |x| = 0 and nothing at all when
-    |x| > 0 and |y| = 0.
+
+def function_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
+    """The tables of all y^x functions x -> y, in lexicographic order.
+
+    This order is the one every enumeration of maps, every report and
+    every tabulation follows.  Yields the single empty table when x = 0
+    and nothing at all when x > 0 and y = 0.
     """
-    for table in itertools.product(range(y.size), repeat=x.size):
+    return itertools.product(range(y), repeat=x)
+
+
+def enumerate_functions(x: FiniteSet, y: FiniteSet) -> Iterator[FiniteFunction]:
+    """All |y|^|x| functions x -> y, in ``function_tables`` order."""
+    for table in function_tables(x.size, y.size):
         yield FiniteFunction(x, y, table)
 
 

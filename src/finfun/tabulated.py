@@ -9,20 +9,20 @@ The data file is JSON with three top-level fields:
   and ``action`` (map element name -> element name).
 
 Every function must be listed explicitly; nothing is inferred.  Loading
-validates completeness and the functor laws and reports the offending
-function (pair) on failure.  This is the vehicle for feeding
-hypothesis-violating functors to the checkers: tables need not come from
-any presentation.
+validates completeness and the functor laws, the latter with the routine
+behind ``check_functor_laws``, and reports the offending function (pair)
+on failure.  This is the vehicle for feeding hypothesis-violating
+functors to the checkers: tables need not come from any presentation.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
-from .finset import FiniteFunction, FiniteSet
-from .theory import FunctorInstance, SizeBoundError
+from .finset import (FiniteFunction, FiniteSet, enumerate_functions,
+                     function_tables, table_repr)
+from .theory import FunctorInstance, MorphismKey, SizeBoundError, law_failures
 
 
 class TabulatedError(Exception):
@@ -41,9 +41,6 @@ class FunctorLawError(TabulatedError):
     """Tables violate F(id) = id or F(g o f) = F(g) o F(f)."""
 
 
-MorphismKey = tuple[int, int, tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class TabulatedFunctor:
     max_size: int
@@ -52,11 +49,6 @@ class TabulatedFunctor:
 
     def action(self, key: MorphismKey) -> tuple[int, ...]:
         return self.morphisms[key]
-
-
-def _fmt(key: MorphismKey) -> str:
-    x, y, table = key
-    return f"({','.join(map(str, table))}):{x}->{y}"
 
 
 def _require(cond: bool, message: str) -> None:
@@ -114,56 +106,40 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedFunctor:
                  and all(isinstance(v, int) and 0 <= v < cod for v in table),
                  f"bad function table {table!r} for a map {dom}->{cod}")
         key: MorphismKey = (dom, cod, tuple(table))
-        _require(key not in morphisms, f"duplicate morphism {_fmt(key)}")
+        _require(key not in morphisms,
+                 f"duplicate morphism {table_repr(*key)}")
         action = rec["action"]
         _require(isinstance(action, dict), "morphism 'action' must be a map")
         dom_names, cod_names = objects[dom], objects[cod]
         _require(set(action) == set(dom_names),
-                 f"action of {_fmt(key)} must cover exactly the elements "
-                 f"of F({dom})")
+                 f"action of {table_repr(*key)} must cover exactly the "
+                 f"elements of F({dom})")
         cod_index = {s: i for i, s in enumerate(cod_names)}
         out = []
         for s in dom_names:
             target = action[s]
             _require(target in cod_index,
-                     f"action of {_fmt(key)} sends {s!r} to unknown "
+                     f"action of {table_repr(*key)} sends {s!r} to unknown "
                      f"element {target!r}")
             out.append(cod_index[target])
         morphisms[key] = tuple(out)
 
     for dom in range(max_size + 1):
         for cod in range(max_size + 1):
-            for table in itertools.product(range(cod), repeat=dom):
+            for table in function_tables(dom, cod):
                 key = (dom, cod, table)
                 if key not in morphisms:
                     raise MissingMorphismError(
-                        f"missing morphism table for {_fmt(key)}")
+                        f"missing morphism table for {table_repr(*key)}")
 
-    functor = TabulatedFunctor(max_size, tuple(objects), morphisms)
-    _validate_laws(functor)
-    return functor
-
-
-def _validate_laws(t: TabulatedFunctor) -> None:
-    for n in range(t.max_size + 1):
-        key = (n, n, tuple(range(n)))
-        if t.action(key) != tuple(range(len(t.objects[n]))):
+    for f, g in law_failures(morphisms, [len(names) for names in objects]):
+        if g is None:
             raise FunctorLawError(
-                f"F({_fmt(key)}) is not the identity on F({n})")
-    for x in range(t.max_size + 1):
-        for y in range(t.max_size + 1):
-            for z in range(t.max_size + 1):
-                for ft in itertools.product(range(y), repeat=x):
-                    af = t.action((x, y, ft))
-                    for gt in itertools.product(range(z), repeat=y):
-                        ag = t.action((y, z, gt))
-                        composite = tuple(gt[v] for v in ft)
-                        if t.action((x, z, composite)) != tuple(
-                                ag[v] for v in af):
-                            raise FunctorLawError(
-                                f"composition mismatch for "
-                                f"f={_fmt((x, y, ft))} and "
-                                f"g={_fmt((y, z, gt))}")
+                f"F({table_repr(*f)}) is not the identity on F({f[0]})")
+        raise FunctorLawError(
+            f"composition mismatch for f={table_repr(*f)} and "
+            f"g={table_repr(*g)}")
+    return TabulatedFunctor(max_size, tuple(objects), morphisms)
 
 
 class TabulatedInstance(FunctorInstance):
@@ -185,7 +161,7 @@ class TabulatedInstance(FunctorInstance):
         return self.tabulated.max_size
 
     def _check_size(self, n: int) -> None:
-        if n > self.tabulated.max_size:
+        if not 0 <= n <= self.tabulated.max_size:
             raise SizeBoundError(
                 f"{self.name} is tabulated up to size "
                 f"{self.tabulated.max_size}, queried at {n}")
@@ -215,13 +191,12 @@ def export_tabulated(g: FunctorInstance, max_size: int) -> str:
         for cod in range(max_size + 1):
             dom_names = objects[str(dom)]
             cod_names = objects[str(cod)]
-            for table in itertools.product(range(cod), repeat=dom):
-                action_table = g.map(
-                    FiniteFunction(FiniteSet(dom), FiniteSet(cod), table)).table
+            for f in enumerate_functions(FiniteSet(dom), FiniteSet(cod)):
+                action_table = g.map(f).table
                 morphisms.append({
                     "dom": dom,
                     "cod": cod,
-                    "table": list(table),
+                    "table": list(f.table),
                     "action": {dom_names[i]: cod_names[v]
                                for i, v in enumerate(action_table)},
                 })

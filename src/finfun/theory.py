@@ -22,13 +22,12 @@ exceptions.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .finset import (
     FiniteFunction,
@@ -37,11 +36,15 @@ from .finset import (
     constant,
     enumerate_functions,
     enumerate_subsets,
+    function_tables,
     identity,
     inclusion,
     is_injective,
     is_surjective,
+    table_repr,
 )
+
+MorphismKey = tuple[int, int, tuple[int, ...]]
 
 _COUNTEREXAMPLE_CAP = 25
 
@@ -125,14 +128,25 @@ class FunctorInstance(ABC):
 # Empty-set modifications
 
 
-class _ModifiedInstance(FunctorInstance):
-    """Shares all non-empty values with a base instance."""
+class EmptyModified(FunctorInstance):
+    """An empty-set modification of a base instance.
+
+    Non-empty values and maps are the base's.  The value at the empty set
+    is the subset of F1 listed by ``empty_classes``, whose elements keep
+    their F1 names; maps out of the empty set restrict the action of a
+    constant map 1 -> Y (see ``empty_morphism``).  The maximal
+    modification takes the subset of F1 equalized by the two constant
+    maps 1 -> 2; the minimal one takes no element at all, so every map
+    out of the empty set is the empty function.
+    """
 
     def __init__(self, base: FunctorInstance, kind: ModificationKind,
-                 suffix: str):
+                 empty_classes: tuple[int, ...]):
+        suffix = "∘" if kind is ModificationKind.MINIMAL else "°"
         super().__init__(base.name + suffix)
         self.base = base
         self.kind = kind
+        self.empty_classes = empty_classes
 
     @property
     def max_size(self) -> int | None:
@@ -146,57 +160,31 @@ class _ModifiedInstance(FunctorInstance):
     def source(self) -> object:
         return (self.kind, self.base)
 
-    def element_index(self, n: int, name: str) -> int:
+    def elements(self, n: int) -> tuple[str, ...]:
         if n > 0:
-            return self.base.element_index(n, name)
-        return super().element_index(n, name)
-
-
-class MinModified(_ModifiedInstance):
-    """The minimal empty-set modification: value at the empty set is empty."""
-
-    def __init__(self, base: FunctorInstance):
-        super().__init__(base, ModificationKind.MINIMAL, "∘")
-
-    def elements(self, n: int) -> tuple[str, ...]:
-        return () if n == 0 else self.base.elements(n)
+            return self.base.elements(n)
+        # F1 is looked up per member: with none, the base is not queried.
+        return tuple(self.base.elements(1)[i] for i in self.empty_classes)
 
     def map(self, f: FiniteFunction) -> FiniteFunction:
         if f.dom.size > 0:
             return self.base.map(f)
-        return FiniteFunction(FiniteSet(0), FiniteSet(self.size(f.cod.size)), ())
+        return self._from_empty(f.cod, 0)
 
-
-class MaxModified(_ModifiedInstance):
-    """The maximal empty-set modification.
-
-    The value at the empty set is the subset of F1 equalized by the two
-    constant maps 1 -> 2; its elements keep their F1 names.  Morphisms out
-    of the empty set restrict the action of any constant map 1 -> Y, which
-    is independent of the choice (see ``empty_morphism``).
-    """
-
-    def __init__(self, base: FunctorInstance, empty_classes: tuple[int, ...]):
-        super().__init__(base, ModificationKind.MAXIMAL, "°")
-        self.empty_classes = empty_classes
-
-    def elements(self, n: int) -> tuple[str, ...]:
-        if n == 0:
-            base1 = self.base.elements(1)
-            return tuple(base1[i] for i in self.empty_classes)
-        return self.base.elements(n)
-
-    def map(self, f: FiniteFunction) -> FiniteFunction:
-        if f.dom.size > 0:
-            return self.base.map(f)
-        if f.cod.size == 0:
-            k = len(self.empty_classes)
+    def _from_empty(self, y: FiniteSet, via: int) -> FiniteFunction:
+        k = len(self.empty_classes)
+        if y.size == 0:
             return identity(FiniteSet(k))
-        return empty_morphism(self, f.cod)
+        base_map = self.base.map(constant(FiniteSet(1), y, via))
+        table = tuple(base_map.table[i] for i in self.empty_classes)
+        return FiniteFunction(FiniteSet(k), FiniteSet(self.size(y.size)),
+                              table)
 
     def element_index(self, n: int, name: str) -> int:
         if n > 0:
             return self.base.element_index(n, name)
+        if self.kind is ModificationKind.MINIMAL:
+            return super().element_index(n, name)
         # Value at the empty set is a subset of F1; resolve there first.
         base_idx = self.base.element_index(1, name)
         try:
@@ -207,16 +195,20 @@ class MaxModified(_ModifiedInstance):
                 f"{self.base.name}(1)") from None
 
 
+# The exported names of the two kinds, both this one class.
+MinModified = MaxModified = EmptyModified
+
+
 def _flatten(f: FunctorInstance) -> FunctorInstance:
     # A modification only depends on the base's non-empty values.
-    return f.base if isinstance(f, _ModifiedInstance) else f
+    return f.base if isinstance(f, EmptyModified) else f
 
 
-def empty_mod_min(f: FunctorInstance) -> MinModified:
-    return MinModified(_flatten(f))
+def empty_mod_min(f: FunctorInstance) -> EmptyModified:
+    return EmptyModified(_flatten(f), ModificationKind.MINIMAL, ())
 
 
-def empty_mod_max(f: FunctorInstance) -> MaxModified:
+def empty_mod_max(f: FunctorInstance) -> EmptyModified:
     """Compute the equalizer subset of F1 and wrap the instance.
 
     Requires the instance to be defined at sizes 1 and 2.
@@ -227,7 +219,7 @@ def empty_mod_max(f: FunctorInstance) -> MaxModified:
     m1 = base.map(constant(one, two, 1))
     empty = tuple(i for i in range(base.size(1))
                   if m0.table[i] == m1.table[i])
-    return MaxModified(base, empty)
+    return EmptyModified(base, ModificationKind.MAXIMAL, empty)
 
 
 def modify(f: FunctorInstance, kind: ModificationKind) -> FunctorInstance:
@@ -236,7 +228,8 @@ def modify(f: FunctorInstance, kind: ModificationKind) -> FunctorInstance:
     return empty_mod_max(f)
 
 
-def empty_morphism(g: MaxModified, y: FiniteSet, via: int = 0) -> FiniteFunction:
+def empty_morphism(g: EmptyModified, y: FiniteSet,
+                   via: int = 0) -> FiniteFunction:
     """The action of the maximal modification on the map from the empty set.
 
     Restricts F(g) to the equalizer subset of F1, where g: 1 -> Y is the
@@ -245,14 +238,10 @@ def empty_morphism(g: MaxModified, y: FiniteSet, via: int = 0) -> FiniteFunction
     constants factor forces F(g) and F(g') to agree on the equalizer.
     That independence is property-tested, not assumed.
     """
-    if not isinstance(g, MaxModified):
+    if (not isinstance(g, EmptyModified)
+            or g.kind is not ModificationKind.MAXIMAL):
         raise TypeError("empty_morphism needs a maximal modification")
-    k = len(g.empty_classes)
-    if y.size == 0:
-        return identity(FiniteSet(k))
-    base_map = g.base.map(constant(FiniteSet(1), y, via))
-    table = tuple(base_map.table[i] for i in g.empty_classes)
-    return FiniteFunction(FiniteSet(k), FiniteSet(g.size(y.size)), table)
+    return g._from_empty(y, via)
 
 
 # ---------------------------------------------------------------------------
@@ -269,23 +258,31 @@ def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     injective f between sets of sizes <= bound (cached per instance)."""
     if g._mono_bound >= bound:
         return
-    for x in range(bound + 1):
-        for y in range(bound + 1):
-            xs, ys = FiniteSet(x), FiniteSet(y)
-            for f in enumerate_functions(xs, ys):
+    for f, collapsed in _injectivity_failures(g, bound):
+        raise MonomorphicityError(f, collapsed)
+    g._mono_bound = bound
+
+
+def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
+        tuple[FiniteFunction, tuple[str, str]]]:
+    """Each injective f between sets of sizes <= max_size, maps out of the
+    empty set included, for which G(f) is not injective, with the names
+    of the first two elements G(f) collapses."""
+    for x in range(max_size + 1):
+        for y in range(max_size + 1):
+            for f in enumerate_functions(FiniteSet(x), FiniteSet(y)):
                 if not is_injective(f):
                     continue
                 gf = g.map(f)
                 if is_injective(gf):
                     continue
-                seen: dict[int, int] = {}
                 names = g.elements(x)
+                seen: dict[int, int] = {}
                 for i, v in enumerate(gf.table):
                     if v in seen:
-                        raise MonomorphicityError(
-                            f, (names[seen[v]], names[i]))
+                        yield f, (names[seen[v]], names[i])
+                        break
                     seen[v] = i
-    g._mono_bound = bound
 
 
 @dataclass(frozen=True)
@@ -313,6 +310,11 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
     exercised by ``check_supports``.
     """
     n = x if isinstance(x, int) else x.size
+    if order is None:
+        order = range(n)
+    elif sorted(order) != list(range(n)):
+        raise ValueError(f"removal order {list(order)} is not a permutation "
+                         f"of range({n})")
     require_monomorphic(g, n)
     total = g.size(n)
     if not 0 <= element < total:
@@ -320,8 +322,6 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
             f"index {element} is not an element of {g.name}({n})")
     ambient = FiniteSet(n)
     mask = SubsetMask(ambient, tuple(range(n)))
-    if order is None:
-        order = range(n)
     for point in order:
         smaller = mask.without(point)
         if element in image_of_inclusion(g, smaller):
@@ -441,40 +441,51 @@ class _Collector:
 # Exhaustive checkers
 
 
-def _all_tables(x: int, y: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(y), repeat=x))
+def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
+                 sizes: Sequence[int]) -> Iterator[
+                     tuple[MorphismKey, MorphismKey | None]]:
+    """Each failure of the functor laws in a complete table of F.
+
+    ``action`` maps every (dom, cod, table) with dom, cod < len(sizes) to
+    the table of F on that map, and F(n) has sizes[n] elements.  Yields
+    (id_n, None) for each n where F(id_n) is not the identity, then (f, g)
+    for each composable pair with F(g o f) != F(g) o F(f): by the sizes
+    of the domain of f, the codomain of f and the codomain of g, then f
+    outer and g inner, each in ``function_tables`` order.
+    """
+    top = range(len(sizes))
+    for n in top:
+        key = (n, n, tuple(range(n)))
+        if action[key] != tuple(range(sizes[n])):
+            yield key, None
+    hom = {(x, y): {t: action[(x, y, t)] for t in function_tables(x, y)}
+           for x in top for y in top}
+    for x in top:
+        for y in top:
+            for z in top:
+                composites = hom[x, z]
+                gs = hom[y, z].items()
+                for ft, af in hom[x, y].items():
+                    for gt, ag in gs:
+                        if (composites[tuple(map(gt.__getitem__, ft))]
+                                != tuple(map(ag.__getitem__, af))):
+                            yield (x, y, ft), (y, z, gt)
 
 
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size."""
     out = _Collector("laws", f"sizes <= {max_size}")
-    action: dict[tuple[int, int, tuple[int, ...]], tuple[int, ...]] = {}
     sets = [FiniteSet(n) for n in range(max_size + 1)]
-    for x in range(max_size + 1):
-        for y in range(max_size + 1):
-            for table in _all_tables(x, y):
-                action[(x, y, table)] = g.map(
-                    FiniteFunction(sets[x], sets[y], table)).table
-    for n in range(max_size + 1):
-        idn = tuple(range(n))
-        if action[(n, n, idn)] != tuple(range(g.size(n))):
-            out.add(f"F(id_{n}) is not the identity")
-    for x in range(max_size + 1):
-        for y in range(max_size + 1):
-            fs = _all_tables(x, y)
-            for z in range(max_size + 1):
-                gs = _all_tables(y, z)
-                for gt in gs:
-                    fg = action[(y, z, gt)]
-                    for ft in fs:
-                        composite = tuple(gt[v] for v in ft)
-                        ff = action[(x, y, ft)]
-                        if action[(x, z, composite)] != tuple(
-                                fg[v] for v in ff):
-                            out.add(
-                                f"F(g o f) != F(g) o F(f) for "
-                                f"f=({','.join(map(str, ft))}):{x}->{y}, "
-                                f"g=({','.join(map(str, gt))}):{y}->{z}")
+    action = {(x, y, t): g.map(FiniteFunction(sets[x], sets[y], t)).table
+              for x in range(max_size + 1) for y in range(max_size + 1)
+              for t in function_tables(x, y)}
+    sizes = [g.size(n) for n in range(max_size + 1)]
+    for f, h in law_failures(action, sizes):
+        if h is None:
+            out.add(f"F(id_{f[0]}) is not the identity")
+        else:
+            out.add(f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
+                    f"g={table_repr(*h)}")
     return out.report()
 
 
@@ -482,23 +493,8 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) injective for every injective f between sets of sizes <= max_size,
     including maps out of the empty set."""
     out = _Collector("mono", f"sizes <= {max_size}")
-    for x in range(max_size + 1):
-        for y in range(max_size + 1):
-            xs, ys = FiniteSet(x), FiniteSet(y)
-            for f in enumerate_functions(xs, ys):
-                if not is_injective(f):
-                    continue
-                gf = g.map(f)
-                if not is_injective(gf):
-                    names = g.elements(x)
-                    seen: dict[int, int] = {}
-                    for i, v in enumerate(gf.table):
-                        if v in seen:
-                            out.add(f"G(f) not injective for f={f!r}: "
-                                    f"collapses {names[seen[v]]} and "
-                                    f"{names[i]}")
-                            break
-                        seen[v] = i
+    for f, (a, b) in _injectivity_failures(g, max_size):
+        out.add(f"G(f) not injective for f={f!r}: collapses {a} and {b}")
     return out.report()
 
 
@@ -520,6 +516,14 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     return out.report()
 
 
+def _subset_images(g: FunctorInstance, n: int) -> tuple[
+        list[SubsetMask], dict[tuple[int, ...], frozenset[int]]]:
+    """Every subset of n, and the image of its inclusion keyed by members."""
+    masks = list(enumerate_subsets(FiniteSet(n)))
+    return masks, {m.members: frozenset(image_of_inclusion(g, m))
+                   for m in masks}
+
+
 def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     """Image of the inclusion of A & B equals the intersection of the images.
 
@@ -532,10 +536,7 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     out = _Collector("intersections", f"sizes <= {max_size}")
     cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
     for n in range(max_size + 1):
-        ambient = FiniteSet(n)
-        masks = list(enumerate_subsets(ambient))
-        images = {m.members: frozenset(image_of_inclusion(g, m))
-                  for m in masks}
+        masks, images = _subset_images(g, n)
         for a in masks:
             for b in masks:
                 sa, sb = set(a.members), set(b.members)
@@ -578,10 +579,7 @@ def check_supports(g: FunctorInstance, max_size: int,
         out.add(f"refused: {err}")
         return out.report()
     for n in range(max_size + 1):
-        ambient = FiniteSet(n)
-        masks = list(enumerate_subsets(ambient))
-        images = {m.members: frozenset(image_of_inclusion(g, m))
-                  for m in masks}
+        masks, images = _subset_images(g, n)
         names = g.elements(n)
         for element in range(g.size(n)):
             family = [m for m in masks if element in images[m.members]]

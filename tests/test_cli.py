@@ -346,6 +346,32 @@ def test_negative_max_size(capsys):
     assert code == 2
 
 
+def assert_negative_size_refused(capsys, target):
+    for command, extra in (("eval", ()), ("eval", ("--modify", "max")),
+                           ("supp", ("--element", "0"))):
+        for size in ("-1", "-2"):
+            result = run(capsys, command, target, "--size", size, *extra)
+            assert result == (
+                2, "", f"error: --size must be non-negative, got {size}\n")
+
+
+def test_negative_size_zoo(capsys):
+    assert_negative_size_refused(capsys, "zoo:upair")
+
+
+def test_negative_size_presentation_file(tmp_path, capsys):
+    p = tmp_path / "pairs.ffn"
+    p.write_text(SOURCES["upair"])
+    assert_negative_size_refused(capsys, str(p))
+
+
+def test_negative_size_tabulated_file(tmp_path, capsys):
+    out_file = tmp_path / "u2.json"
+    run(capsys, "export", "zoo:upair", "--max-size", "2", "--out",
+        str(out_file))
+    assert_negative_size_refused(capsys, str(out_file))
+
+
 # ---------------------------------------------------------------------------
 # argparse plumbing
 

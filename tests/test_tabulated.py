@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -12,11 +13,12 @@ from finfun.tabulated import (
     FunctorLawError,
     MissingMorphismError,
     TabulatedFormatError,
+    TabulatedFunctor,
     as_instance,
     export_tabulated,
     load_tabulated,
 )
-from finfun.theory import SizeBoundError, empty_mod_max
+from finfun.theory import SizeBoundError, check_functor_laws, empty_mod_max
 from finfun.zoo import zoo_instance, zoo_names
 
 
@@ -80,6 +82,13 @@ def test_size_bound_enforced():
         t.elements(3)
     with pytest.raises(SizeBoundError):
         t.map(FiniteFunction(FiniteSet(3), FiniteSet(1), (0, 0, 0)))
+
+
+def test_negative_size_rejected():
+    t = as_instance(load_tabulated(export_tabulated(zoo_instance("upair"), 2)),
+                    name="u2")
+    with pytest.raises(SizeBoundError, match="queried at -1"):
+        t.elements(-1)
 
 
 def test_max_arity_unknown_for_tabulated():
@@ -205,6 +214,49 @@ def test_composition_law_violation_is_named():
     rec["action"]["p(0,0)"] = "p(0,1)"
     with pytest.raises(FunctorLawError, match="composition mismatch"):
         load_dict(data)
+
+
+def unvalidated(data):
+    """The tables of an exported dict as a TabulatedFunctor, unchecked."""
+    top = data["max_size"]
+    objects = tuple(tuple(data["objects"][str(n)]) for n in range(top + 1))
+    morphisms = {
+        (m["dom"], m["cod"], tuple(m["table"])): tuple(
+            objects[m["cod"]].index(m["action"][s])
+            for s in objects[m["dom"]])
+        for m in data["morphisms"]}
+    return TabulatedFunctor(top, objects, morphisms)
+
+
+def test_load_and_check_name_the_same_first_law_failure():
+    # One wrong entry of F((1):1->3) breaks many composable pairs; walked
+    # with g outer instead of f outer, the first pair would differ.
+    data = export_dict("upair", 3)
+    rec = next(m for m in data["morphisms"]
+               if m["dom"] == 1 and m["cod"] == 3 and m["table"] == [1])
+    rec["action"]["p(0,0)"] = "p(0,0)"
+    report = check_functor_laws(as_instance(unvalidated(data)), 3)
+    compositions = [c for c in report.counterexamples
+                    if c.startswith("F(g o f)")]
+    assert len(compositions) > 1
+    f, g = re.fullmatch(r"F\(g o f\) != F\(g\) o F\(f\) for f=(\S+), "
+                        r"g=(\S+)", compositions[0]).groups()
+    assert (f, g) == ("(0):1->2", "(1,0):2->3")
+    with pytest.raises(FunctorLawError) as err:
+        load_dict(data)
+    assert str(err.value) == f"composition mismatch for f={f} and g={g}"
+
+
+def test_load_and_check_name_the_same_identity_failure():
+    data = export_dict("upair")
+    rec = next(m for m in data["morphisms"]
+               if m["dom"] == 2 and m["cod"] == 2 and m["table"] == [0, 1])
+    rec["action"]["p(0,1)"] = "p(0,0)"
+    report = check_functor_laws(as_instance(unvalidated(data)), 2)
+    assert report.counterexamples[0] == "F(id_2) is not the identity"
+    with pytest.raises(FunctorLawError) as err:
+        load_dict(data)
+    assert str(err.value) == "F((0,1):2->2) is not the identity on F(2)"
 
 
 def test_lawful_hand_written_table_loads():

@@ -197,6 +197,22 @@ def test_empty_morphism_factors_every_map_out_of_empty():
                     == left.table
 
 
+def test_min_modification_is_max_form_with_no_empty_classes():
+    tw = zoo_instance("twins")
+    lo, hi = empty_mod_min(tw), empty_mod_max(tw)
+    assert type(lo) is type(hi)
+    assert isinstance(lo, MinModified) and isinstance(hi, MaxModified)
+    assert (lo.kind, lo.empty_classes, lo.name) \
+        == (ModificationKind.MINIMAL, (), "twins∘")
+    assert lo.elements(0) == ()
+    for y in range(4):
+        out = lo.map(FiniteFunction(FiniteSet(0), FiniteSet(y), ()))
+        assert (out.dom.size, out.cod.size, out.table) == (0, lo.size(y), ())
+    with pytest.raises(UnknownElementError,
+                       match=r"'c' is not an element of twins∘\(0\)"):
+        lo.element_index(0, "c")
+
+
 def test_modified_element_index():
     h = empty_mod_max(zoo_instance("twins"))
     assert h.element_index(0, "c") == 0
@@ -287,6 +303,14 @@ def test_support_order_independent():
                 base = support(g, n, a).support
                 for order in orders:
                     assert support(g, n, a, order=order).support == base
+
+
+def test_support_rejects_order_that_is_not_a_permutation():
+    up = zoo_instance("upair")
+    for order in ([0, 0], [0, 0, 1], [0, 1, 3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            support(up, 3, 0, order=order)
+    assert support(up, 3, 0, order=[2, 0, 1]).support.members == (0,)
 
 
 def test_support_refuses_non_monomorphic():
