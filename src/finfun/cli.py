@@ -181,9 +181,12 @@ def _resolve_element(g: FunctorInstance, n: int, text: str) -> int:
     try:
         return g.element_index(n, text)
     except UnknownElementError:
-        if text.isdigit() and int(text) < g.size(n):
-            return int(text)
-        raise
+        if not text.isdigit():
+            raise
+    if int(text) >= g.size(n):
+        raise UnknownElementError(
+            f"index {int(text)} is not an element of {g.name}({n})")
+    return int(text)
 
 
 def cmd_supp(target: str, size: int, element: str, order: str = "asc",

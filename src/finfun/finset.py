@@ -1,9 +1,8 @@
 """Finite sets and the functions between them: the ambient category.
 
-Sets are canonical initial segments {0, ..., size-1}.  Labels are display
-strings only; equality and every construction ignore them, so all values
-are reproducible and hashable.  Enumeration orders are fixed so that
-reports and counterexamples come out deterministic.
+Sets are canonical initial segments {0, ..., size-1}, so all values are
+reproducible and hashable.  Enumeration orders are fixed so that reports
+and counterexamples come out deterministic.
 """
 
 from __future__ import annotations
@@ -13,36 +12,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FiniteSet:
-    """A finite discrete space {0, ..., size-1} with optional labels."""
+    """A finite discrete space {0, ..., size-1}."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"size must be non-negative, got {self.size}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != self.size:
-                raise ValueError(
-                    f"expected {self.size} labels, got {len(labels)}")
-            if len(set(labels)) != len(labels):
-                raise ValueError("labels must be pairwise distinct")
-
-    # Labels are cosmetic: two sets of equal size are the same object.
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteSet) and self.size == other.size
-
-    def __hash__(self) -> int:
-        return hash(("FiniteSet", self.size))
-
-    def label(self, i: int) -> str:
-        if not 0 <= i < self.size:
-            raise IndexError(f"no element {i} in a set of size {self.size}")
-        return self.labels[i] if self.labels is not None else str(i)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.size))
@@ -156,12 +134,10 @@ def compose(g: FiniteFunction, f: FiniteFunction) -> FiniteFunction:
 def inclusion(a: SubsetMask) -> FiniteFunction:
     """The identity embedding of a subset into its ambient set.
 
-    The domain is the canonical set of size |a| with labels naming the
-    members; the table lists the members themselves.
+    The domain is the canonical set of size |a|; the table lists the
+    members themselves.
     """
-    labels = tuple(a.ambient.label(m) for m in a.members)
-    return FiniteFunction(FiniteSet(len(a.members), labels), a.ambient,
-                          a.members)
+    return FiniteFunction(FiniteSet(len(a.members)), a.ambient, a.members)
 
 
 def is_injective(f: FiniteFunction) -> bool:

@@ -142,24 +142,6 @@ class Presentation:
     def max_arity(self) -> int:
         return max((s.arity for s in self.shapes), default=0)
 
-    def term_offsets(self, n: int) -> tuple[int, ...]:
-        offsets = []
-        total = 0
-        for s in self.shapes:
-            offsets.append(total)
-            total += n ** s.arity
-        offsets.append(total)
-        return tuple(offsets)
-
-    def count_terms(self, n: int) -> int:
-        return sum(n ** s.arity for s in self.shapes)
-
-    def term_index(self, n: int, shape_idx: int, args: tuple[int, ...]) -> int:
-        rank = 0
-        for a in args:
-            rank = rank * n + a
-        return self.term_offsets(n)[shape_idx] + rank
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -178,13 +160,24 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+def _term_index(n: int, offsets: tuple[int, ...], shape_idx: int,
+                args: tuple[int, ...]) -> int:
+    """Position of a raw term over n points: terms are numbered shape by
+    shape from ``offsets[shape_idx]``, arguments in lexicographic order."""
+    rank = 0
+    for a in args:
+        rank = rank * n + a
+    return offsets[shape_idx] + rank
+
+
 @dataclass(frozen=True)
 class EvaluatedObject:
     """The value FX: one canonical representative per equivalence class,
-    plus the class of every raw term."""
+    plus the class of every raw term.  ``offsets`` holds the position of
+    each shape's first raw term, then the number of raw terms."""
 
-    presentation: Presentation
     size: int
+    offsets: tuple[int, ...]
     reps: tuple[ElementRef, ...]
     rep_terms: tuple[tuple[int, tuple[int, ...]], ...]
     class_of_term: tuple[int, ...]
@@ -194,7 +187,7 @@ class EvaluatedObject:
 
     def class_of(self, shape_idx: int, args: tuple[int, ...]) -> int:
         return self.class_of_term[
-            self.presentation.term_index(self.size, shape_idx, args)]
+            _term_index(self.size, self.offsets, shape_idx, args)]
 
 
 def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
@@ -204,18 +197,20 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
     equations without variables can instantiate.
     """
     n = x if isinstance(x, int) else x.size
-    total = pres.count_terms(n)
-    uf = _UnionFind(total)
+    offsets = [0]
+    for s in pres.shapes:
+        offsets.append(offsets[-1] + n ** s.arity)
+    uf = _UnionFind(offsets[-1])
     sidx = pres.shape_index
     for eq in pres.equations:
         variables = eq.variables
         li, ri = sidx[eq.lhs.shape], sidx[eq.rhs.shape]
         for values in itertools.product(range(n), repeat=len(variables)):
             theta = dict(zip(variables, values))
-            left = pres.term_index(
-                n, li, tuple(theta[v] for v in eq.lhs.vars))
-            right = pres.term_index(
-                n, ri, tuple(theta[v] for v in eq.rhs.vars))
+            left = _term_index(
+                n, offsets, li, tuple(theta[v] for v in eq.lhs.vars))
+            right = _term_index(
+                n, offsets, ri, tuple(theta[v] for v in eq.rhs.vars))
             uf.union(left, right)
     reps: list[ElementRef] = []
     rep_terms: list[tuple[int, tuple[int, ...]]] = []
@@ -234,24 +229,21 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
                 rep_terms.append((i, args))
             class_of_term.append(cls)
             term += 1
-    return EvaluatedObject(pres, n, tuple(reps), tuple(rep_terms),
+    return EvaluatedObject(n, tuple(offsets), tuple(reps), tuple(rep_terms),
                            tuple(class_of_term))
 
 
 def evaluate_morphism(pres: Presentation, f: FiniteFunction,
-                      dom_obj: EvaluatedObject | None = None,
-                      cod_obj: EvaluatedObject | None = None) -> FiniteFunction:
+                      dom_obj: EvaluatedObject,
+                      cod_obj: EvaluatedObject) -> FiniteFunction:
     """The action of the presented functor on f: substitute into the
     argument slots and canonicalize in the codomain.
 
     The result does not depend on the chosen representatives: every
     generating identification over the domain maps to the identification
-    induced by composing the assignment with f.
+    induced by composing the assignment with f.  ``dom_obj`` and
+    ``cod_obj`` are ``pres`` evaluated at the domain and the codomain.
     """
-    if dom_obj is None:
-        dom_obj = evaluate_object(pres, f.dom.size)
-    if cod_obj is None:
-        cod_obj = evaluate_object(pres, f.cod.size)
     table = tuple(
         cod_obj.class_of(shape_idx, tuple(f.table[a] for a in args))
         for shape_idx, args in dom_obj.rep_terms)
@@ -453,25 +445,18 @@ class PresentationInstance(FunctorInstance):
                               FiniteFunction] = {}
 
     @property
-    def source(self) -> Presentation:
-        return self.presentation
-
-    @property
     def max_arity(self) -> int:
         return self.presentation.max_arity
 
     def object(self, n: int) -> EvaluatedObject:
         obj = self._objects.get(n)
         if obj is None:
-            obj = evaluate_object(self.presentation, n)
+            obj = evaluate_object(self.presentation, FiniteSet(n))
             self._objects[n] = obj
         return obj
 
     def elements(self, n: int) -> tuple[str, ...]:
         return tuple(repr(ref) for ref in self.object(n).reps)
-
-    def element_refs(self, n: int) -> tuple[ElementRef, ...]:
-        return self.object(n).reps
 
     def map(self, f: FiniteFunction) -> FiniteFunction:
         key = (f.dom.size, f.cod.size, f.table)

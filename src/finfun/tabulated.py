@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .finset import (FiniteFunction, FiniteSet, enumerate_functions,
-                     function_tables, table_repr)
-from .theory import FunctorInstance, MorphismKey, SizeBoundError, law_failures
+from .finset import FiniteFunction, FiniteSet, table_repr
+from .theory import (FunctorInstance, MorphismKey, SizeBoundError,
+                     law_failures, maps_up_to)
 
 
 class TabulatedError(Exception):
@@ -124,13 +124,9 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedFunctor:
             out.append(cod_index[target])
         morphisms[key] = tuple(out)
 
-    for dom in range(max_size + 1):
-        for cod in range(max_size + 1):
-            for table in function_tables(dom, cod):
-                key = (dom, cod, table)
-                if key not in morphisms:
-                    raise MissingMorphismError(
-                        f"missing morphism table for {table_repr(*key)}")
+    for f in maps_up_to(max_size):
+        if (f.dom.size, f.cod.size, f.table) not in morphisms:
+            raise MissingMorphismError(f"missing morphism table for {f!r}")
 
     for f, g in law_failures(morphisms, [len(names) for names in objects]):
         if g is None:
@@ -151,10 +147,6 @@ class TabulatedInstance(FunctorInstance):
     def __init__(self, tabulated: TabulatedFunctor, name: str = "tabulated"):
         super().__init__(name)
         self.tabulated = tabulated
-
-    @property
-    def source(self) -> TabulatedFunctor:
-        return self.tabulated
 
     @property
     def max_size(self) -> int:
@@ -185,21 +177,15 @@ def as_instance(t: TabulatedFunctor, name: str = "tabulated") -> TabulatedInstan
 
 def export_tabulated(g: FunctorInstance, max_size: int) -> str:
     """Dump any instance to the data format, queried up to max_size."""
-    objects = {str(n): list(g.elements(n)) for n in range(max_size + 1)}
-    morphisms = []
-    for dom in range(max_size + 1):
-        for cod in range(max_size + 1):
-            dom_names = objects[str(dom)]
-            cod_names = objects[str(cod)]
-            for f in enumerate_functions(FiniteSet(dom), FiniteSet(cod)):
-                action_table = g.map(f).table
-                morphisms.append({
-                    "dom": dom,
-                    "cod": cod,
-                    "table": list(f.table),
-                    "action": {dom_names[i]: cod_names[v]
-                               for i, v in enumerate(action_table)},
-                })
+    names = [g.elements(n) for n in range(max_size + 1)]
+    objects = {str(n): list(ns) for n, ns in enumerate(names)}
+    morphisms = [{
+        "dom": f.dom.size,
+        "cod": f.cod.size,
+        "table": list(f.table),
+        "action": {names[f.dom.size][i]: names[f.cod.size][v]
+                   for i, v in enumerate(g.map(f).table)},
+    } for f in maps_up_to(max_size)]
     payload = {"max_size": max_size, "objects": objects,
                "morphisms": morphisms}
     return json.dumps(payload, indent=2, ensure_ascii=False)

@@ -98,18 +98,8 @@ class FunctorInstance(ABC):
         """The induced function on element indices."""
 
     @property
-    def max_size(self) -> int | None:
-        """Largest queryable set size, or None if unbounded."""
-        return None
-
-    @property
     def max_arity(self) -> int | None:
         """Largest shape arity for presentation-backed instances, else None."""
-        return None
-
-    @property
-    def source(self) -> object:
-        """Provenance of the instance (presentation, tables, modification)."""
         return None
 
     def size(self, n: int) -> int:
@@ -122,6 +112,16 @@ class FunctorInstance(ABC):
         except ValueError:
             raise UnknownElementError(
                 f"{name!r} is not an element of {self.name}({n})") from None
+
+
+def maps_up_to(max_size: int) -> Iterator[FiniteFunction]:
+    """Every map x -> y with x, y <= max_size: by x, then y, then in
+    ``function_tables`` order.  The checks over maps list their
+    counterexamples, and tabulations their records, in this order."""
+    sets = [FiniteSet(n) for n in range(max_size + 1)]
+    for x in sets:
+        for y in sets:
+            yield from enumerate_functions(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +149,13 @@ class EmptyModified(FunctorInstance):
         self.empty_classes = empty_classes
 
     @property
-    def max_size(self) -> int | None:
-        return self.base.max_size
-
-    @property
     def max_arity(self) -> int | None:
         return self.base.max_arity
-
-    @property
-    def source(self) -> object:
-        return (self.kind, self.base)
 
     def elements(self, n: int) -> tuple[str, ...]:
         if n > 0:
             return self.base.elements(n)
+        FiniteSet(n)  # refuses a negative size
         # F1 is looked up per member: with none, the base is not queried.
         return tuple(self.base.elements(1)[i] for i in self.empty_classes)
 
@@ -268,21 +261,19 @@ def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
     """Each injective f between sets of sizes <= max_size, maps out of the
     empty set included, for which G(f) is not injective, with the names
     of the first two elements G(f) collapses."""
-    for x in range(max_size + 1):
-        for y in range(max_size + 1):
-            for f in enumerate_functions(FiniteSet(x), FiniteSet(y)):
-                if not is_injective(f):
-                    continue
-                gf = g.map(f)
-                if is_injective(gf):
-                    continue
-                names = g.elements(x)
-                seen: dict[int, int] = {}
-                for i, v in enumerate(gf.table):
-                    if v in seen:
-                        yield f, (names[seen[v]], names[i])
-                        break
-                    seen[v] = i
+    for f in maps_up_to(max_size):
+        if not is_injective(f):
+            continue
+        gf = g.map(f)
+        if is_injective(gf):
+            continue
+        names = g.elements(f.dom.size)
+        seen: dict[int, int] = {}
+        for i, v in enumerate(gf.table):
+            if v in seen:
+                yield f, (names[seen[v]], names[i])
+                break
+            seen[v] = i
 
 
 @dataclass(frozen=True)
@@ -475,10 +466,8 @@ def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size."""
     out = _Collector("laws", f"sizes <= {max_size}")
-    sets = [FiniteSet(n) for n in range(max_size + 1)]
-    action = {(x, y, t): g.map(FiniteFunction(sets[x], sets[y], t)).table
-              for x in range(max_size + 1) for y in range(max_size + 1)
-              for t in function_tables(x, y)}
+    action = {(f.dom.size, f.cod.size, f.table): g.map(f).table
+              for f in maps_up_to(max_size)}
     sizes = [g.size(n) for n in range(max_size + 1)]
     for f, h in law_failures(action, sizes):
         if h is None:
@@ -501,18 +490,14 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
 def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size."""
     out = _Collector("epi", f"sizes <= {max_size}")
-    for x in range(max_size + 1):
-        for y in range(max_size + 1):
-            xs, ys = FiniteSet(x), FiniteSet(y)
-            for f in enumerate_functions(xs, ys):
-                if not is_surjective(f):
-                    continue
-                gf = g.map(f)
-                missed = set(range(g.size(y))) - set(gf.table)
-                if missed:
-                    name = g.elements(y)[min(missed)]
-                    out.add(f"G(f) not surjective for f={f!r}: "
-                            f"misses {name}")
+    for f in maps_up_to(max_size):
+        if not is_surjective(f):
+            continue
+        y = f.cod.size
+        missed = set(range(g.size(y))) - set(g.map(f).table)
+        if missed:
+            name = g.elements(y)[min(missed)]
+            out.add(f"G(f) not surjective for f={f!r}: misses {name}")
     return out.report()
 
 
@@ -634,13 +619,12 @@ def check_modification_maximality(f: FunctorInstance,
         if probe.elements(n) != f.elements(n):
             raise ProbeMismatchError(
                 f"probe disagrees with {f.name} on the value at size {n}")
-    for x in range(1, max_size + 1):
-        for y in range(1, max_size + 1):
-            xs, ys = FiniteSet(x), FiniteSet(y)
-            for fn in enumerate_functions(xs, ys):
-                if probe.map(fn).table != f.map(fn).table:
-                    raise ProbeMismatchError(
-                        f"probe disagrees with {f.name} at {fn!r}")
+    for fn in maps_up_to(max_size):
+        # The probe may differ from F at the empty set, and every map
+        # with an end of size 0 starts there.
+        if fn.dom.size and probe.map(fn).table != f.map(fn).table:
+            raise ProbeMismatchError(
+                f"probe disagrees with {f.name} at {fn!r}")
     laws = check_functor_laws(probe, max_size)
     if not laws.passed:
         raise ProbeMismatchError(

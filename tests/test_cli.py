@@ -215,6 +215,18 @@ def test_supp_unknown_element(capsys):
     assert code == 2
 
 
+def test_supp_index_out_of_range(capsys):
+    code, out, err = run(capsys, "supp", "zoo:upair", "--size", "1",
+                         "--element", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: index 9 is not an element of upair(1)\n"
+    # Resolved before the monomorphicity refusal, which would exit 1.
+    code, out, err = run(capsys, "supp", "zoo:twins", "--size", "1",
+                         "--element", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: index 1 is not an element of twins(1)\n"
+
+
 def test_supp_with_modification(capsys):
     code, out, err = run(capsys, "supp", "zoo:twins", "--modify", "max",
                          "--size", "2", "--element", "c")

@@ -32,22 +32,7 @@ def small_functions(max_size=4):
 
 
 class TestFiniteSet:
-    def test_default_labels(self):
-        x = FiniteSet(3)
-        assert x.labels is None
-        assert [x.label(i) for i in x] == ["0", "1", "2"]
-        with pytest.raises(IndexError):
-            x.label(3)
-
-    def test_equality_ignores_labels(self):
-        assert FiniteSet(2, ("a", "b")) == FiniteSet(2)
-        assert hash(FiniteSet(2, ("a", "b"))) == hash(FiniteSet(2))
-
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            FiniteSet(2, ("a",))
-        with pytest.raises(ValueError):
-            FiniteSet(2, ("a", "a"))
         with pytest.raises(ValueError):
             FiniteSet(-1)
 
@@ -192,8 +177,3 @@ def test_all_pairs_compose_correctly():
             gf = compose(g, f)
             for i in x:
                 assert gf(i) == g(f(i))
-
-
-def test_inclusion_carries_member_labels():
-    m = SubsetMask.of(FiniteSet(3, ("p", "q", "r")), [0, 2])
-    assert inclusion(m).dom.labels == ("p", "r")

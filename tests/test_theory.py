@@ -41,6 +41,7 @@ from finfun.theory import (
     empty_morphism,
     epi_witness,
     image_of_inclusion,
+    maps_up_to,
     modify,
     run_standard_checks,
     skeleton,
@@ -443,6 +444,26 @@ def test_epi_witness_rejects_non_surjective():
 
 # ---------------------------------------------------------------------------
 # Checkers.
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_maps_up_to_is_the_nested_size_walk(n):
+    nested = [f for x in range(n + 1) for y in range(n + 1)
+              for f in enumerate_functions(FiniteSet(x), FiniteSet(y))]
+    walk = list(maps_up_to(n))
+    assert walk == nested
+    assert len(walk) == sum(y ** x for x in range(n + 1)
+                            for y in range(n + 1))
+
+
+@pytest.mark.parametrize("g, n", [
+    (zoo_instance("upair"), -1),
+    (zoo_instance("pointed"), -2),
+    (empty_mod_max(zoo_instance("twins")), -1),
+])
+def test_negative_size_is_refused(g, n):
+    with pytest.raises(ValueError, match=f"size must be non-negative, got {n}"):
+        g.elements(n)
 
 
 def test_check_functor_laws_passes_zoo():
