@@ -3,9 +3,12 @@
 ``golden_cli.json`` lists argv vectors over the zoo functors, each with
 the exit code, standard output and standard error it produced: ``check``
 text and ``--json`` at sizes 0, 2 and 3 and under each modification;
-``eval``, ``supp``, ``degree`` and ``export``, plain and under each
-modification; and ``modify`` in both modes.  A change that alters any of
-them must say so and re-record the entries it changes.
+``check --skip`` and ``check --json --seed``; ``eval``, ``map``,
+``supp`` (in both removal orders), ``degree`` and ``export``, plain and
+under each modification; ``modify`` in both modes; and the refusals of
+bad ``--skip`` and ``--max-size`` values, alone and together.  A change
+that alters any of them must say so and re-record the entries it
+changes.
 """
 
 from __future__ import annotations
