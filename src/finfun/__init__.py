@@ -34,8 +34,7 @@ from .presentation import (
 )
 from .tabulated import (
     TabulatedError,
-    TabulatedFunctor,
-    as_instance,
+    TabulatedInstance,
     export_tabulated,
     load_tabulated,
 )
@@ -76,8 +75,8 @@ __all__ = [
     "enumerate_subsets", "identity", "inclusion",
     "ParseError", "Presentation", "PresentationInstance",
     "evaluate_morphism", "evaluate_object", "parse_presentation",
-    "TabulatedError", "TabulatedFunctor", "as_instance",
-    "export_tabulated", "load_tabulated",
+    "TabulatedError", "TabulatedInstance", "export_tabulated",
+    "load_tabulated",
     "CheckReport", "DegreeResult", "FunctorInstance",
     "MaxModified", "MinModified", "ModificationKind",
     "MonomorphicityError", "SizeBoundError", "SupportResult",

@@ -17,13 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .finset import FiniteFunction, FiniteSet
 from .presentation import ParseError, PresentationInstance, parse_presentation
-from .tabulated import TabulatedError, as_instance, export_tabulated, load_tabulated
+from .tabulated import TabulatedError, export_tabulated, load_tabulated
 from .theory import (
     STANDARD_CHECKS,
     CheckReport,
@@ -41,20 +40,6 @@ from .theory import (
 from .zoo import zoo_instance, zoo_names
 
 MAX_SIZE_CAP = 5
-SLOW_SIZE = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation of the check battery."""
-
-    target: str
-    max_size: int = 3
-    checks: tuple[str, ...] = STANDARD_CHECKS
-    structured: bool = False
-    seed: int = 0
-    modify: str | None = None
-    timing: bool = False
 
 
 def load_input(target: str) -> FunctorInstance:
@@ -73,7 +58,7 @@ def load_input(target: str) -> FunctorInstance:
         return PresentationInstance(
             parse_presentation(text, default_name=path.stem))
     if path.suffix == ".json":
-        return as_instance(load_tabulated(text), name=path.stem)
+        return load_tabulated(text, name=path.stem)
     raise ValueError(
         f"cannot tell the format of {target!r}: expected zoo:<name>, "
         f"a .ffn presentation, or a .json tabulation")
@@ -102,13 +87,13 @@ def _checked_max_size(n: int, with_modification: bool) -> int:
         raise ValueError(
             f"--max-size is capped at {MAX_SIZE_CAP}; exhaustive function "
             f"enumeration explodes beyond that")
-    if n >= SLOW_SIZE:
+    if n == MAX_SIZE_CAP:
         print(f"warning: --max-size {n} enumerates a very large number of "
               f"function pairs; expect a wait", file=sys.stderr)
     return n
 
 
-def _report_payload(functor: str, config: RunConfig,
+def _report_payload(functor: str, max_size: int, timing: bool,
                     reports: list[CheckReport]) -> dict:
     checks = []
     for r in reports:
@@ -117,19 +102,19 @@ def _report_payload(functor: str, config: RunConfig,
             "verdict": "pass" if r.passed else "fail",
             "counterexamples": list(r.counterexamples),
         }
-        if config.timing:
+        if timing:
             entry["elapsed"] = round(r.elapsed, 6)
         checks.append(entry)
     return {"tool_version": __version__, "functor": functor,
-            "max_size": config.max_size, "checks": checks}
+            "max_size": max_size, "checks": checks}
 
 
-def _print_text_report(functor: str, config: RunConfig,
+def _print_text_report(functor: str, max_size: int, timing: bool,
                        reports: list[CheckReport]) -> None:
-    print(f"checking {functor} at sizes <= {config.max_size}")
+    print(f"checking {functor} at sizes <= {max_size}")
     for r in reports:
-        timing = f"  [{r.elapsed:.3f}s]" if config.timing else ""
-        print(f"  {r.name:<14} {'pass' if r.passed else 'FAIL'}{timing}")
+        elapsed = f"  [{r.elapsed:.3f}s]" if timing else ""
+        print(f"  {r.name:<14} {'pass' if r.passed else 'FAIL'}{elapsed}")
         for c in r.counterexamples:
             print(f"      - {c}")
         if not r.passed and r.details:
@@ -141,16 +126,16 @@ def _print_text_report(functor: str, config: RunConfig,
         print(f"all {len(reports)} checks passed")
 
 
-def cmd_check(config: RunConfig) -> int:
-    g = _load_modified(config.target, config.modify)
-    skip = tuple(c for c in STANDARD_CHECKS if c not in config.checks)
-    reports = run_standard_checks(g, config.max_size, seed=config.seed,
-                                  skip=skip)
-    if config.structured:
-        print(json.dumps(_report_payload(g.name, config, reports),
-                         indent=2, ensure_ascii=False))
+def cmd_check(args: argparse.Namespace) -> int:
+    skip = _parse_skip(args.skip)
+    max_size = _checked_max_size(args.max_size, args.modify is not None)
+    g = _load_modified(args.target, args.modify)
+    reports = run_standard_checks(g, max_size, seed=args.seed, skip=skip)
+    if args.json:
+        payload = _report_payload(g.name, max_size, args.timing, reports)
+        print(json.dumps(payload, indent=2, ensure_ascii=False))
     else:
-        _print_text_report(g.name, config, reports)
+        _print_text_report(g.name, max_size, args.timing, reports)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -287,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="include elapsed seconds (output no longer "
                         "byte-stable)")
-    p.set_defaults(func=_run_check)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("eval", parents=[target, mod],
                        help="list the elements of F(n)")
@@ -342,20 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         a.out, a.modify))
 
     return parser
-
-
-def _run_check(args: argparse.Namespace) -> int:
-    skip = _parse_skip(args.skip)
-    config = RunConfig(
-        target=args.target,
-        max_size=_checked_max_size(args.max_size, args.modify is not None),
-        checks=tuple(c for c in STANDARD_CHECKS if c not in skip),
-        structured=args.json,
-        seed=args.seed,
-        modify=args.modify,
-        timing=args.timing,
-    )
-    return cmd_check(config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -173,17 +173,18 @@ def _term_index(n: int, offsets: tuple[int, ...], shape_idx: int,
 @dataclass(frozen=True)
 class EvaluatedObject:
     """The value FX: one canonical representative per equivalence class,
-    plus the class of every raw term.  ``offsets`` holds the position of
-    each shape's first raw term, then the number of raw terms."""
+    as (shape index, arguments) and by name, plus the class of every raw
+    term.  ``offsets`` holds the position of each shape's first raw term,
+    then the number of raw terms."""
 
     size: int
     offsets: tuple[int, ...]
-    reps: tuple[ElementRef, ...]
+    names: tuple[str, ...]
     rep_terms: tuple[tuple[int, tuple[int, ...]], ...]
     class_of_term: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self.names)
 
     def class_of(self, shape_idx: int, args: tuple[int, ...]) -> int:
         return self.class_of_term[
@@ -212,7 +213,7 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
             right = _term_index(
                 n, offsets, ri, tuple(theta[v] for v in eq.rhs.vars))
             uf.union(left, right)
-    reps: list[ElementRef] = []
+    names: list[str] = []
     rep_terms: list[tuple[int, tuple[int, ...]]] = []
     class_of_term: list[int] = []
     class_of_root: dict[int, int] = {}
@@ -223,18 +224,17 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
             cls = class_of_root.get(root)
             if cls is None:
                 # First occurrence in term order is the least (shape, args).
-                cls = len(reps)
+                cls = len(names)
                 class_of_root[root] = cls
-                reps.append(ElementRef(shape.name, args))
+                names.append(repr(ElementRef(shape.name, args)))
                 rep_terms.append((i, args))
             class_of_term.append(cls)
             term += 1
-    return EvaluatedObject(n, tuple(offsets), tuple(reps), tuple(rep_terms),
+    return EvaluatedObject(n, tuple(offsets), tuple(names), tuple(rep_terms),
                            tuple(class_of_term))
 
 
-def evaluate_morphism(pres: Presentation, f: FiniteFunction,
-                      dom_obj: EvaluatedObject,
+def evaluate_morphism(f: FiniteFunction, dom_obj: EvaluatedObject,
                       cod_obj: EvaluatedObject) -> FiniteFunction:
     """The action of the presented functor on f: substitute into the
     argument slots and canonicalize in the codomain.
@@ -242,7 +242,8 @@ def evaluate_morphism(pres: Presentation, f: FiniteFunction,
     The result does not depend on the chosen representatives: every
     generating identification over the domain maps to the identification
     induced by composing the assignment with f.  ``dom_obj`` and
-    ``cod_obj`` are ``pres`` evaluated at the domain and the codomain.
+    ``cod_obj`` are one presentation evaluated at the domain and the
+    codomain of f.
     """
     table = tuple(
         cod_obj.class_of(shape_idx, tuple(f.table[a] for a in args))
@@ -456,14 +457,13 @@ class PresentationInstance(FunctorInstance):
         return obj
 
     def elements(self, n: int) -> tuple[str, ...]:
-        return tuple(repr(ref) for ref in self.object(n).reps)
+        return self.object(n).names
 
     def map(self, f: FiniteFunction) -> FiniteFunction:
         key = (f.dom.size, f.cod.size, f.table)
         cached = self._morphisms.get(key)
         if cached is None:
-            cached = evaluate_morphism(self.presentation, f,
-                                       self.object(f.dom.size),
+            cached = evaluate_morphism(f, self.object(f.dom.size),
                                        self.object(f.cod.size))
             self._morphisms[key] = cached
         return cached

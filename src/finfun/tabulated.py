@@ -18,7 +18,6 @@ functors to the checkers: tables need not come from any presentation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .finset import FiniteFunction, FiniteSet, table_repr
 from .theory import (FunctorInstance, MorphismKey, SizeBoundError,
@@ -41,14 +40,40 @@ class FunctorLawError(TabulatedError):
     """Tables violate F(id) = id or F(g o f) = F(g) o F(f)."""
 
 
-@dataclass(frozen=True)
-class TabulatedFunctor:
-    max_size: int
-    objects: tuple[tuple[str, ...], ...]
-    morphisms: dict[MorphismKey, tuple[int, ...]]
+class TabulatedInstance(FunctorInstance):
+    """Tables of F(n) for n <= max_size and of F(f) for every map between
+    those sizes, behind the uniform functor interface.  ``morphisms`` maps
+    (dom, cod, table) to the table of the image.  ``load_tabulated``
+    validates them; built directly, they are taken as given.
 
-    def action(self, key: MorphismKey) -> tuple[int, ...]:
-        return self.morphisms[key]
+    Queries beyond the tabulated bound raise SizeBoundError.
+    """
+
+    def __init__(self, objects: tuple[tuple[str, ...], ...],
+                 morphisms: dict[MorphismKey, tuple[int, ...]],
+                 name: str = "tabulated"):
+        super().__init__(name)
+        self.objects = objects
+        self.morphisms = morphisms
+        self.max_size = len(objects) - 1
+
+    def _check_size(self, n: int) -> None:
+        if not 0 <= n <= self.max_size:
+            raise SizeBoundError(
+                f"{self.name} is tabulated up to size {self.max_size}, "
+                f"queried at {n}")
+
+    def elements(self, n: int) -> tuple[str, ...]:
+        self._check_size(n)
+        return self.objects[n]
+
+    def map(self, f: FiniteFunction) -> FiniteFunction:
+        x, y = f.dom.size, f.cod.size
+        self._check_size(x)
+        self._check_size(y)
+        return FiniteFunction(FiniteSet(len(self.objects[x])),
+                              FiniteSet(len(self.objects[y])),
+                              self.morphisms[(x, y, f.table)])
 
 
 def _require(cond: bool, message: str) -> None:
@@ -56,8 +81,8 @@ def _require(cond: bool, message: str) -> None:
         raise TabulatedFormatError(message)
 
 
-def load_tabulated(text: str, name: str = "tabulated") -> TabulatedFunctor:
-    """Parse and fully validate a tabulated functor."""
+def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
+    """Parse and fully validate a tabulated functor named ``name``."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
@@ -69,7 +94,8 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedFunctor:
     _require("objects" in data, "missing field 'objects'")
     _require("morphisms" in data, "missing field 'morphisms'")
     max_size = data["max_size"]
-    _require(isinstance(max_size, int) and max_size >= 0,
+    # JSON true and false load as bool, a subclass of int: refuse them.
+    _require(type(max_size) is int and max_size >= 0,
              "'max_size' must be a non-negative integer")
 
     raw_objects = data["objects"]
@@ -97,13 +123,13 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedFunctor:
                  f"morphism record has fields {sorted(rec)}, expected "
                  f"dom/cod/table/action")
         dom, cod = rec["dom"], rec["cod"]
-        _require(isinstance(dom, int) and 0 <= dom <= max_size,
+        _require(type(dom) is int and 0 <= dom <= max_size,
                  f"morphism dom {dom!r} out of range")
-        _require(isinstance(cod, int) and 0 <= cod <= max_size,
+        _require(type(cod) is int and 0 <= cod <= max_size,
                  f"morphism cod {cod!r} out of range")
         table = rec["table"]
         _require(isinstance(table, list) and len(table) == dom
-                 and all(isinstance(v, int) and 0 <= v < cod for v in table),
+                 and all(type(v) is int and 0 <= v < cod for v in table),
                  f"bad function table {table!r} for a map {dom}->{cod}")
         key: MorphismKey = (dom, cod, tuple(table))
         _require(key not in morphisms,
@@ -135,44 +161,7 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedFunctor:
         raise FunctorLawError(
             f"composition mismatch for f={table_repr(*f)} and "
             f"g={table_repr(*g)}")
-    return TabulatedFunctor(max_size, tuple(objects), morphisms)
-
-
-class TabulatedInstance(FunctorInstance):
-    """A validated tabulation behind the uniform functor interface.
-
-    Queries beyond the tabulated bound raise SizeBoundError.
-    """
-
-    def __init__(self, tabulated: TabulatedFunctor, name: str = "tabulated"):
-        super().__init__(name)
-        self.tabulated = tabulated
-
-    @property
-    def max_size(self) -> int:
-        return self.tabulated.max_size
-
-    def _check_size(self, n: int) -> None:
-        if not 0 <= n <= self.tabulated.max_size:
-            raise SizeBoundError(
-                f"{self.name} is tabulated up to size "
-                f"{self.tabulated.max_size}, queried at {n}")
-
-    def elements(self, n: int) -> tuple[str, ...]:
-        self._check_size(n)
-        return self.tabulated.objects[n]
-
-    def map(self, f: FiniteFunction) -> FiniteFunction:
-        self._check_size(f.dom.size)
-        self._check_size(f.cod.size)
-        table = self.tabulated.action((f.dom.size, f.cod.size, f.table))
-        return FiniteFunction(FiniteSet(len(self.tabulated.objects[f.dom.size])),
-                              FiniteSet(len(self.tabulated.objects[f.cod.size])),
-                              table)
-
-
-def as_instance(t: TabulatedFunctor, name: str = "tabulated") -> TabulatedInstance:
-    return TabulatedInstance(t, name)
+    return TabulatedInstance(tuple(objects), morphisms, name)
 
 
 def export_tabulated(g: FunctorInstance, max_size: int) -> str:

@@ -235,7 +235,7 @@ def test_criterion_8_round_trip():
         for x in range(4):
             for y in range(4):
                 for f in enumerate_functions(FiniteSet(x), FiniteSet(y)):
-                    if loaded.action((x, y, f.table)) != g.map(f).table:
+                    if loaded.map(f).table != g.map(f).table:
                         failures.append(f"{name}: action differs at {f!r}")
                         break
     verdict(8, "tabulated export/reload agrees with direct evaluation",

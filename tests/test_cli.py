@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from finfun import __version__
-from finfun.cli import RunConfig, cmd_check, load_input, main
+from finfun.cli import load_input, main
 from finfun.theory import STANDARD_CHECKS
 from finfun.zoo import SOURCES
 
@@ -408,14 +408,6 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, out, err = run(capsys, "check", "zoo:upair", "--frobnicate")
     assert code == 2
-
-
-def test_cmd_check_config_object(capsys):
-    config = RunConfig(target="zoo:upair", max_size=2,
-                       checks=("laws", "mono"))
-    assert cmd_check(config) == 0
-    out = capsys.readouterr().out
-    assert "all 2 checks passed" in out
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -74,7 +74,7 @@ def test_closure_matches_oracle(name, n):
     terms, block = closure_oracle(pres, n)
     obj = evaluate_object(pres, n)
     distinct = {id(s) for s in block.values()}
-    assert len(obj.reps) == len(distinct)
+    assert len(obj.names) == len(distinct)
     for t1, t2 in itertools.combinations(terms, 2):
         assert (block[t1] is block[t2]) == same_class(pres, n, t1, t2)
 
@@ -148,6 +148,11 @@ def test_noninjective_assignments_are_instantiated():
     assert not same_class(pres, 2, ("q", (0,)), ("q", (1,)))
 
 
+def test_element_names_are_built_once():
+    up = zoo_instance("upair")
+    assert up.elements(3) is up.elements(3)
+
+
 def test_canonical_rep_is_least_in_declaration_then_lex_order():
     up = zoo_instance("upair")
     # p(1,0) collapses with p(0,1); the representative spelling is the
@@ -161,7 +166,7 @@ def test_canonical_rep_is_least_in_declaration_then_lex_order():
     """)
     obj = evaluate_object(pres, 3)
     # z is declared first, so the merged class shows as z.
-    assert [repr(r) for r in obj.reps] == ["z"]
+    assert obj.names == ("z",)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ def test_action_well_defined_on_every_raw_term():
             cod_obj = evaluate_object(pres, y)
             for f in [FiniteFunction(FiniteSet(x), FiniteSet(y), t)
                       for t in itertools.product(range(y), repeat=x)]:
-                action = evaluate_morphism(pres, f, dom_obj, cod_obj)
+                action = evaluate_morphism(f, dom_obj, cod_obj)
                 for i, shape in enumerate(pres.shapes):
                     for args in itertools.product(range(x),
                                                   repeat=shape.arity):

@@ -13,8 +13,7 @@ from finfun.tabulated import (
     FunctorLawError,
     MissingMorphismError,
     TabulatedFormatError,
-    TabulatedFunctor,
-    as_instance,
+    TabulatedInstance,
     export_tabulated,
     load_tabulated,
 )
@@ -37,7 +36,7 @@ def load_dict(data):
 @pytest.mark.parametrize("name", zoo_names())
 def test_round_trip_agrees_with_direct_evaluation(name):
     g = zoo_instance(name)
-    t = as_instance(load_tabulated(export_tabulated(g, 3)), name=name)
+    t = load_tabulated(export_tabulated(g, 3), name=name)
     for n in range(4):
         assert t.elements(n) == g.elements(n)
     for x in range(4):
@@ -48,7 +47,7 @@ def test_round_trip_agrees_with_direct_evaluation(name):
 
 def test_round_trip_of_modified_functor():
     g = empty_mod_max(zoo_instance("twins"))
-    t = as_instance(load_tabulated(export_tabulated(g, 2)))
+    t = load_tabulated(export_tabulated(g, 2))
     assert t.elements(0) == ("c",)
     assert t.map(FiniteFunction(FiniteSet(0), FiniteSet(2), ())).table == (0,)
 
@@ -74,8 +73,8 @@ def test_export_covers_all_functions():
 
 
 def test_size_bound_enforced():
-    t = as_instance(load_tabulated(export_tabulated(zoo_instance("upair"), 2)),
-                    name="upair")
+    t = load_tabulated(export_tabulated(zoo_instance("upair"), 2),
+                       name="upair")
     assert t.max_size == 2
     assert t.size(2) == 3
     with pytest.raises(SizeBoundError, match="tabulated up to size 2"):
@@ -85,14 +84,19 @@ def test_size_bound_enforced():
 
 
 def test_negative_size_rejected():
-    t = as_instance(load_tabulated(export_tabulated(zoo_instance("upair"), 2)),
-                    name="u2")
+    t = load_tabulated(export_tabulated(zoo_instance("upair"), 2), name="u2")
     with pytest.raises(SizeBoundError, match="queried at -1"):
         t.elements(-1)
 
 
+def test_load_keeps_the_name():
+    text = export_tabulated(zoo_instance("upair"), 2)
+    assert load_tabulated(text, name="u2").name == "u2"
+    assert load_tabulated(text).name == "tabulated"
+
+
 def test_max_arity_unknown_for_tabulated():
-    t = as_instance(load_tabulated(export_tabulated(zoo_instance("upair"), 2)))
+    t = load_tabulated(export_tabulated(zoo_instance("upair"), 2))
     assert t.max_arity is None
 
 
@@ -126,6 +130,11 @@ def test_rejects_bad_max_size():
     data["max_size"] = -1
     with pytest.raises(TabulatedFormatError, match="max_size"):
         load_dict(data)
+    # JSON true is a Python bool, and bool is a subclass of int.
+    data = export_dict("upair", 1)
+    data["max_size"] = True
+    with pytest.raises(TabulatedFormatError, match="max_size"):
+        load_dict(data)
 
 
 def test_rejects_missing_object_size():
@@ -154,12 +163,26 @@ def test_rejects_bad_morphism_record():
     del data["morphisms"][0]["action"]
     with pytest.raises(TabulatedFormatError, match="expected dom/cod/table/action"):
         load_dict(data)
+    for field in ("dom", "cod"):
+        data = export_dict("upair")
+        rec = next(m for m in data["morphisms"]
+                   if m["dom"] == 1 and m["cod"] == 1)
+        rec[field] = True
+        with pytest.raises(TabulatedFormatError,
+                           match=f"morphism {field} True out of range"):
+            load_dict(data)
 
 
 def test_rejects_bad_function_table():
     data = export_dict("upair")
     rec = next(m for m in data["morphisms"] if m["dom"] == 2 and m["cod"] == 1)
     rec["table"] = [0, 7]
+    with pytest.raises(TabulatedFormatError, match="bad function table"):
+        load_dict(data)
+    data = export_dict("upair")
+    rec = next(m for m in data["morphisms"]
+               if m["dom"] == 2 and m["cod"] == 2 and m["table"] == [0, 1])
+    rec["table"] = [False, True]
     with pytest.raises(TabulatedFormatError, match="bad function table"):
         load_dict(data)
 
@@ -217,7 +240,7 @@ def test_composition_law_violation_is_named():
 
 
 def unvalidated(data):
-    """The tables of an exported dict as a TabulatedFunctor, unchecked."""
+    """The tables of an exported dict as a TabulatedInstance, unchecked."""
     top = data["max_size"]
     objects = tuple(tuple(data["objects"][str(n)]) for n in range(top + 1))
     morphisms = {
@@ -225,7 +248,7 @@ def unvalidated(data):
             objects[m["cod"]].index(m["action"][s])
             for s in objects[m["dom"]])
         for m in data["morphisms"]}
-    return TabulatedFunctor(top, objects, morphisms)
+    return TabulatedInstance(objects, morphisms)
 
 
 def test_load_and_check_name_the_same_first_law_failure():
@@ -235,7 +258,7 @@ def test_load_and_check_name_the_same_first_law_failure():
     rec = next(m for m in data["morphisms"]
                if m["dom"] == 1 and m["cod"] == 3 and m["table"] == [1])
     rec["action"]["p(0,0)"] = "p(0,0)"
-    report = check_functor_laws(as_instance(unvalidated(data)), 3)
+    report = check_functor_laws(unvalidated(data), 3)
     compositions = [c for c in report.counterexamples
                     if c.startswith("F(g o f)")]
     assert len(compositions) > 1
@@ -252,7 +275,7 @@ def test_load_and_check_name_the_same_identity_failure():
     rec = next(m for m in data["morphisms"]
                if m["dom"] == 2 and m["cod"] == 2 and m["table"] == [0, 1])
     rec["action"]["p(0,1)"] = "p(0,0)"
-    report = check_functor_laws(as_instance(unvalidated(data)), 2)
+    report = check_functor_laws(unvalidated(data), 2)
     assert report.counterexamples[0] == "F(id_2) is not the identity"
     with pytest.raises(FunctorLawError) as err:
         load_dict(data)
@@ -269,7 +292,7 @@ def test_lawful_hand_written_table_loads():
     data = {"max_size": 1,
             "objects": {"0": ["l", "r"], "1": ["l", "r"]},
             "morphisms": morphisms}
-    t = as_instance(load_dict(data), name="flat2")
+    t = load_tabulated(json.dumps(data), name="flat2")
     assert t.elements(0) == ("l", "r")
     assert t.map(FiniteFunction(FiniteSet(0), FiniteSet(1), ())).table == (0, 1)
     assert t.element_index(1, "r") == 1
