@@ -238,6 +238,8 @@ def _parse_skip(text: str | None) -> tuple[str, ...]:
         raise ValueError(
             f"unknown check name(s) in --skip: {', '.join(unknown)}; "
             f"known: {', '.join(STANDARD_CHECKS)}")
+    if set(STANDARD_CHECKS) <= set(names):
+        raise ValueError("--skip leaves no check to run")
     return names
 
 

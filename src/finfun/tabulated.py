@@ -11,7 +11,11 @@ The data file is JSON with three top-level fields:
 Every function must be listed explicitly; nothing is inferred.  Loading
 validates completeness and the functor laws, the latter with the routine
 behind ``check_functor_laws``, and reports the offending function (pair)
-on failure.  This is the vehicle for feeding hypothesis-violating
+on failure.  That routine decides the composition law on the generating
+maps (adjacent transpositions, merges n -> n-1 and inclusions n -> n+1,
+which generate every map: Mac Lane, *Categories for the Working
+Mathematician*, §VII.5) and walks every composable pair only to name the
+first failure.  This is the vehicle for feeding hypothesis-violating
 functors to the checkers: tables need not come from any presentation.
 """
 
@@ -144,6 +148,9 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
         out = []
         for s in dom_names:
             target = action[s]
+            _require(isinstance(target, str),
+                     f"action of {table_repr(*key)} sends {s!r} to "
+                     f"non-string {target!r}")
             _require(target in cod_index,
                      f"action of {table_repr(*key)} sends {s!r} to unknown "
                      f"element {target!r}")

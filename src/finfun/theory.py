@@ -432,6 +432,39 @@ class _Collector:
 # Exhaustive checkers
 
 
+def _elementary_maps(y: int,
+                     top: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(codomain size, table) of each generating map out of y within sizes
+    <= top: the adjacent transpositions of y, the merge y -> y-1 of its
+    last two points, and the inclusion y -> y+1."""
+    for i in range(y - 1):
+        yield y, tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, y))
+    if y >= 2:
+        yield y - 1, tuple(range(y - 1)) + (y - 2,)
+    if y < top:
+        yield y + 1, tuple(range(y))
+
+
+def _laws_hold_on_generators(action: Mapping[MorphismKey, tuple[int, ...]],
+                             sizes: Sequence[int]) -> bool:
+    """F(id_n) = id for each n, and F(s o f) = F(s) o F(f) for every map f
+    and every elementary map s out of f's codomain."""
+    top = len(sizes) - 1
+    if any(action[(n, n, tuple(range(n)))] != tuple(range(sizes[n]))
+           for n in range(top + 1)):
+        return False
+    for y in range(top + 1):
+        for z, st in _elementary_maps(y, top):
+            act = action[(y, z, st)]
+            for x in range(top + 1):
+                for ft in function_tables(x, y):
+                    af = action[(x, y, ft)]
+                    if (action[(x, z, tuple(map(st.__getitem__, ft)))]
+                            != tuple(map(act.__getitem__, af))):
+                        return False
+    return True
+
+
 def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
                  sizes: Sequence[int]) -> Iterator[
                      tuple[MorphismKey, MorphismKey | None]]:
@@ -443,7 +476,19 @@ def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
     for each composable pair with F(g o f) != F(g) o F(f): by the sizes
     of the domain of f, the codomain of f and the codomain of g, then f
     outer and g inner, each in ``function_tables`` order.
+
+    Lawful tables are recognised from the generating maps alone.  Every
+    g: y -> z factors as a surjection followed by an injection through
+    sets no larger than max(y, z), hence as a composite of adjacent
+    transpositions, merges n -> n-1 and inclusions n -> n+1 (Mac Lane,
+    *Categories for the Working Mathematician*, §VII.5).  So F(id) = id
+    and F(s o f) = F(s) o F(f), for every map f and every such s, give
+    F(g o f) = F(g) o F(f) for all g by induction on the factorisation.
+    Only when that fails are all composable pairs compared, so the
+    failures come out complete and in the order above.
     """
+    if _laws_hold_on_generators(action, sizes):
+        return
     top = range(len(sizes))
     for n in top:
         key = (n, n, tuple(range(n)))

@@ -96,6 +96,17 @@ def test_check_skip_unknown_name(capsys):
     assert "unknown check" in err
 
 
+def test_check_skip_everything_is_refused(capsys):
+    code, out, err = run(capsys, "check", "zoo:upair", "--skip",
+                         "laws,mono,epi,intersections,supports")
+    assert (code, out) == (2, "")
+    assert err == "error: --skip leaves no check to run\n"
+    code, out, err = run(capsys, "check", "zoo:upair", "--json", "--skip",
+                         "supports,laws,epi,mono,intersections,laws")
+    assert (code, out) == (2, "")
+    assert "no check to run" in err
+
+
 def test_check_seed_changes_nothing_for_lawful_functor(capsys):
     a = run(capsys, "check", "zoo:exp2", "--json", "--seed", "1")
     b = run(capsys, "check", "zoo:exp2", "--json", "--seed", "2")

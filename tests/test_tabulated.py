@@ -205,6 +205,18 @@ def test_rejects_unknown_action_target():
         load_dict(data)
 
 
+def test_rejects_non_string_action_target():
+    for bad in (["p(0,0)"], {"p": "p(0,0)"}, 0, None):
+        data = export_dict("upair", 1)
+        rec = next(m for m in data["morphisms"]
+                   if m["dom"] == 1 and m["cod"] == 1)
+        rec["action"]["p(0,0)"] = bad
+        with pytest.raises(TabulatedFormatError) as err:
+            load_dict(data)
+        assert str(err.value) == (f"action of (0):1->1 sends 'p(0,0)' to "
+                                  f"non-string {bad!r}")
+
+
 def test_rejects_duplicate_morphism():
     data = export_dict("upair")
     data["morphisms"].append(dict(data["morphisms"][0]))
