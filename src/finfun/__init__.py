@@ -41,9 +41,8 @@ from .tabulated import (
 from .theory import (
     CheckReport,
     DegreeResult,
+    EmptyModified,
     FunctorInstance,
-    MaxModified,
-    MinModified,
     ModificationKind,
     MonomorphicityError,
     SizeBoundError,
@@ -77,8 +76,8 @@ __all__ = [
     "evaluate_morphism", "evaluate_object", "parse_presentation",
     "TabulatedError", "TabulatedInstance", "export_tabulated",
     "load_tabulated",
-    "CheckReport", "DegreeResult", "FunctorInstance",
-    "MaxModified", "MinModified", "ModificationKind",
+    "CheckReport", "DegreeResult", "EmptyModified", "FunctorInstance",
+    "ModificationKind",
     "MonomorphicityError", "SizeBoundError", "SupportResult",
     "UnknownElementError",
     "check_epimorphic", "check_functor_laws", "check_intersections",

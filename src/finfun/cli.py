@@ -29,7 +29,6 @@ from .theory import (
     FunctorInstance,
     ModificationKind,
     MonomorphicityError,
-    ProbeMismatchError,
     SizeBoundError,
     UnknownElementError,
     degree,
@@ -87,9 +86,6 @@ def _checked_max_size(n: int, with_modification: bool) -> int:
         raise ValueError(
             f"--max-size is capped at {MAX_SIZE_CAP}; exhaustive function "
             f"enumeration explodes beyond that")
-    if n == MAX_SIZE_CAP:
-        print(f"warning: --max-size {n} enumerates a very large number of "
-              f"function pairs; expect a wait", file=sys.stderr)
     return n
 
 
@@ -343,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"property failure: {err}", file=sys.stderr)
         return 1
     except (ParseError, TabulatedError, SizeBoundError, UnknownElementError,
-            ProbeMismatchError, ValueError, OSError) as err:
+            ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,31 @@ def function_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(y), repeat=x)
 
 
-def enumerate_functions(x: FiniteSet, y: FiniteSet) -> Iterator[FiniteFunction]:
-    """All |y|^|x| functions x -> y, in ``function_tables`` order."""
-    for table in function_tables(x.size, y.size):
+# Yields the tables of some of the maps x -> y, given x and y.
+TableSource = Callable[[int, int], Iterable[tuple[int, ...]]]
+
+
+def injective_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
+    """The tables of the injections x -> y, in ``function_tables`` order."""
+    return itertools.permutations(range(y), x)
+
+
+def surjective_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
+    """The tables of the surjections x -> y, in ``function_tables`` order.
+
+    When x = y they are the permutations, 720 of the 46,656 tables at 6.
+    """
+    if x == y:
+        return injective_tables(x, y)
+    return (t for t in function_tables(x, y) if len(set(t)) == y)
+
+
+def enumerate_functions(x: FiniteSet, y: FiniteSet,
+                        tables: TableSource = function_tables
+                        ) -> Iterator[FiniteFunction]:
+    """The functions x -> y whose tables ``tables(|x|, |y|)`` yields: by
+    default all |y|^|x| of them, in ``function_tables`` order."""
+    for table in tables(x.size, y.size):
         yield FiniteFunction(x, y, table)
 
 

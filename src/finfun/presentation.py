@@ -245,9 +245,14 @@ def evaluate_morphism(f: FiniteFunction, dom_obj: EvaluatedObject,
     ``cod_obj`` are one presentation evaluated at the domain and the
     codomain of f.
     """
-    table = tuple(
-        cod_obj.class_of(shape_idx, tuple(f.table[a] for a in args))
-        for shape_idx, args in dom_obj.rep_terms)
+    n, values = cod_obj.size, f.table
+    offsets, class_of_term = cod_obj.offsets, cod_obj.class_of_term
+    table = []
+    for shape_idx, args in dom_obj.rep_terms:
+        rank = 0
+        for a in args:
+            rank = rank * n + values[a]
+        table.append(class_of_term[offsets[shape_idx] + rank])
     return FiniteFunction(FiniteSet(len(dom_obj)), FiniteSet(len(cod_obj)),
                           table)
 

@@ -33,14 +33,17 @@ from .finset import (
     FiniteFunction,
     FiniteSet,
     SubsetMask,
+    TableSource,
     constant,
     enumerate_functions,
     enumerate_subsets,
     function_tables,
     identity,
     inclusion,
+    injective_tables,
     is_injective,
     is_surjective,
+    surjective_tables,
     table_repr,
 )
 
@@ -114,14 +117,17 @@ class FunctorInstance(ABC):
                 f"{name!r} is not an element of {self.name}({n})") from None
 
 
-def maps_up_to(max_size: int) -> Iterator[FiniteFunction]:
-    """Every map x -> y with x, y <= max_size: by x, then y, then in
-    ``function_tables`` order.  The checks over maps list their
-    counterexamples, and tabulations their records, in this order."""
+def maps_up_to(max_size: int,
+               tables: TableSource = function_tables
+               ) -> Iterator[FiniteFunction]:
+    """Every map x -> y with x, y <= max_size whose table ``tables(x, y)``
+    yields: by x, then y, then in the order of ``tables``.  The checks
+    over maps list their counterexamples, and tabulations their records,
+    in this order."""
     sets = [FiniteSet(n) for n in range(max_size + 1)]
     for x in sets:
         for y in sets:
-            yield from enumerate_functions(x, y)
+            yield from enumerate_functions(x, y, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +192,6 @@ class EmptyModified(FunctorInstance):
             raise UnknownElementError(
                 f"{name!r} is not in the equalizer subset of "
                 f"{self.base.name}(1)") from None
-
-
-# The exported names of the two kinds, both this one class.
-MinModified = MaxModified = EmptyModified
 
 
 def _flatten(f: FunctorInstance) -> FunctorInstance:
@@ -261,9 +263,7 @@ def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
     """Each injective f between sets of sizes <= max_size, maps out of the
     empty set included, for which G(f) is not injective, with the names
     of the first two elements G(f) collapses."""
-    for f in maps_up_to(max_size):
-        if not is_injective(f):
-            continue
+    for f in maps_up_to(max_size, injective_tables):
         gf = g.map(f)
         if is_injective(gf):
             continue
@@ -535,9 +535,7 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
 def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size."""
     out = _Collector("epi", f"sizes <= {max_size}")
-    for f in maps_up_to(max_size):
-        if not is_surjective(f):
-            continue
+    for f in maps_up_to(max_size, surjective_tables):
         y = f.cod.size
         missed = set(range(g.size(y))) - set(g.map(f).table)
         if missed:

@@ -357,11 +357,11 @@ def test_max_size_cap(capsys):
     assert "capped at 5" in err
 
 
-def test_max_size_warning_at_five(capsys):
+def test_max_size_five_leaves_stderr_empty(capsys):
     code, out, err = run(capsys, "check", "zoo:identity", "--max-size", "5",
                          "--skip", "laws,intersections,supports")
     assert code == 0
-    assert "warning" in err
+    assert err == ""
 
 
 def test_negative_max_size(capsys):

@@ -15,10 +15,13 @@ from finfun.finset import (
     empty_function,
     enumerate_functions,
     enumerate_subsets,
+    function_tables,
     identity,
     inclusion,
+    injective_tables,
     is_injective,
     is_surjective,
+    surjective_tables,
 )
 
 
@@ -168,6 +171,16 @@ class TestEnumerations:
         twice = [f.table for f in enumerate_functions(FiniteSet(3), FiniteSet(2))]
         assert once == twice
         assert once == sorted(once)
+
+
+@pytest.mark.parametrize("x", range(7))
+@pytest.mark.parametrize("y", range(7))
+def test_table_sources_filter_function_tables_in_order(x, y):
+    every = list(function_tables(x, y))
+    assert list(injective_tables(x, y)) \
+        == [t for t in every if len(set(t)) == len(t)]
+    assert list(surjective_tables(x, y)) \
+        == [t for t in every if set(t) == set(range(y))]
 
 
 def test_all_pairs_compose_correctly():

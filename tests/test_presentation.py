@@ -24,7 +24,7 @@ from finfun.presentation import (
     parse_element,
     parse_presentation,
 )
-from finfun.theory import UnknownElementError
+from finfun.theory import UnknownElementError, maps_up_to
 from finfun.zoo import SOURCES, zoo_instance, zoo_names
 
 
@@ -217,6 +217,26 @@ def test_action_well_defined_on_every_raw_term():
                         assert action.table[src] == img
 
 
+def action_oracle(f, dom_obj, cod_obj):
+    """The table of F(f) as one ``class_of`` call per representative of
+    F(dom), on the substituted arguments."""
+    return tuple(
+        cod_obj.class_of(shape_idx, tuple(f.table[a] for a in args))
+        for shape_idx, args in dom_obj.rep_terms)
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_evaluate_morphism_matches_the_oracle(name):
+    pres = zoo_instance(name).presentation
+    objs = [evaluate_object(pres, n) for n in range(5)]
+    for f in maps_up_to(4):
+        dom_obj, cod_obj = objs[f.dom.size], objs[f.cod.size]
+        action = evaluate_morphism(f, dom_obj, cod_obj)
+        assert action.table == action_oracle(f, dom_obj, cod_obj), (name, f)
+        assert (action.dom.size, action.cod.size) \
+            == (len(dom_obj), len(cod_obj))
+
+
 @pytest.mark.parametrize("name", zoo_names())
 def test_functor_laws_small(name):
     g = zoo_instance(name)
@@ -256,6 +276,32 @@ def random_presentation(draw):
                          draw(st.sampled_from(_TERMS)))
                 for _ in range(k))
     return Presentation("random", _SHAPES, eqs)
+
+
+@st.composite
+def flat_presentations(draw):
+    """One to three shapes of arities 0-3, and up to three equations."""
+    shapes = tuple(Shape(f"s{i}", draw(st.integers(0, 3)))
+                   for i in range(draw(st.integers(1, 3))))
+    terms = [FlatTerm(s.name, vs) for s in shapes
+             for vs in itertools.product("abc", repeat=s.arity)]
+    eqs = tuple(Equation(draw(st.sampled_from(terms)),
+                         draw(st.sampled_from(terms)))
+                for _ in range(draw(st.integers(0, 3))))
+    return Presentation("flat", shapes, eqs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_presentations(), st.data())
+def test_evaluate_morphism_matches_the_oracle_on_random_presentations(
+        pres, data):
+    x = data.draw(st.integers(0, 3))
+    y = data.draw(st.integers(0 if x == 0 else 1, 3))
+    f = FiniteFunction(FiniteSet(x), FiniteSet(y), tuple(
+        data.draw(st.integers(0, y - 1)) for _ in range(x)))
+    dom_obj, cod_obj = evaluate_object(pres, x), evaluate_object(pres, y)
+    assert evaluate_morphism(f, dom_obj, cod_obj).table \
+        == action_oracle(f, dom_obj, cod_obj)
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,15 +16,17 @@ from finfun.finset import (
     enumerate_functions,
     enumerate_subsets,
     inclusion,
+    injective_tables,
     is_injective,
     is_surjective,
+    surjective_tables,
 )
+from finfun.tabulated import TabulatedInstance
 from finfun.theory import (
     STANDARD_CHECKS,
     DegreeResult,
+    EmptyModified,
     FunctorInstance,
-    MaxModified,
-    MinModified,
     ModificationKind,
     MonomorphicityError,
     ProbeMismatchError,
@@ -123,8 +125,9 @@ def test_modified_names_and_kinds():
     tw = zoo_instance("twins")
     assert empty_mod_max(tw).name == "twins°"
     assert empty_mod_min(tw).name == "twins∘"
-    assert isinstance(modify(tw, ModificationKind.MAXIMAL), MaxModified)
-    assert isinstance(modify(tw, ModificationKind.MINIMAL), MinModified)
+    for kind in ModificationKind:
+        modified = modify(tw, kind)
+        assert isinstance(modified, EmptyModified) and modified.kind is kind
     assert ModificationKind("max") is ModificationKind.MAXIMAL
     assert ModificationKind("min") is ModificationKind.MINIMAL
 
@@ -202,7 +205,8 @@ def test_min_modification_is_max_form_with_no_empty_classes():
     tw = zoo_instance("twins")
     lo, hi = empty_mod_min(tw), empty_mod_max(tw)
     assert type(lo) is type(hi)
-    assert isinstance(lo, MinModified) and isinstance(hi, MaxModified)
+    assert isinstance(lo, EmptyModified)
+    assert hi.kind is ModificationKind.MAXIMAL
     assert (lo.kind, lo.empty_classes, lo.name) \
         == (ModificationKind.MINIMAL, (), "twins∘")
     assert lo.elements(0) == ()
@@ -456,6 +460,14 @@ def test_maps_up_to_is_the_nested_size_walk(n):
                             for y in range(n + 1))
 
 
+def test_maps_up_to_takes_a_table_source():
+    for tables, keep, count in ((injective_tables, is_injective, 2372),
+                                (surjective_tables, is_surjective, 5317)):
+        assert sum(1 for _ in maps_up_to(6, tables)) == count
+        assert list(maps_up_to(4, tables)) \
+            == [f for f in maps_up_to(4) if keep(f)]
+
+
 @pytest.mark.parametrize("g, n", [
     (zoo_instance("upair"), -1),
     (zoo_instance("pointed"), -2),
@@ -505,6 +517,75 @@ def test_check_epimorphic():
     report = check_epimorphic(broken, 2)
     assert not report.passed
     assert any("misses" in c and "p(0,0)" in c for c in report.counterexamples)
+
+
+def mono_oracle(g, max_size):
+    """The counterexamples of ``check_monomorphic`` as the walk over every
+    map, keeping the injective ones, finds them."""
+    found = []
+    for f in maps_up_to(max_size):
+        if not is_injective(f):
+            continue
+        gf = g.map(f)
+        if is_injective(gf):
+            continue
+        names = g.elements(f.dom.size)
+        first = {}
+        for i, v in enumerate(gf.table):
+            if v in first:
+                found.append(f"G(f) not injective for f={f!r}: collapses "
+                             f"{names[first[v]]} and {names[i]}")
+                break
+            first[v] = i
+    return found
+
+
+def epi_oracle(g, max_size):
+    """The counterexamples of ``check_epimorphic`` as the walk over every
+    map, keeping the surjective ones, finds them."""
+    found = []
+    for f in maps_up_to(max_size):
+        if not is_surjective(f):
+            continue
+        y = f.cod.size
+        missed = set(range(g.size(y))) - set(g.map(f).table)
+        if missed:
+            found.append(f"G(f) not surjective for f={f!r}: misses "
+                         f"{g.elements(y)[min(missed)]}")
+    return found
+
+
+def scrambled(name, max_size, seed):
+    """The values of a zoo functor up to max_size, with a seeded random
+    table on every map; built directly, so taken as given, laws or not."""
+    g = zoo_instance(name)
+    objects = tuple(g.elements(n) for n in range(max_size + 1))
+    rng = random.Random(seed)
+    morphisms = {(f.dom.size, f.cod.size, f.table):
+                 tuple(rng.randrange(len(objects[f.cod.size]))
+                       for _ in objects[f.dom.size])
+                 for f in maps_up_to(max_size)}
+    return TabulatedInstance(objects, morphisms, name + "~")
+
+
+@pytest.mark.parametrize("which", ["twins", "max", "min", "scrambled"])
+def test_mono_and_epi_reports_match_the_every_map_walk(which):
+    if which == "scrambled":
+        g = scrambled("power2", 5, seed=7)
+    else:
+        g = zoo_instance("twins")
+        if which != "twins":
+            g = modify(g, ModificationKind(which))
+    for check, oracle in ((check_monomorphic, mono_oracle),
+                          (check_epimorphic, epi_oracle)):
+        report = check(g, 5)
+        found = oracle(g, 5)
+        note = (f"counterexamples truncated ({len(found)} found)"
+                if len(found) > 25 else "")
+        assert report.counterexamples == tuple(found[:25])
+        assert report.details == note
+        if which == "scrambled":
+            assert len(found) > 25, check.__name__
 
 
 def test_check_intersections_zoo_and_modifications():
