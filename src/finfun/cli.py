@@ -135,8 +135,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_eval(target: str, size: int, mode: str | None = None) -> int:
-    g = _load_modified(target, mode)
+def cmd_eval(args: argparse.Namespace) -> int:
+    size = _checked_size(args.size, "--size")
+    g = _load_modified(args.target, args.modify)
     names = g.elements(size)
     print(f"{g.name}({size}): {len(names)} element"
           f"{'' if len(names) == 1 else 's'}")
@@ -145,14 +146,14 @@ def cmd_eval(target: str, size: int, mode: str | None = None) -> int:
     return 0
 
 
-def cmd_map(target: str, dom: int, cod: int, table: tuple[int, ...],
-            mode: str | None = None) -> int:
-    g = _load_modified(target, mode)
-    f = FiniteFunction(FiniteSet(dom), FiniteSet(cod), table)
+def cmd_map(args: argparse.Namespace) -> int:
+    table = _parse_table(args.fn)
+    g = _load_modified(args.target, args.modify)
+    f = FiniteFunction(FiniteSet(args.dom), FiniteSet(args.cod), table)
     out = g.map(f)
     print(f"{g.name}({f!r}) = {out!r}")
-    dom_names = g.elements(dom)
-    cod_names = g.elements(cod)
+    dom_names = g.elements(args.dom)
+    cod_names = g.elements(args.cod)
     for i, v in enumerate(out.table):
         print(f"  {dom_names[i]} -> {cod_names[v]}")
     return 0
@@ -170,19 +171,19 @@ def _resolve_element(g: FunctorInstance, n: int, text: str) -> int:
     return int(text)
 
 
-def cmd_supp(target: str, size: int, element: str, order: str = "asc",
-             mode: str | None = None) -> int:
-    g = _load_modified(target, mode)
-    idx = _resolve_element(g, size, element)
-    removal = range(size - 1, -1, -1) if order == "desc" else None
+def cmd_supp(args: argparse.Namespace) -> int:
+    size = _checked_size(args.size, "--size")
+    g = _load_modified(args.target, args.modify)
+    idx = _resolve_element(g, size, args.element)
+    removal = range(size - 1, -1, -1) if args.order == "desc" else None
     print(repr(support(g, size, idx, order=removal).support))
     return 0
 
 
-def cmd_modify(target: str, mode: str, max_size: int = 3) -> int:
-    g = load_input(target)
-    h = modify(g, ModificationKind(mode))
-    sym = "∘" if mode == "min" else "°"
+def cmd_modify(args: argparse.Namespace) -> int:
+    max_size = _checked_max_size(args.max_size, True)
+    h = modify(load_input(args.target), ModificationKind(args.mode))
+    sym = "∘" if args.mode == "min" else "°"
     names = h.elements(0)
     print(f"F{sym}∅ = {{{', '.join(names)}}}")
     for y in range(1, max_size + 1):
@@ -191,22 +192,23 @@ def cmd_modify(target: str, mode: str, max_size: int = 3) -> int:
     return 0
 
 
-def cmd_degree(target: str, max_size: int = 3, mode: str | None = None) -> int:
-    g = _load_modified(target, mode)
+def cmd_degree(args: argparse.Namespace) -> int:
+    max_size = _checked_max_size(args.max_size, args.modify is not None)
+    g = _load_modified(args.target, args.modify)
     print(repr(degree(g, max_size)))
     return 0
 
 
-def cmd_export(target: str, max_size: int = 3, out: str | None = None,
-               mode: str | None = None) -> int:
-    g = _load_modified(target, mode)
+def cmd_export(args: argparse.Namespace) -> int:
+    max_size = _checked_max_size(args.max_size, args.modify is not None)
+    g = _load_modified(args.target, args.modify)
     text = export_tabulated(g, max_size)
-    if out is None:
+    if args.out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {g.name} tabulated up to size {max_size} to {out}",
-              file=sys.stderr)
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {g.name} tabulated up to size {max_size} to "
+              f"{args.out}", file=sys.stderr)
     return 0
 
 
@@ -275,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[target, mod],
                        help="list the elements of F(n)")
     p.add_argument("--size", type=int, required=True, metavar="N")
-    p.set_defaults(func=lambda a: cmd_eval(
-        a.target, _checked_size(a.size, "--size"), a.modify))
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("map", parents=[target, mod],
                        help="apply F to one function")
@@ -285,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "empty function")
     p.add_argument("--dom", type=int, required=True, metavar="K")
     p.add_argument("--cod", type=int, required=True, metavar="M")
-    p.set_defaults(func=lambda a: cmd_map(a.target, a.dom, a.cod,
-                                          _parse_table(a.fn), a.modify))
+    p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("supp", parents=[target, mod],
                        help="support of one element of F(n)")
@@ -295,34 +295,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="canonical term such as 'p(0,2)', or an index")
     p.add_argument("--order", choices=["asc", "desc"], default="asc",
                    help="removal order for the greedy pass")
-    p.set_defaults(func=lambda a: cmd_supp(
-        a.target, _checked_size(a.size, "--size"), a.element, a.order,
-        a.modify))
+    p.set_defaults(func=cmd_supp)
 
     p = sub.add_parser("modify", parents=[target],
                        help="print F°∅ or F∘∅ and the maps out of it")
     p.add_argument("--mode", choices=["min", "max"], required=True)
     p.add_argument("--max-size", type=int, default=3, metavar="N",
                    help="print the empty morphisms into F(1)..F(N)")
-    p.set_defaults(func=lambda a: cmd_modify(
-        a.target, a.mode, _checked_max_size(a.max_size, True)))
+    p.set_defaults(func=cmd_modify)
 
     p = sub.add_parser("degree", parents=[target, mod],
                        help="largest support size over the probed range")
     p.add_argument("--max-size", type=int, default=3, metavar="N",
                    help="probe elements of F(0)..F(N)")
-    p.set_defaults(func=lambda a: cmd_degree(
-        a.target, _checked_max_size(a.max_size, a.modify is not None),
-        a.modify))
+    p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("export", parents=[target, mod],
                        help="write the functor as a tabulation")
     p.add_argument("--max-size", type=int, default=3, metavar="N")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output path (default: stdout)")
-    p.set_defaults(func=lambda a: cmd_export(
-        a.target, _checked_max_size(a.max_size, a.modify is not None),
-        a.out, a.modify))
+    p.set_defaults(func=cmd_export)
 
     return parser
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 
@@ -62,37 +63,37 @@ class FiniteFunction:
 
 @dataclass(frozen=True)
 class SubsetMask:
-    """A subset of an ambient set, stored as a sorted tuple of members."""
+    """A subset of an ambient set {0, ..., size-1}, stored as an int bit
+    mask: bit i is set exactly when i is a member."""
 
     ambient: FiniteSet
-    members: tuple[int, ...]
+    bits: int
 
     def __post_init__(self) -> None:
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        if list(members) != sorted(set(members)):
-            raise ValueError(f"members must be sorted and distinct: {members}")
-        if members and not (0 <= members[0] and members[-1] < self.ambient.size):
+        if not 0 <= self.bits < 1 << self.ambient.size:
             raise ValueError(
-                f"members {members} out of range for ambient size "
+                f"mask {self.bits} out of range for ambient size "
                 f"{self.ambient.size}")
 
     @classmethod
     def of(cls, ambient: FiniteSet, members: Iterable[int]) -> SubsetMask:
-        return cls(ambient, tuple(sorted(set(members))))
+        return cls(ambient, sum(1 << m for m in set(members)))
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        """The members in increasing order."""
+        return tuple(i for i in range(self.ambient.size) if self.bits >> i & 1)
 
     def intersection(self, other: SubsetMask) -> SubsetMask:
         if self.ambient != other.ambient:
             raise ValueError("intersection needs a common ambient set")
-        return SubsetMask(self.ambient,
-                          tuple(m for m in self.members if m in other.members))
+        return SubsetMask(self.ambient, self.bits & other.bits)
 
     def without(self, x: int) -> SubsetMask:
-        return SubsetMask(self.ambient,
-                          tuple(m for m in self.members if m != x))
+        return SubsetMask(self.ambient, self.bits & ~(1 << x))
 
     def is_subset_of(self, other: SubsetMask) -> bool:
-        return set(self.members) <= set(other.members)
+        return not self.bits & ~other.bits
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -101,7 +102,7 @@ class SubsetMask:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def __repr__(self) -> str:
         return "{" + ",".join(map(str, self.members)) + "}"
@@ -137,7 +138,7 @@ def inclusion(a: SubsetMask) -> FiniteFunction:
     The domain is the canonical set of size |a|; the table lists the
     members themselves.
     """
-    return FiniteFunction(FiniteSet(len(a.members)), a.ambient, a.members)
+    return FiniteFunction(FiniteSet(len(a)), a.ambient, a.members)
 
 
 def is_injective(f: FiniteFunction) -> bool:
@@ -195,4 +196,4 @@ def enumerate_subsets(x: FiniteSet) -> Iterator[SubsetMask]:
     """All 2^|x| subsets, by increasing cardinality then lexicographic."""
     for k in range(x.size + 1):
         for members in itertools.combinations(range(x.size), k):
-            yield SubsetMask(x, members)
+            yield SubsetMask(x, sum(1 << m for m in members))

@@ -312,7 +312,7 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
         raise UnknownElementError(
             f"index {element} is not an element of {g.name}({n})")
     ambient = FiniteSet(n)
-    mask = SubsetMask(ambient, tuple(range(n)))
+    mask = SubsetMask(ambient, (1 << n) - 1)
     for point in order:
         smaller = mask.without(point)
         if element in image_of_inclusion(g, smaller):
@@ -529,6 +529,8 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     out = _Collector("mono", f"sizes <= {max_size}")
     for f, (a, b) in _injectivity_failures(g, max_size):
         out.add(f"G(f) not injective for f={f!r}: collapses {a} and {b}")
+    if not out.total:
+        g._mono_bound = max(g._mono_bound, max_size)
     return out.report()
 
 
@@ -545,10 +547,10 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
 
 
 def _subset_images(g: FunctorInstance, n: int) -> tuple[
-        list[SubsetMask], dict[tuple[int, ...], frozenset[int]]]:
-    """Every subset of n, and the image of its inclusion keyed by members."""
+        list[SubsetMask], dict[int, frozenset[int]]]:
+    """Every subset of n, and the image of its inclusion keyed by mask."""
     masks = list(enumerate_subsets(FiniteSet(n)))
-    return masks, {m.members: frozenset(image_of_inclusion(g, m))
+    return masks, {m.bits: frozenset(image_of_inclusion(g, m))
                    for m in masks}
 
 
@@ -567,15 +569,15 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
         masks, images = _subset_images(g, n)
         for a in masks:
             for b in masks:
-                sa, sb = set(a.members), set(b.members)
-                if sa <= sb or sb <= sa:
+                meet = a.bits & b.bits
+                if meet in (a.bits, b.bits):
                     cases["nested"] += 1
-                elif not (sa & sb):
+                elif not meet:
                     cases["disjoint"] += 1
                 else:
                     cases["overlapping"] += 1
-                lhs = images[a.intersection(b).members]
-                rhs = images[a.members] & images[b.members]
+                lhs = images[meet]
+                rhs = images[a.bits] & images[b.bits]
                 if lhs != rhs:
                     offending = min(lhs ^ rhs)
                     out.add(
@@ -610,23 +612,21 @@ def check_supports(g: FunctorInstance, max_size: int,
         masks, images = _subset_images(g, n)
         names = g.elements(n)
         for element in range(g.size(n)):
-            family = [m for m in masks if element in images[m.members]]
-            family_keys = {m.members for m in family}
+            family = [m for m in masks if element in images[m.bits]]
             for ma in family:
                 for mb in family:
-                    if ma.intersection(mb).members not in family_keys:
+                    if element not in images[ma.bits & mb.bits]:
                         out.add(f"X={n} {names[element]}: family not closed "
                                 f"under {ma!r} & {mb!r}")
             for ma in family:
                 for mb in masks:
-                    if ma.is_subset_of(mb) and mb.members not in family_keys:
+                    if ma.is_subset_of(mb) and element not in images[mb.bits]:
                         out.add(f"X={n} {names[element]}: family not upward "
                                 f"closed at {ma!r} <= {mb!r}")
-            meet = set(range(n))
+            least = SubsetMask(FiniteSet(n), (1 << n) - 1)
             for m in family:
-                meet &= set(m.members)
-            least = tuple(sorted(meet))
-            if least not in family_keys:
+                least = least.intersection(m)
+            if element not in images[least.bits]:
                 out.add(f"X={n} {names[element]}: intersection of the family "
                         f"is not a member")
                 continue
@@ -636,10 +636,10 @@ def check_supports(g: FunctorInstance, max_size: int,
             orders.append(shuffled)
             for order in orders:
                 res = support(g, n, element, order=order)
-                if res.support.members != least:
+                if res.support != least:
                     out.add(f"X={n} {names[element]}: greedy order {order} "
                             f"gives {res.support!r}, family minimum is "
-                            f"{{{','.join(map(str, least))}}}")
+                            f"{least!r}")
                     continue
                 back = g.map(inclusion(res.support)).table[res.witness]
                 if back != element:

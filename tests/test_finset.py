@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,10 +112,34 @@ class TestSubsetMask:
         assert repr(SubsetMask.of(FiniteSet(3), [])) == "{}"
 
     def test_membership_validation(self):
-        with pytest.raises(ValueError):
-            SubsetMask(FiniteSet(2), (2,))
-        with pytest.raises(ValueError):
-            SubsetMask(FiniteSet(2), (1, 0))
+        assert SubsetMask(FiniteSet(2), 0b11).members == (0, 1)
+        assert SubsetMask(FiniteSet(0), 0).members == ()
+        for bits in (1 << 2, -1):
+            with pytest.raises(ValueError):
+                SubsetMask(FiniteSet(2), bits)
+        for member in (2, -1):
+            with pytest.raises(ValueError):
+                SubsetMask.of(FiniteSet(2), [0, member])
+
+    @given(st.data())
+    def test_agrees_with_a_frozenset_model(self, data):
+        x = FiniteSet(data.draw(st.integers(0, 8)))
+        subsets = st.frozensets(st.integers(0, max(x.size - 1, 0)),
+                                max_size=x.size)
+        sa, sb = data.draw(subsets), data.draw(subsets)
+        point = data.draw(st.integers(0, x.size))
+        a, b = SubsetMask.of(x, sa), SubsetMask.of(x, sorted(sb, reverse=True))
+        assert a.bits == sum(1 << m for m in sa)
+        assert a.members == tuple(sorted(sa)) == tuple(a)
+        assert repr(a) == "{" + ",".join(map(str, sorted(sa))) + "}"
+        assert len(a) == len(sa)
+        assert all((i in a) == (i in sa) for i in range(-1, x.size + 1))
+        assert a.intersection(b) == SubsetMask.of(x, sa & sb)
+        assert a.without(point) == SubsetMask.of(x, sa - {point})
+        assert a.is_subset_of(b) == (sa <= sb)
+        assert (a == b) == (sa == sb)
+        assert (hash(a) == hash(b)) or sa != sb
+        assert a != SubsetMask.of(FiniteSet(x.size + 1), sa)
 
     def test_set_operations(self):
         x = FiniteSet(4)
@@ -160,6 +186,12 @@ class TestEnumerations:
 
     def test_subset_count(self):
         assert len(list(enumerate_subsets(FiniteSet(4)))) == 16
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_subset_order_is_combinations_by_size(self, n):
+        expected = [c for k in range(n + 1)
+                    for c in itertools.combinations(range(n), k)]
+        assert [m.members for m in enumerate_subsets(FiniteSet(n))] == expected
 
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_function_count_formula(self, n, m):

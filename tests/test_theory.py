@@ -45,6 +45,7 @@ from finfun.theory import (
     image_of_inclusion,
     maps_up_to,
     modify,
+    require_monomorphic,
     run_standard_checks,
     skeleton,
     support,
@@ -509,6 +510,26 @@ def test_check_monomorphic():
         assert check_monomorphic(zoo_instance(name), 3).passed, name
 
 
+def test_passing_mono_check_spares_require_monomorphic_the_walk():
+    class Counting(Tweaked):
+        calls = 0
+
+        def map(self, f):
+            Counting.calls += 1
+            return super().map(f)
+
+    g = Counting(zoo_instance("upair"), {})
+    assert check_monomorphic(g, 5).passed
+    before = Counting.calls
+    require_monomorphic(g, 5)
+    require_monomorphic(g, 4)
+    assert Counting.calls == before
+    twins = zoo_instance("twins")
+    assert not check_monomorphic(twins, 5).passed
+    with pytest.raises(MonomorphicityError):
+        require_monomorphic(twins, 5)
+
+
 def test_check_epimorphic():
     for name in zoo_names():
         assert check_epimorphic(zoo_instance(name), 3).passed, name
@@ -636,6 +657,149 @@ def test_check_supports_min_twins_family_not_closed():
     report = check_supports(empty_mod_min(zoo_instance("twins")), 3)
     assert not report.passed
     assert any("not closed" in c for c in report.counterexamples)
+
+
+def intersections_oracle(g, max_size):
+    """The counterexamples and case-count details of
+    ``check_intersections``, as a walk over member tuples and sets finds
+    them."""
+    found = []
+    cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
+    for n in range(max_size + 1):
+        masks = list(enumerate_subsets(FiniteSet(n)))
+        images = {m.members: frozenset(image_of_inclusion(g, m))
+                  for m in masks}
+        for a in masks:
+            for b in masks:
+                sa, sb = set(a.members), set(b.members)
+                if sa <= sb or sb <= sa:
+                    cases["nested"] += 1
+                elif not (sa & sb):
+                    cases["disjoint"] += 1
+                else:
+                    cases["overlapping"] += 1
+                lhs = images[tuple(sorted(sa & sb))]
+                rhs = images[a.members] & images[b.members]
+                if lhs != rhs:
+                    offending = min(lhs ^ rhs)
+                    found.append(
+                        f"X={n} A={a!r} B={b!r}: image of A&B differs from "
+                        f"intersection at {g.elements(n)[offending]}")
+    details = ("pairwise check; arbitrary finite families reduce to pairs. "
+               f"case counts: nested={cases['nested']}, "
+               f"disjoint={cases['disjoint']}, "
+               f"overlapping={cases['overlapping']}")
+    return found, details
+
+
+def supports_oracle(g, max_size, seed=0):
+    """The counterexamples of ``check_supports``, as a walk over member
+    tuples and sets finds them."""
+    try:
+        require_monomorphic(g, max_size)
+    except MonomorphicityError as err:
+        return [f"refused: {err}"]
+    found = []
+    for n in range(max_size + 1):
+        masks = list(enumerate_subsets(FiniteSet(n)))
+        images = {m.members: frozenset(image_of_inclusion(g, m))
+                  for m in masks}
+        names = g.elements(n)
+        for element in range(g.size(n)):
+            family = [m for m in masks if element in images[m.members]]
+            keys = {m.members for m in family}
+            for ma in family:
+                for mb in family:
+                    meet = tuple(sorted(set(ma.members) & set(mb.members)))
+                    if meet not in keys:
+                        found.append(f"X={n} {names[element]}: family not "
+                                     f"closed under {ma!r} & {mb!r}")
+            for ma in family:
+                for mb in masks:
+                    if (set(ma.members) <= set(mb.members)
+                            and mb.members not in keys):
+                        found.append(f"X={n} {names[element]}: family not "
+                                     f"upward closed at {ma!r} <= {mb!r}")
+            meet = set(range(n))
+            for m in family:
+                meet &= set(m.members)
+            least = tuple(sorted(meet))
+            if least not in keys:
+                found.append(f"X={n} {names[element]}: intersection of the "
+                             f"family is not a member")
+                continue
+            orders = [list(range(n)), list(range(n - 1, -1, -1))]
+            shuffled = list(range(n))
+            random.Random(f"{seed}:{n}:{element}").shuffle(shuffled)
+            orders.append(shuffled)
+            for order in orders:
+                res = support(g, n, element, order=order)
+                if tuple(res.support.members) != least:
+                    found.append(
+                        f"X={n} {names[element]}: greedy order {order} "
+                        f"gives {res.support!r}, family minimum is "
+                        f"{{{','.join(map(str, least))}}}")
+                    continue
+                back = g.map(inclusion(res.support)).table[res.witness]
+                if back != element:
+                    found.append(f"X={n} {names[element]}: witness does not "
+                                 f"map back to the element")
+    return found
+
+
+def with_truncation(details, found):
+    note = (f"counterexamples truncated ({len(found)} found)"
+            if len(found) > 25 else "")
+    return f"{details}; {note}" if details and note else details or note
+
+
+SUBSET_ORACLE_CASES = {
+    "twins": lambda: zoo_instance("twins"),
+    "twins°": lambda: empty_mod_max(zoo_instance("twins")),
+    "twins∘": lambda: empty_mod_min(zoo_instance("twins")),
+    "upair": lambda: zoo_instance("upair"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(SUBSET_ORACLE_CASES))
+def test_subset_check_reports_match_the_member_set_walk(which):
+    g = SUBSET_ORACLE_CASES[which]()
+    found, details = intersections_oracle(g, 5)
+    report = check_intersections(g, 5)
+    assert report.counterexamples == tuple(found[:25])
+    assert report.details == with_truncation(details, found)
+    found = supports_oracle(g, 5)
+    report = check_supports(g, 5)
+    assert report.counterexamples == tuple(found[:25])
+    assert report.details == with_truncation("", found)
+    if which == "twins∘":
+        assert len(found) == 248
+
+
+def test_intersection_report_matches_the_member_set_walk_scrambled():
+    g = scrambled("power2", 4, seed=7)
+    found, details = intersections_oracle(g, 4)
+    report = check_intersections(g, 4)
+    assert len(found) > 25
+    assert report.counterexamples == tuple(found[:25])
+    assert report.details == with_truncation(details, found)
+
+
+@pytest.mark.parametrize("max_size", range(7))
+def test_intersection_case_counts_follow_the_closed_forms(max_size):
+    # Of the 4^n ordered pairs (A, B) of subsets of n, 2*3^n - 2^n are
+    # nested (A <= B, or B <= A, both counted once when A = B) and
+    # 3^n - 2^(n+1) + 1 are disjoint without being nested.
+    ns = range(max_size + 1)
+    nested = sum(2 * 3 ** n - 2 ** n for n in ns)
+    disjoint = sum(3 ** n - 2 ** (n + 1) + 1 for n in ns)
+    overlapping = sum(4 ** n for n in ns) - nested - disjoint
+    report = check_intersections(zoo_instance("identity"), max_size)
+    assert report.details.endswith(
+        f"case counts: nested={nested}, disjoint={disjoint}, "
+        f"overlapping={overlapping}")
+    if max_size == 5:
+        assert (nested, disjoint, overlapping) == (665, 244, 456)
 
 
 def test_counterexamples_truncated_with_note():
