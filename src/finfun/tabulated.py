@@ -120,6 +120,7 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
 
     raw_morphisms = data["morphisms"]
     _require(isinstance(raw_morphisms, list), "'morphisms' must be a list")
+    indices = [{s: i for i, s in enumerate(names)} for names in objects]
     morphisms: dict[MorphismKey, tuple[int, ...]] = {}
     for rec in raw_morphisms:
         _require(isinstance(rec, dict), "morphism records must be objects")
@@ -127,35 +128,33 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
                  f"morphism record has fields {sorted(rec)}, expected "
                  f"dom/cod/table/action")
         dom, cod = rec["dom"], rec["cod"]
-        _require(type(dom) is int and 0 <= dom <= max_size,
-                 f"morphism dom {dom!r} out of range")
-        _require(type(cod) is int and 0 <= cod <= max_size,
-                 f"morphism cod {cod!r} out of range")
+        for field, end in (("dom", dom), ("cod", cod)):
+            _require(type(end) is int and 0 <= end <= max_size,
+                     f"morphism {field} {end!r} out of range")
         table = rec["table"]
         _require(isinstance(table, list) and len(table) == dom
                  and all(type(v) is int and 0 <= v < cod for v in table),
                  f"bad function table {table!r} for a map {dom}->{cod}")
         key: MorphismKey = (dom, cod, tuple(table))
-        _require(key not in morphisms,
-                 f"duplicate morphism {table_repr(*key)}")
+        if key in morphisms:
+            raise TabulatedFormatError(
+                f"duplicate morphism {table_repr(*key)}")
         action = rec["action"]
         _require(isinstance(action, dict), "morphism 'action' must be a map")
-        dom_names, cod_names = objects[dom], objects[cod]
-        _require(set(action) == set(dom_names),
-                 f"action of {table_repr(*key)} must cover exactly the "
-                 f"elements of F({dom})")
-        cod_index = {s: i for i, s in enumerate(cod_names)}
-        out = []
-        for s in dom_names:
+        if action.keys() != indices[dom].keys():
+            raise TabulatedFormatError(
+                f"action of {table_repr(*key)} must cover exactly the "
+                f"elements of F({dom})")
+        cod_index = indices[cod]
+        for s in objects[dom]:
             target = action[s]
-            _require(isinstance(target, str),
-                     f"action of {table_repr(*key)} sends {s!r} to "
-                     f"non-string {target!r}")
-            _require(target in cod_index,
-                     f"action of {table_repr(*key)} sends {s!r} to unknown "
-                     f"element {target!r}")
-            out.append(cod_index[target])
-        morphisms[key] = tuple(out)
+            if not (isinstance(target, str) and target in cod_index):
+                kind = ("unknown element" if isinstance(target, str)
+                        else "non-string")
+                raise TabulatedFormatError(
+                    f"action of {table_repr(*key)} sends {s!r} to {kind} "
+                    f"{target!r}")
+        morphisms[key] = tuple([cod_index[action[s]] for s in objects[dom]])
 
     for f in maps_up_to(max_size):
         if (f.dom.size, f.cod.size, f.table) not in morphisms:

@@ -35,6 +35,7 @@ from .finset import (
     SubsetMask,
     TableSource,
     constant,
+    empty_function,
     enumerate_functions,
     enumerate_subsets,
     function_tables,
@@ -298,7 +299,8 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
     inclusion.  Because the family of subsets whose inclusion image
     contains the element is closed under intersection, the result is its
     least member regardless of the removal order; order independence is
-    exercised by ``check_supports``.
+    exercised by ``check_supports``.  The index is checked, after the
+    removal order, before the monomorphicity requirement.
     """
     n = x if isinstance(x, int) else x.size
     if order is None:
@@ -306,13 +308,11 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
     elif sorted(order) != list(range(n)):
         raise ValueError(f"removal order {list(order)} is not a permutation "
                          f"of range({n})")
-    require_monomorphic(g, n)
-    total = g.size(n)
-    if not 0 <= element < total:
+    if not 0 <= element < g.size(n):
         raise UnknownElementError(
             f"index {element} is not an element of {g.name}({n})")
-    ambient = FiniteSet(n)
-    mask = SubsetMask(ambient, (1 << n) - 1)
+    require_monomorphic(g, n)
+    mask = SubsetMask(FiniteSet(n), (1 << n) - 1)
     for point in order:
         smaller = mask.without(point)
         if element in image_of_inclusion(g, smaller):
@@ -333,8 +333,6 @@ def skeleton(g: FunctorInstance, n: int, x: FiniteSet | int) -> tuple[int, ...]:
     empty domain admits a map.
     """
     xs = FiniteSet(x) if isinstance(x, int) else x
-    # Smaller domains factor through size n when X is inhabited; over the
-    # empty set only the empty domain admits a map at all.
     top = n if xs.size else 0
     hit: set[int] = set()
     for f in enumerate_functions(FiniteSet(top), xs):
@@ -673,9 +671,8 @@ def check_modification_maximality(f: FunctorInstance,
         raise ProbeMismatchError(
             f"probe is not a functor: {laws.counterexamples[0]}")
     out = _Collector("maximality", f"sizes <= {max_size}")
-    fmax = empty_mod_max(f)
-    allowed = set(fmax.empty_classes)
-    to_one = probe.map(FiniteFunction(FiniteSet(0), FiniteSet(1), ()))
+    allowed = set(empty_mod_max(f).empty_classes)
+    to_one = probe.map(empty_function(FiniteSet(1)))
     for i, target in enumerate(to_one.table):
         if target not in allowed:
             out.add(f"{probe.elements(0)[i]} maps to "
@@ -685,7 +682,15 @@ def check_modification_maximality(f: FunctorInstance,
         f"equalizer size {len(allowed)}")
 
 
-STANDARD_CHECKS = ("laws", "mono", "epi", "intersections", "supports")
+# Checks are looked up at call time, so one rebound on the module runs.
+_CHECK_TABLE = {
+    "laws": lambda g, n, seed: check_functor_laws(g, n),
+    "mono": lambda g, n, seed: check_monomorphic(g, n),
+    "epi": lambda g, n, seed: check_epimorphic(g, n),
+    "intersections": lambda g, n, seed: check_intersections(g, n),
+    "supports": lambda g, n, seed: check_supports(g, n, seed=seed),
+}
+STANDARD_CHECKS = tuple(_CHECK_TABLE)
 
 
 def run_standard_checks(g: FunctorInstance, max_size: int, seed: int = 0,
@@ -694,18 +699,5 @@ def run_standard_checks(g: FunctorInstance, max_size: int, seed: int = 0,
     unknown = [s for s in skip if s not in STANDARD_CHECKS]
     if unknown:
         raise ValueError(f"unknown check name(s): {', '.join(unknown)}")
-    reports = []
-    for name in STANDARD_CHECKS:
-        if name in skip:
-            continue
-        if name == "laws":
-            reports.append(check_functor_laws(g, max_size))
-        elif name == "mono":
-            reports.append(check_monomorphic(g, max_size))
-        elif name == "epi":
-            reports.append(check_epimorphic(g, max_size))
-        elif name == "intersections":
-            reports.append(check_intersections(g, max_size))
-        elif name == "supports":
-            reports.append(check_supports(g, max_size, seed=seed))
-    return reports
+    return [_CHECK_TABLE[name](g, max_size, seed)
+            for name in STANDARD_CHECKS if name not in skip]

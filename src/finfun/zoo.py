@@ -74,10 +74,11 @@ def zoo_names() -> tuple[str, ...]:
 
 
 def zoo_source(name: str) -> str:
+    """The source of ``name``; ValueError naming the available ones."""
     try:
         return SOURCES[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown zoo functor {name!r}; available: "
             f"{', '.join(SOURCES)}") from None
 

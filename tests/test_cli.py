@@ -119,8 +119,9 @@ def test_check_seed_changes_nothing_for_lawful_functor(capsys):
 
 def test_unknown_zoo_name(capsys):
     code, out, err = run(capsys, "check", "zoo:nope")
-    assert code == 2
-    assert "unknown zoo functor" in err
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown zoo functor 'nope'; available: identity, "
+                   "const2, power2, power3, upair, exp2, pointed, twins\n")
 
 
 def test_missing_file(capsys):

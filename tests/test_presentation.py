@@ -25,7 +25,7 @@ from finfun.presentation import (
     parse_presentation,
 )
 from finfun.theory import UnknownElementError, maps_up_to
-from finfun.zoo import SOURCES, zoo_instance, zoo_names
+from finfun.zoo import SOURCES, zoo_instance, zoo_names, zoo_source
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +466,16 @@ def test_element_index_errors():
         up.element_index(3, "p(0,3)")
     with pytest.raises(UnknownElementError):
         zoo_instance("twins").element_index(0, "u(0)")
+
+
+# ---------------------------------------------------------------------------
+# The zoo.
+
+
+def test_unknown_zoo_name_is_a_value_error():
+    text = ("unknown zoo functor 'nope'; available: identity, const2, "
+            "power2, power3, upair, exp2, pointed, twins")
+    for lookup in (zoo_source, zoo_instance):
+        with pytest.raises(ValueError) as info:
+            lookup("nope")
+        assert str(info.value) == text

@@ -334,6 +334,14 @@ def test_support_rejects_bad_element():
         support(zoo_instance("upair"), 2, 99)
 
 
+def test_support_checks_the_index_before_monomorphicity():
+    with pytest.raises(UnknownElementError) as info:
+        support(zoo_instance("twins"), 1, 1)
+    assert str(info.value) == "index 1 is not an element of twins(1)"
+    with pytest.raises(UnknownElementError):
+        support(zoo_instance("twins"), 1, -1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(MONO_ZOO), st.data())
 def test_support_shrinks_along_maps(name, data):
@@ -832,6 +840,24 @@ def test_run_standard_checks():
     assert all(r.passed for r in reports)
     with pytest.raises(ValueError, match="unknown check"):
         run_standard_checks(zoo_instance("upair"), 3, skip=("nope",))
+
+
+def test_run_standard_checks_passes_the_seed_to_supports():
+    g = zoo_instance("upair")
+    report = run_standard_checks(g, 3, seed=7)[-1]
+    direct = check_supports(g, 3, seed=7)
+    assert (report.name, report.scope) == ("supports", "sizes <= 3, seed 7")
+    assert (report.counterexamples, report.details) == \
+        (direct.counterexamples, direct.details)
+
+
+def test_run_standard_checks_looks_each_check_up_at_call_time(monkeypatch):
+    # A tracer rebinds the checks on the module; the battery must run them.
+    calls = []
+    monkeypatch.setattr("finfun.theory.check_epimorphic",
+                        lambda g, n: calls.append(n) or check_epimorphic(g, n))
+    run_standard_checks(zoo_instance("upair"), 2, skip=("laws",))
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
