@@ -176,7 +176,7 @@ def cmd_supp(args: argparse.Namespace) -> int:
 def cmd_modify(args: argparse.Namespace) -> int:
     max_size = _checked_max_size(args.max_size, True)
     h = _load_modified(args.target, args.mode)
-    sym = "∘" if args.mode == "min" else "°"
+    sym = ModificationKind(args.mode).symbol
     print(f"F{sym}∅ = {{{', '.join(h.elements(0))}}}")
     for y in range(1, max_size + 1):
         print(f"F{sym}(∅→{y}) = {h.map(empty_function(FiniteSet(y)))!r}")

@@ -15,26 +15,23 @@ Text format (one declaration per line, ``#`` starts a comment)::
     decl   := "shape" IDENT "/" NAT | "eq" term "=" term
     term   := IDENT | IDENT "(" IDENT ("," IDENT)* ")"
 
-Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; nullary shapes are written
-without parentheses.  The conventional file extension is ``.ffn``.
+Identifiers are a letter or underscore followed by letters, digits and
+underscores; nullary shapes are written without parentheses.  The
+conventional file extension is ``.ffn``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .finset import FiniteFunction, FiniteSet
 from .theory import FunctorInstance, UnknownElementError
 
 
-class PresentationError(Exception):
-    """Base class for presentation problems."""
-
-
-class ParseError(PresentationError):
+class ParseError(Exception):
     def __init__(self, message: str, line: int | None = None,
                  col: int | None = None):
         self.line = line
@@ -62,16 +59,23 @@ class ArityMismatchError(ParseError):
 
 @dataclass(frozen=True)
 class Shape:
+    """A shape declaration; ``pos`` is (line, column) if it was parsed."""
+
     name: str
     arity: int
+    pos: tuple[int, int] | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass(frozen=True)
 class FlatTerm:
-    """A shape applied to variables, e.g. p(a, b); depth one only."""
+    """A shape applied to variables, e.g. p(a, b); depth one only.  ``pos``
+    is (line, column) if it was parsed."""
 
     shape: str
     vars: tuple[str, ...]
+    pos: tuple[int, int] | None = field(default=None, compare=False,
+                                        repr=False)
 
     def __repr__(self) -> str:
         if not self.vars:
@@ -117,22 +121,23 @@ class Presentation:
     equations: tuple[Equation, ...]
 
     def __post_init__(self) -> None:
-        names = [s.name for s in self.shapes]
-        for n in names:
-            if names.count(n) > 1:
-                raise DuplicateShapeError(f"duplicate shape name {n!r}")
-        index = {s.name: s for s in self.shapes}
+        arity: dict[str, int] = {}
+        for s in self.shapes:
+            if s.name in arity:
+                raise DuplicateShapeError(f"duplicate shape name {s.name!r}",
+                                          *s.pos or ())
+            arity[s.name] = s.arity
         for eq in self.equations:
             for term in (eq.lhs, eq.rhs):
-                shape = index.get(term.shape)
-                if shape is None:
+                if term.shape not in arity:
                     raise UnknownShapeError(
-                        f"unknown shape {term.shape!r} in equation {eq!r}")
-                if len(term.vars) != shape.arity:
+                        f"unknown shape {term.shape!r} in equation {eq!r}",
+                        *term.pos or ())
+                if len(term.vars) != arity[term.shape]:
                     raise ArityMismatchError(
-                        f"shape {term.shape!r} has arity {shape.arity} but "
-                        f"is applied to {len(term.vars)} variable(s) in "
-                        f"equation {eq!r}")
+                        f"shape {term.shape!r} has arity {arity[term.shape]} "
+                        f"but is applied to {len(term.vars)} variable(s) in "
+                        f"equation {eq!r}", *term.pos or ())
 
     @cached_property
     def shape_index(self) -> dict[str, int]:
@@ -260,8 +265,9 @@ def evaluate_morphism(f: FiniteFunction, dom_obj: EvaluatedObject,
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[/(),=]")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"{_IDENT}|\d+|[/(),=]")
+_IDENT_RE = re.compile(rf"{_IDENT}\Z")
 
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
@@ -331,18 +337,18 @@ class _LineParser:
                              self.lineno, col)
         return int(tok)
 
-    def term(self) -> tuple[FlatTerm, int]:
-        col = self.col()
+    def term(self) -> FlatTerm:
+        pos = (self.lineno, self.col())
         head = self.ident("a shape name")
         if self.peek() != "(":
-            return FlatTerm(head, ()), col
+            return FlatTerm(head, (), pos)
         self.take()
         vars_ = [self.ident("a variable")]
         while self.peek() == ",":
             self.take()
             vars_.append(self.ident("a variable"))
         self.expect(")")
-        return FlatTerm(head, tuple(vars_)), col
+        return FlatTerm(head, tuple(vars_), pos)
 
     def done(self) -> None:
         if self.pos < len(self.tokens):
@@ -351,15 +357,13 @@ class _LineParser:
 
 
 def parse_presentation(text: str, default_name: str = "anonymous") -> Presentation:
-    """Parse the declaration format above into a validated Presentation."""
+    """Parse the declaration format above into a validated Presentation.
+    Equations may use shapes declared later, so names and arities are
+    left to ``Presentation``, which sees the whole text."""
     name = default_name
     shapes: list[Shape] = []
-    shape_arity: dict[str, int] = {}
     equations: list[Equation] = []
-    saw_decl = False
     saw_header = False
-    # Equations may reference shapes declared later; validate after the scan.
-    pending: list[tuple[Equation, int, int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line, lineno)
         if not tokens:
@@ -371,53 +375,35 @@ def parse_presentation(text: str, default_name: str = "anonymous") -> Presentati
             p.take()
             if saw_header:
                 raise ParseError("duplicate functor header", lineno, col)
-            if saw_decl:
+            if shapes or equations:
                 raise ParseError("functor header must come first", lineno, col)
             name = p.ident("a functor name")
             p.done()
             saw_header = True
         elif keyword == "shape":
             p.take()
-            col = p.col()
+            pos = (lineno, p.col())
             shape_name = p.ident("a shape name")
             p.expect("/")
             arity = p.nat()
             p.done()
-            if shape_name in shape_arity:
-                raise DuplicateShapeError(
-                    f"duplicate shape name {shape_name!r}", lineno, col)
-            shape_arity[shape_name] = arity
-            shapes.append(Shape(shape_name, arity))
-            saw_decl = True
+            shapes.append(Shape(shape_name, arity, pos))
         elif keyword == "eq":
             p.take()
-            lhs, lcol = p.term()
+            lhs = p.term()
             p.expect("=")
-            rhs, rcol = p.term()
+            rhs = p.term()
             p.done()
             equations.append(Equation(lhs, rhs))
-            pending.append((equations[-1], lineno, lcol, rcol))
-            saw_decl = True
         else:
             raise ParseError(
                 f"expected 'functor', 'shape' or 'eq', found {keyword!r}",
                 lineno, p.col())
-    for eq, lineno, lcol, rcol in pending:
-        for term, col in ((eq.lhs, lcol), (eq.rhs, rcol)):
-            arity = shape_arity.get(term.shape)
-            if arity is None:
-                raise UnknownShapeError(
-                    f"unknown shape {term.shape!r} in equation {eq!r}",
-                    lineno, col)
-            if arity != len(term.vars):
-                raise ArityMismatchError(
-                    f"shape {term.shape!r} has arity {arity} but is applied "
-                    f"to {len(term.vars)} variable(s)", lineno, col)
     return Presentation(name, tuple(shapes), tuple(equations))
 
 
 _ELEMENT_RE = re.compile(
-    r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(\s*(\d+(?:\s*,\s*\d+)*)\s*\))?\s*\Z")
+    rf"\s*({_IDENT})\s*(?:\(\s*(\d+(?:\s*,\s*\d+)*)\s*\))?\s*\Z")
 
 
 def parse_element(text: str) -> ElementRef:

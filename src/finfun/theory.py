@@ -80,6 +80,11 @@ class ModificationKind(Enum):
     MINIMAL = "min"
     MAXIMAL = "max"
 
+    @property
+    def symbol(self) -> str:
+        """The mark on a modified functor's name: F∘ minimal, F° maximal."""
+        return "∘" if self is ModificationKind.MINIMAL else "°"
+
 
 class FunctorInstance(ABC):
     """An evaluable endofunctor of finite sets.
@@ -118,6 +123,11 @@ class FunctorInstance(ABC):
                 f"{name!r} is not an element of {self.name}({n})") from None
 
 
+def sizes_up_to(max_size: int) -> range:
+    """0, ..., max_size; a negative bound is refused as a negative size."""
+    return range(FiniteSet(max_size).size + 1)
+
+
 def maps_up_to(max_size: int,
                tables: TableSource = function_tables
                ) -> Iterator[FiniteFunction]:
@@ -125,7 +135,7 @@ def maps_up_to(max_size: int,
     yields: by x, then y, then in the order of ``tables``.  The checks
     over maps list their counterexamples, and tabulations their records,
     in this order."""
-    sets = [FiniteSet(n) for n in range(max_size + 1)]
+    sets = [FiniteSet(n) for n in sizes_up_to(max_size)]
     for x in sets:
         for y in sets:
             yield from enumerate_functions(x, y, tables)
@@ -149,8 +159,7 @@ class EmptyModified(FunctorInstance):
 
     def __init__(self, base: FunctorInstance, kind: ModificationKind,
                  empty_classes: tuple[int, ...]):
-        suffix = "∘" if kind is ModificationKind.MINIMAL else "°"
-        super().__init__(base.name + suffix)
+        super().__init__(base.name + kind.symbol)
         self.base = base
         self.kind = kind
         self.empty_classes = empty_classes
@@ -359,7 +368,7 @@ def degree(g: FunctorInstance, probe_bound: int) -> DegreeResult:
     """
     require_monomorphic(g, probe_bound)
     best = 0
-    for n in range(probe_bound + 1):
+    for n in sizes_up_to(probe_bound):
         for element in range(g.size(n)):
             best = max(best, len(support(g, n, element).support))
     exact = g.max_arity is not None and probe_bound >= g.max_arity
@@ -563,7 +572,7 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     """
     out = _Collector("intersections", f"sizes <= {max_size}")
     cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
-    for n in range(max_size + 1):
+    for n in sizes_up_to(max_size):
         masks, images = _subset_images(g, n)
         for a in masks:
             for b in masks:
@@ -606,7 +615,7 @@ def check_supports(g: FunctorInstance, max_size: int,
     except MonomorphicityError as err:
         out.add(f"refused: {err}")
         return out.report()
-    for n in range(max_size + 1):
+    for n in sizes_up_to(max_size):
         masks, images = _subset_images(g, n)
         names = g.elements(n)
         for element in range(g.size(n)):

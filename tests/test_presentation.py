@@ -423,16 +423,43 @@ class TestParseErrors:
     def test_trailing_input(self):
         self.expect_error("shape s/1 extra", ParseError, 1, 11, "trailing")
 
+    def test_arity_mismatch_names_the_equation(self):
+        with pytest.raises(ArityMismatchError) as info:
+            parse_presentation("shape s/2\neq s(a) = s(a,b)")
+        assert str(info.value) == (
+            "line 2, column 4: shape 's' has arity 2 but is applied to 1 "
+            "variable(s) in equation s(a) = s(a,b)")
+
+    def test_syntax_is_checked_before_shape_names(self):
+        # The whole text is read before the duplicate on line 2 is seen.
+        self.expect_error("shape s/1\nshape s/2\nshape !/3", ParseError,
+                          3, 7, "unexpected character '!'")
+
 
 def test_programmatic_presentation_validation():
-    with pytest.raises(DuplicateShapeError):
+    with pytest.raises(DuplicateShapeError) as dup:
         Presentation("p", (Shape("s", 1), Shape("s", 2)), ())
-    with pytest.raises(UnknownShapeError):
+    with pytest.raises(UnknownShapeError) as unknown:
         Presentation("p", (Shape("s", 1),),
                      (Equation(FlatTerm("t", ("a",)), FlatTerm("s", ("a",))),))
-    with pytest.raises(ArityMismatchError):
+    with pytest.raises(ArityMismatchError) as arity:
         Presentation("p", (Shape("s", 2),),
                      (Equation(FlatTerm("s", ("a",)), FlatTerm("s", ("a", "b"))),))
+    for info in (dup, unknown, arity):
+        assert info.value.line is None and info.value.col is None
+    assert str(arity.value) == ("shape 's' has arity 2 but is applied to 1 "
+                                "variable(s) in equation s(a) = s(a,b)")
+
+
+def test_source_positions_are_not_compared():
+    pres = parse_presentation("shape s/1\n  eq s(a) = s(b)")
+    shape, eq = pres.shapes[0], pres.equations[0]
+    assert shape.pos == (1, 7)
+    assert (eq.lhs.pos, eq.rhs.pos) == ((2, 6), (2, 13))
+    assert shape == Shape("s", 1) and hash(shape) == hash(Shape("s", 1))
+    assert eq == Equation(FlatTerm("s", ("a",)), FlatTerm("s", ("b",)))
+    assert repr(shape) == "Shape(name='s', arity=1)"
+    assert pres == Presentation("anonymous", (Shape("s", 1),), (eq,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""The paper's theorem and Trnková's rules, cross-checked on random
+presentations.
+
+Trnková (Comment. Math. Univ. Carolinae 1969; Adámek & Trnková 1990):
+every set functor preserves surjections, preserves injections except
+possibly those out of the empty set (so it is monomorphic exactly when
+F(∅→1) is injective), and preserves every intersection of two subsets
+except possibly an empty one.  The paper's theorem: a monomorphic F is
+epimorphic, and its maximal ∅-modification F° preserves intersections.
+F° is monomorphic whatever F is, so F° passes the whole battery.
+
+The exhaustive checks stay the source of the verdicts; these tests only
+require that their reports never contradict the rules.
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from finfun.finset import FiniteSet, empty_function, is_injective
+from finfun.presentation import (
+    Equation,
+    FlatTerm,
+    Presentation,
+    PresentationInstance,
+    Shape,
+    parse_presentation,
+)
+from finfun.theory import (
+    check_epimorphic,
+    check_intersections,
+    check_monomorphic,
+    empty_mod_max,
+    run_standard_checks,
+)
+from finfun.zoo import zoo_source
+
+SIZE = 3
+
+# Two constants, so that an equation can identify them over every
+# inhabited set and F(∅→1) can fail to be injective.
+_SHAPES = (Shape("c", 0), Shape("d", 0), Shape("u", 1), Shape("p", 2))
+
+_PAIR_RE = re.compile(r"A=\{([\d,]*)\} B=\{([\d,]*)\}")
+
+
+@st.composite
+def presentations(draw):
+    shapes = tuple(s for s in _SHAPES if draw(st.booleans())) or _SHAPES[:1]
+    terms = [FlatTerm(s.name, vs) for s in shapes
+             for vs in itertools.product("ab", repeat=s.arity)]
+    eqs = tuple(Equation(draw(st.sampled_from(terms)),
+                         draw(st.sampled_from(terms)))
+                for _ in range(draw(st.integers(0, 3))))
+    return Presentation("random", shapes, eqs)
+
+
+def _members(text):
+    return set(map(int, text.split(","))) if text else set()
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+@example(parse_presentation(zoo_source("twins")))
+@example(parse_presentation("shape u/1\neq u(a) = u(b)"))
+def test_checks_obey_trnkova_and_the_paper(pres):
+    g = PresentationInstance(pres)
+
+    assert check_epimorphic(g, SIZE).passed
+
+    mono = check_monomorphic(g, SIZE)
+    assert all(c.startswith("G(f) not injective for f=():0->")
+               for c in mono.counterexamples)
+    assert mono.passed == is_injective(g.map(empty_function(FiniteSet(1))))
+
+    for c in check_intersections(g, SIZE).counterexamples:
+        a, b = _PAIR_RE.search(c).groups()
+        assert not _members(a) & _members(b), c
+
+    repaired = run_standard_checks(empty_mod_max(g), SIZE)
+    assert [r.name for r in repaired if not r.passed] == []

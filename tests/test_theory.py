@@ -21,7 +21,7 @@ from finfun.finset import (
     is_surjective,
     surjective_tables,
 )
-from finfun.tabulated import TabulatedInstance
+from finfun.tabulated import TabulatedInstance, export_tabulated
 from finfun.theory import (
     STANDARD_CHECKS,
     DegreeResult,
@@ -129,6 +129,7 @@ def test_modified_names_and_kinds():
     for kind in ModificationKind:
         modified = modify(tw, kind)
         assert isinstance(modified, EmptyModified) and modified.kind is kind
+        assert modified.name == "twins" + kind.symbol
     assert ModificationKind("max") is ModificationKind.MAXIMAL
     assert ModificationKind("min") is ModificationKind.MINIMAL
 
@@ -485,6 +486,25 @@ def test_maps_up_to_takes_a_table_source():
 def test_negative_size_is_refused(g, n):
     with pytest.raises(ValueError, match=f"size must be non-negative, got {n}"):
         g.elements(n)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: list(maps_up_to(-1)),
+    lambda g: run_standard_checks(g, -1),
+    lambda g: check_functor_laws(g, -1),
+    lambda g: check_monomorphic(g, -1),
+    lambda g: check_epimorphic(g, -1),
+    lambda g: check_intersections(g, -1),
+    lambda g: check_supports(g, -1),
+    lambda g: degree(g, -1),
+    lambda g: export_tabulated(g, -1),
+    lambda g: check_modification_maximality(g, empty_mod_max(g), -1),
+], ids=["maps_up_to", "run_standard_checks", "laws", "mono", "epi",
+        "intersections", "supports", "degree", "export_tabulated",
+        "maximality"])
+def test_negative_size_bound_is_refused(entry):
+    with pytest.raises(ValueError, match="size must be non-negative, got -1"):
+        entry(zoo_instance("upair"))
 
 
 def test_check_functor_laws_passes_zoo():
