@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,7 @@ class FiniteFunction:
     def __post_init__(self) -> None:
         table = tuple(self.table)
         object.__setattr__(self, "table", table)
-        if len(table) != self.dom.size:
-            raise ValueError(
-                f"table has {len(table)} entries for a domain of size "
-                f"{self.dom.size}")
-        for i, v in enumerate(table):
-            if not 0 <= v < self.cod.size:
-                raise ValueError(
-                    f"table entry {v} at position {i} is not below the "
-                    f"codomain size {self.cod.size}")
+        check_table(table, self.dom.size, self.cod.size)
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -149,6 +141,18 @@ def is_surjective(f: FiniteFunction) -> bool:
     return len(set(f.table)) == f.cod.size
 
 
+def check_table(table: Sequence[int], x: int, y: int) -> None:
+    """The rule every table of a map x -> y obeys: x entries, each in
+    0 <= v < y.  Raises ValueError naming the first entry that breaks it."""
+    if len(table) != x:
+        raise ValueError(
+            f"table has {len(table)} entries for a domain of size {x}")
+    if table and not 0 <= min(table) <= max(table) < y:
+        i, v = next((i, v) for i, v in enumerate(table) if not 0 <= v < y)
+        raise ValueError(f"table entry {v} at position {i} is not below the "
+                         f"codomain size {y}")
+
+
 def table_repr(x: int, y: int, table: tuple[int, ...]) -> str:
     """How a function x -> y with the given table is written in reports."""
     return f"({','.join(map(str, table))}):{x}->{y}"
@@ -183,12 +187,10 @@ def surjective_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
     return (t for t in function_tables(x, y) if len(set(t)) == y)
 
 
-def enumerate_functions(x: FiniteSet, y: FiniteSet,
-                        tables: TableSource = function_tables
-                        ) -> Iterator[FiniteFunction]:
-    """The functions x -> y whose tables ``tables(|x|, |y|)`` yields: by
-    default all |y|^|x| of them, in ``function_tables`` order."""
-    for table in tables(x.size, y.size):
+def enumerate_functions(x: FiniteSet,
+                        y: FiniteSet) -> Iterator[FiniteFunction]:
+    """All |y|^|x| functions x -> y, in ``function_tables`` order."""
+    for table in function_tables(x.size, y.size):
         yield FiniteFunction(x, y, table)
 
 

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .finset import FiniteFunction, FiniteSet
+from .finset import FiniteSet, check_table
 from .theory import FunctorInstance, UnknownElementError
 
 
@@ -239,10 +239,10 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
                            tuple(class_of_term))
 
 
-def evaluate_morphism(f: FiniteFunction, dom_obj: EvaluatedObject,
-                      cod_obj: EvaluatedObject) -> FiniteFunction:
-    """The action of the presented functor on f: substitute into the
-    argument slots and canonicalize in the codomain.
+def evaluate_morphism(table: tuple[int, ...], dom_obj: EvaluatedObject,
+                      cod_obj: EvaluatedObject) -> tuple[int, ...]:
+    """The table of F(f), for the map f with the given ``table``:
+    substitute into the argument slots and canonicalize in the codomain.
 
     The result does not depend on the chosen representatives: every
     generating identification over the domain maps to the identification
@@ -250,16 +250,16 @@ def evaluate_morphism(f: FiniteFunction, dom_obj: EvaluatedObject,
     ``cod_obj`` are one presentation evaluated at the domain and the
     codomain of f.
     """
-    n, values = cod_obj.size, f.table
+    n = cod_obj.size
     offsets, class_of_term = cod_obj.offsets, cod_obj.class_of_term
-    table = []
+    image = []
     for shape_idx, args in dom_obj.rep_terms:
         rank = 0
         for a in args:
-            rank = rank * n + values[a]
-        table.append(class_of_term[offsets[shape_idx] + rank])
-    return FiniteFunction(FiniteSet(len(dom_obj)), FiniteSet(len(cod_obj)),
-                          table)
+            rank = rank * n + table[a]
+        image.append(class_of_term[offsets[shape_idx] + rank])
+    check_table(image, len(dom_obj), len(cod_obj))
+    return tuple(image)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def parse_element(text: str) -> ElementRef:
 class PresentationInstance(FunctorInstance):
     """A presentation wrapped as an evaluable functor, with caching.
 
-    Object evaluations are cached per size and morphism evaluations per
+    Object evaluations are cached per size and action tables per
     (sizes, table).  Evaluation is pure, so concurrent repeated
     computation is harmless and results are schedule-independent.
     """
@@ -434,7 +434,7 @@ class PresentationInstance(FunctorInstance):
         self.presentation = pres
         self._objects: dict[int, EvaluatedObject] = {}
         self._morphisms: dict[tuple[int, int, tuple[int, ...]],
-                              FiniteFunction] = {}
+                              tuple[int, ...]] = {}
 
     @property
     def max_arity(self) -> int:
@@ -450,12 +450,12 @@ class PresentationInstance(FunctorInstance):
     def elements(self, n: int) -> tuple[str, ...]:
         return self.object(n).names
 
-    def map(self, f: FiniteFunction) -> FiniteFunction:
-        key = (f.dom.size, f.cod.size, f.table)
+    def action(self, x: int, y: int,
+               table: tuple[int, ...]) -> tuple[int, ...]:
+        key = (x, y, table)
         cached = self._morphisms.get(key)
         if cached is None:
-            cached = evaluate_morphism(f, self.object(f.dom.size),
-                                       self.object(f.cod.size))
+            cached = evaluate_morphism(table, self.object(x), self.object(y))
             self._morphisms[key] = cached
         return cached
 

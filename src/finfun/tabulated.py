@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 
-from .finset import FiniteFunction, FiniteSet, table_repr
+from .finset import check_table, table_repr
 from .theory import (FunctorInstance, MorphismKey, SizeBoundError,
-                     law_failures, maps_up_to)
+                     law_failures, tables_up_to)
 
 
 class TabulatedError(Exception):
@@ -48,7 +48,8 @@ class TabulatedInstance(FunctorInstance):
     """Tables of F(n) for n <= max_size and of F(f) for every map between
     those sizes, behind the uniform functor interface.  ``morphisms`` maps
     (dom, cod, table) to the table of the image.  ``load_tabulated``
-    validates them; built directly, they are taken as given.
+    validates them; built directly, only each image table's fit to F(dom)
+    and F(cod) is checked, when it is read.
 
     Queries beyond the tabulated bound raise SizeBoundError.
     """
@@ -61,23 +62,19 @@ class TabulatedInstance(FunctorInstance):
         self.morphisms = morphisms
         self.max_size = len(objects) - 1
 
-    def _check_size(self, n: int) -> None:
+    def elements(self, n: int) -> tuple[str, ...]:
         if not 0 <= n <= self.max_size:
             raise SizeBoundError(
                 f"{self.name} is tabulated up to size {self.max_size}, "
                 f"queried at {n}")
-
-    def elements(self, n: int) -> tuple[str, ...]:
-        self._check_size(n)
         return self.objects[n]
 
-    def map(self, f: FiniteFunction) -> FiniteFunction:
-        x, y = f.dom.size, f.cod.size
-        self._check_size(x)
-        self._check_size(y)
-        return FiniteFunction(FiniteSet(len(self.objects[x])),
-                              FiniteSet(len(self.objects[y])),
-                              self.morphisms[(x, y, f.table)])
+    def action(self, x: int, y: int,
+               table: tuple[int, ...]) -> tuple[int, ...]:
+        sizes = self.size(x), self.size(y)  # refuses sizes beyond the bound
+        image = tuple(self.morphisms[(x, y, table)])
+        check_table(image, *sizes)
+        return image
 
 
 def _require(cond: bool, message: str) -> None:
@@ -156,9 +153,10 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
                     f"{target!r}")
         morphisms[key] = tuple([cod_index[action[s]] for s in objects[dom]])
 
-    for f in maps_up_to(max_size):
-        if (f.dom.size, f.cod.size, f.table) not in morphisms:
-            raise MissingMorphismError(f"missing morphism table for {f!r}")
+    for key in tables_up_to(max_size):
+        if key not in morphisms:
+            raise MissingMorphismError(
+                f"missing morphism table for {table_repr(*key)}")
 
     for f, g in law_failures(morphisms, [len(names) for names in objects]):
         if g is None:
@@ -175,12 +173,10 @@ def export_tabulated(g: FunctorInstance, max_size: int) -> str:
     names = [g.elements(n) for n in range(max_size + 1)]
     objects = {str(n): list(ns) for n, ns in enumerate(names)}
     morphisms = [{
-        "dom": f.dom.size,
-        "cod": f.cod.size,
-        "table": list(f.table),
-        "action": {names[f.dom.size][i]: names[f.cod.size][v]
-                   for i, v in enumerate(g.map(f).table)},
-    } for f in maps_up_to(max_size)]
+        "dom": x, "cod": y, "table": list(table),
+        "action": {names[x][i]: names[y][v]
+                   for i, v in enumerate(g.action(x, y, table))},
+    } for x, y, table in tables_up_to(max_size)]
     payload = {"max_size": max_size, "objects": objects,
                "morphisms": morphisms}
     return json.dumps(payload, indent=2, ensure_ascii=False)

@@ -2,9 +2,9 @@
 
 A ``FunctorInstance`` is any evaluable endofunctor of finite sets: it
 answers an object query (the elements of FX, identified by index and
-display name) and a morphism query (the induced function on element
-indices).  Everything here works uniformly over presentation-backed,
-tabulated, and modified instances.
+display name) and a morphism query, ``action``, from the table of a map
+to the table of its image.  Everything here walks maps as raw tables and
+works uniformly over presentation-backed, tabulated, and modified instances.
 
 The central constructions:
 
@@ -34,15 +34,11 @@ from .finset import (
     FiniteSet,
     SubsetMask,
     TableSource,
-    constant,
-    empty_function,
-    enumerate_functions,
+    check_table,
+    enumerate_functions,  # noqa: F401  (the benchmark wraps it here)
     enumerate_subsets,
     function_tables,
-    identity,
-    inclusion,
     injective_tables,
-    is_injective,
     is_surjective,
     surjective_tables,
     table_repr,
@@ -89,9 +85,9 @@ class ModificationKind(Enum):
 class FunctorInstance(ABC):
     """An evaluable endofunctor of finite sets.
 
-    Object and morphism queries are deterministic and cached by the
-    concrete classes; instances behave as immutable values and may be
-    shared freely.
+    A subclass implements ``elements`` and ``action``; ``map`` is the
+    validated wrapper.  Queries are deterministic and cached by the
+    concrete classes; instances are immutable values, shared freely.
     """
 
     def __init__(self, name: str):
@@ -103,8 +99,15 @@ class FunctorInstance(ABC):
         """Display names of the elements of F applied to {0,...,n-1}."""
 
     @abstractmethod
+    def action(self, x: int, y: int,
+               table: tuple[int, ...]) -> tuple[int, ...]:
+        """The table of F(f) for the map f: x -> y with the given table."""
+
     def map(self, f: FiniteFunction) -> FiniteFunction:
-        """The induced function on element indices."""
+        """F(f) as a validated function."""
+        x, y = f.dom.size, f.cod.size
+        return FiniteFunction(FiniteSet(self.size(x)), FiniteSet(self.size(y)),
+                              self.action(x, y, f.table))
 
     @property
     def max_arity(self) -> int | None:
@@ -128,17 +131,21 @@ def sizes_up_to(max_size: int) -> range:
     return range(FiniteSet(max_size).size + 1)
 
 
-def maps_up_to(max_size: int,
-               tables: TableSource = function_tables
+def tables_up_to(max_size: int, tables: TableSource = function_tables
+                 ) -> Iterator[MorphismKey]:
+    """(x, y, table) for every map x -> y with x, y <= max_size whose
+    table ``tables(x, y)`` yields: by x, then y, then in the order of
+    ``tables``.  The checks over maps list their counterexamples, and
+    tabulations their records, in this order."""
+    sizes = sizes_up_to(max_size)
+    return ((x, y, t) for x in sizes for y in sizes for t in tables(x, y))
+
+
+def maps_up_to(max_size: int, tables: TableSource = function_tables
                ) -> Iterator[FiniteFunction]:
-    """Every map x -> y with x, y <= max_size whose table ``tables(x, y)``
-    yields: by x, then y, then in the order of ``tables``.  The checks
-    over maps list their counterexamples, and tabulations their records,
-    in this order."""
-    sets = [FiniteSet(n) for n in sizes_up_to(max_size)]
-    for x in sets:
-        for y in sets:
-            yield from enumerate_functions(x, y, tables)
+    """The maps of ``tables_up_to`` as validated functions."""
+    for x, y, table in tables_up_to(max_size, tables):
+        yield FiniteFunction(FiniteSet(x), FiniteSet(y), table)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +182,21 @@ class EmptyModified(FunctorInstance):
         # F1 is looked up per member: with none, the base is not queried.
         return tuple(self.base.elements(1)[i] for i in self.empty_classes)
 
-    def map(self, f: FiniteFunction) -> FiniteFunction:
-        if f.dom.size > 0:
-            return self.base.map(f)
-        return self._from_empty(f.cod, 0)
+    def action(self, x: int, y: int,
+               table: tuple[int, ...]) -> tuple[int, ...]:
+        if x > 0:
+            return self.base.action(x, y, table)
+        return self._from_empty(y, 0)
 
-    def _from_empty(self, y: FiniteSet, via: int) -> FiniteFunction:
+    def _from_empty(self, y: int, via: int) -> tuple[int, ...]:
         k = len(self.empty_classes)
-        if y.size == 0:
-            return identity(FiniteSet(k))
-        base_map = self.base.map(constant(FiniteSet(1), y, via))
-        table = tuple(base_map.table[i] for i in self.empty_classes)
-        return FiniteFunction(FiniteSet(k), FiniteSet(self.size(y.size)),
-                              table)
+        if y == 0:
+            return tuple(range(k))
+        check_table((via,), 1, y)
+        base_table = self.base.action(1, y, (via,))
+        table = tuple(base_table[i] for i in self.empty_classes)
+        check_table(table, k, self.size(y))
+        return table
 
     def element_index(self, n: int, name: str) -> int:
         if n > 0:
@@ -219,11 +228,8 @@ def empty_mod_max(f: FunctorInstance) -> EmptyModified:
     Requires the instance to be defined at sizes 1 and 2.
     """
     base = _flatten(f)
-    one, two = FiniteSet(1), FiniteSet(2)
-    m0 = base.map(constant(one, two, 0))
-    m1 = base.map(constant(one, two, 1))
-    empty = tuple(i for i in range(base.size(1))
-                  if m0.table[i] == m1.table[i])
+    m0, m1 = base.action(1, 2, (0,)), base.action(1, 2, (1,))
+    empty = tuple(i for i in range(base.size(1)) if m0[i] == m1[i])
     return EmptyModified(base, ModificationKind.MAXIMAL, empty)
 
 
@@ -246,7 +252,8 @@ def empty_morphism(g: EmptyModified, y: FiniteSet,
     if (not isinstance(g, EmptyModified)
             or g.kind is not ModificationKind.MAXIMAL):
         raise TypeError("empty_morphism needs a maximal modification")
-    return g._from_empty(y, via)
+    return FiniteFunction(FiniteSet(g.size(0)), FiniteSet(g.size(y.size)),
+                          g._from_empty(y.size, via))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +262,7 @@ def empty_morphism(g: EmptyModified, y: FiniteSet,
 
 def image_of_inclusion(g: FunctorInstance, a: SubsetMask) -> tuple[int, ...]:
     """Sorted element indices of the image of F applied to A -> X."""
-    return tuple(sorted(set(g.map(inclusion(a)).table)))
+    return tuple(sorted(set(g.action(len(a), a.ambient.size, a.members))))
 
 
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
@@ -263,27 +270,23 @@ def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     injective f between sets of sizes <= bound (cached per instance)."""
     if g._mono_bound >= bound:
         return
-    for f, collapsed in _injectivity_failures(g, bound):
-        raise MonomorphicityError(f, collapsed)
+    for (x, y, table), collapsed in _injectivity_failures(g, bound):
+        raise MonomorphicityError(
+            FiniteFunction(FiniteSet(x), FiniteSet(y), table), collapsed)
     g._mono_bound = bound
 
 
 def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
-        tuple[FiniteFunction, tuple[str, str]]]:
+        tuple[MorphismKey, tuple[str, str]]]:
     """Each injective f between sets of sizes <= max_size, maps out of the
     empty set included, for which G(f) is not injective, with the names
     of the first two elements G(f) collapses."""
-    for f in maps_up_to(max_size, injective_tables):
-        gf = g.map(f)
-        if is_injective(gf):
-            continue
-        names = g.elements(f.dom.size)
-        seen: dict[int, int] = {}
-        for i, v in enumerate(gf.table):
-            if v in seen:
-                yield f, (names[seen[v]], names[i])
-                break
-            seen[v] = i
+    for key in tables_up_to(max_size, injective_tables):
+        gf = g.action(*key)
+        if len(set(gf)) < len(gf):
+            j = next(j for j, v in enumerate(gf) if v in gf[:j])
+            names = g.elements(key[0])
+            yield key, (names[gf.index(gf[j])], names[j])
 
 
 @dataclass(frozen=True)
@@ -326,7 +329,7 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
         smaller = mask.without(point)
         if element in image_of_inclusion(g, smaller):
             mask = smaller
-    table = g.map(inclusion(mask)).table
+    table = g.action(len(mask), n, mask.members)
     return SupportResult(element, mask, table.index(element))
 
 
@@ -341,12 +344,10 @@ def skeleton(g: FunctorInstance, n: int, x: FiniteSet | int) -> tuple[int, ...]:
     with the support filter valid over the empty set too, where only the
     empty domain admits a map.
     """
-    xs = FiniteSet(x) if isinstance(x, int) else x
-    top = n if xs.size else 0
-    hit: set[int] = set()
-    for f in enumerate_functions(FiniteSet(top), xs):
-        hit.update(g.map(f).table)
-    return tuple(sorted(hit))
+    size = FiniteSet(x).size if isinstance(x, int) else x.size
+    top = FiniteSet(n).size if size else 0
+    return tuple(sorted({v for t in function_tables(top, size)
+                         for v in g.action(top, size, t)}))
 
 
 @dataclass(frozen=True)
@@ -385,9 +386,8 @@ def epi_witness(g: FunctorInstance, f: FiniteFunction, b: int) -> int:
     if not is_surjective(f):
         raise ValueError(f"epi_witness needs a surjective map, got {f!r}")
     res = support(g, f.cod, b)
-    section_table = tuple(f.table.index(m) for m in res.support.members)
-    section = FiniteFunction(FiniteSet(len(res.support)), f.dom, section_table)
-    return g.map(section).table[res.witness]
+    section = tuple(f.table.index(m) for m in res.support.members)
+    return g.action(len(section), f.dom.size, section)[res.witness]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +518,7 @@ def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size."""
     out = _Collector("laws", f"sizes <= {max_size}")
-    action = {(f.dom.size, f.cod.size, f.table): g.map(f).table
-              for f in maps_up_to(max_size)}
+    action = {key: g.action(*key) for key in tables_up_to(max_size)}
     sizes = [g.size(n) for n in range(max_size + 1)]
     for f, h in law_failures(action, sizes):
         if h is None:
@@ -534,8 +533,9 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) injective for every injective f between sets of sizes <= max_size,
     including maps out of the empty set."""
     out = _Collector("mono", f"sizes <= {max_size}")
-    for f, (a, b) in _injectivity_failures(g, max_size):
-        out.add(f"G(f) not injective for f={f!r}: collapses {a} and {b}")
+    for key, (a, b) in _injectivity_failures(g, max_size):
+        out.add(f"G(f) not injective for f={table_repr(*key)}: collapses "
+                f"{a} and {b}")
     if not out.total:
         g._mono_bound = max(g._mono_bound, max_size)
     return out.report()
@@ -544,12 +544,12 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
 def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size."""
     out = _Collector("epi", f"sizes <= {max_size}")
-    for f in maps_up_to(max_size, surjective_tables):
-        y = f.cod.size
-        missed = set(range(g.size(y))) - set(g.map(f).table)
+    for x, y, table in tables_up_to(max_size, surjective_tables):
+        missed = set(range(g.size(y))) - set(g.action(x, y, table))
         if missed:
             name = g.elements(y)[min(missed)]
-            out.add(f"G(f) not surjective for f={f!r}: misses {name}")
+            out.add(f"G(f) not surjective for f={table_repr(x, y, table)}: "
+                    f"misses {name}")
     return out.report()
 
 
@@ -648,7 +648,8 @@ def check_supports(g: FunctorInstance, max_size: int,
                             f"gives {res.support!r}, family minimum is "
                             f"{least!r}")
                     continue
-                back = g.map(inclusion(res.support)).table[res.witness]
+                back = g.action(len(res.support), n,
+                                res.support.members)[res.witness]
                 if back != element:
                     out.add(f"X={n} {names[element]}: witness does not map "
                             f"back to the element")
@@ -669,25 +670,25 @@ def check_modification_maximality(f: FunctorInstance,
         if probe.elements(n) != f.elements(n):
             raise ProbeMismatchError(
                 f"probe disagrees with {f.name} on the value at size {n}")
-    for fn in maps_up_to(max_size):
+    for key in tables_up_to(max_size):
         # The probe may differ from F at the empty set, and every map
         # with an end of size 0 starts there.
-        if fn.dom.size and probe.map(fn).table != f.map(fn).table:
+        if key[0] and probe.action(*key) != f.action(*key):
             raise ProbeMismatchError(
-                f"probe disagrees with {f.name} at {fn!r}")
+                f"probe disagrees with {f.name} at {table_repr(*key)}")
     laws = check_functor_laws(probe, max_size)
     if not laws.passed:
         raise ProbeMismatchError(
             f"probe is not a functor: {laws.counterexamples[0]}")
     out = _Collector("maximality", f"sizes <= {max_size}")
     allowed = set(empty_mod_max(f).empty_classes)
-    to_one = probe.map(empty_function(FiniteSet(1)))
-    for i, target in enumerate(to_one.table):
+    to_one = probe.action(0, 1, ())
+    for i, target in enumerate(to_one):
         if target not in allowed:
             out.add(f"{probe.elements(0)[i]} maps to "
                     f"{f.elements(1)[target]} outside the equalizer subset")
     return out.report(
-        f"image size {len(set(to_one.table))} of {probe.size(0)} elements, "
+        f"image size {len(set(to_one))} of {probe.size(0)} elements, "
         f"equalizer size {len(allowed)}")
 
 

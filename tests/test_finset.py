@@ -12,6 +12,7 @@ from finfun.finset import (
     FiniteFunction,
     FiniteSet,
     SubsetMask,
+    check_table,
     compose,
     constant,
     empty_function,
@@ -63,6 +64,40 @@ class TestFiniteFunction:
             FiniteFunction(FiniteSet(1), FiniteSet(2), (2,))
         with pytest.raises(ValueError):
             FiniteFunction(FiniteSet(1), FiniteSet(0), (0,))
+
+    @staticmethod
+    def loop_oracle(table, x, y):
+        """The range rule as one loop over every entry: the check that
+        ``FiniteFunction`` ran before ``check_table`` existed."""
+        if len(table) != x:
+            return (f"table has {len(table)} entries for a domain of size "
+                    f"{x}")
+        for i, v in enumerate(table):
+            if not 0 <= v < y:
+                return (f"table entry {v} at position {i} is not below the "
+                        f"codomain size {y}")
+        return None
+
+    @given(st.data())
+    def test_check_table_agrees_with_the_loop(self, data):
+        x, y = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        # Mostly the right length, with entries around both ends of 0..y-1.
+        n = data.draw(st.sampled_from([x, x, x, x + 1, max(x - 1, 0)]))
+        table = tuple(data.draw(st.lists(st.integers(-2, y + 2),
+                                         min_size=n, max_size=n)))
+        expected = self.loop_oracle(table, x, y)
+        try:
+            check_table(table, x, y)
+            found = None
+        except ValueError as err:
+            found = str(err)
+        assert found == expected
+        try:
+            FiniteFunction(FiniteSet(x), FiniteSet(y), table)
+            built = None
+        except ValueError as err:
+            built = str(err)
+        assert built == expected
 
     def test_identity_and_constant(self):
         assert identity(FiniteSet(3)).table == (0, 1, 2)

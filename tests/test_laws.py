@@ -97,13 +97,11 @@ class Overridden(FunctorInstance):
     def elements(self, n):
         return self.base.elements(n)
 
-    def map(self, f):
-        key = (f.dom.size, f.cod.size, f.table)
+    def action(self, x, y, table):
+        key = (x, y, table)
         if key in self.overrides:
-            return FiniteFunction(FiniteSet(self.base.size(f.dom.size)),
-                                  FiniteSet(self.base.size(f.cod.size)),
-                                  self.overrides[key])
-        return self.base.map(f)
+            return self.overrides[key]
+        return self.base.action(x, y, table)
 
 
 def action_of(g, max_size):

@@ -286,6 +286,23 @@ def unvalidated(data):
     return TabulatedInstance(objects, morphisms)
 
 
+@pytest.mark.parametrize("image, message", [
+    ((0, 3), "table entry 3 at position 1 is not below the codomain size 3"),
+    ((0, -1), "table entry -1 at position 1 is not below the codomain size 3"),
+    ((0,), "table has 1 entries for a domain of size 2"),
+], ids=["too-large", "negative", "too-short"])
+def test_directly_built_tables_keep_the_range_rule(image, message):
+    # F(1) = {a, b} and F(2) = {a, b, c}, so F((0):1->2) needs two
+    # entries below 3.
+    g = TabulatedInstance(((), ("a", "b"), ("a", "b", "c")),
+                          {(1, 2, (0,)): image})
+    f = FiniteFunction(FiniteSet(1), FiniteSet(2), (0,))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.action(1, 2, (0,))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.map(f)
+
+
 def test_load_and_check_name_the_same_first_law_failure():
     # One wrong entry of F((1):1->3) breaks many composable pairs; walked
     # with g outer instead of f outer, the first pair would differ.

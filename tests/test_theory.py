@@ -75,13 +75,11 @@ class Tweaked(FunctorInstance):
     def elements(self, n):
         return self.base.elements(n)
 
-    def map(self, f):
-        key = (f.dom.size, f.cod.size, f.table)
+    def action(self, x, y, table):
+        key = (x, y, table)
         if key in self.overrides:
-            return FiniteFunction(FiniteSet(self.base.size(f.dom.size)),
-                                  FiniteSet(self.base.size(f.cod.size)),
-                                  self.overrides[key])
-        return self.base.map(f)
+            return self.overrides[key]
+        return self.base.action(x, y, table)
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +540,9 @@ def test_passing_mono_check_spares_require_monomorphic_the_walk():
     class Counting(Tweaked):
         calls = 0
 
-        def map(self, f):
+        def action(self, x, y, table):
             Counting.calls += 1
-            return super().map(f)
+            return super().action(x, y, table)
 
     g = Counting(zoo_instance("upair"), {})
     assert check_monomorphic(g, 5).passed
@@ -556,6 +554,22 @@ def test_passing_mono_check_spares_require_monomorphic_the_walk():
     assert not check_monomorphic(twins, 5).passed
     with pytest.raises(MonomorphicityError):
         require_monomorphic(twins, 5)
+
+
+def test_checks_and_export_walk_tables_without_building_functions(
+        monkeypatch):
+    # The walks hand raw tables to ``action``; a validated FiniteFunction
+    # per map walked or per image is the waste this guards against.
+    built = []
+    post_init = FiniteFunction.__post_init__
+    monkeypatch.setattr(FiniteFunction, "__post_init__",
+                        lambda f: built.append(f) or post_init(f))
+    g = zoo_instance("upair")
+    assert check_functor_laws(g, 4).passed
+    assert check_monomorphic(g, 4).passed
+    assert check_epimorphic(g, 4).passed
+    export_tabulated(g, 3)
+    assert built == []
 
 
 def test_check_epimorphic():
@@ -839,11 +853,10 @@ def test_counterexamples_truncated_with_note():
         def elements(self, n):
             return self.base.elements(n)
 
-        def map(self, f):
-            m = self.base.size(f.cod.size)
-            n = self.base.size(f.dom.size)
-            table = (0,) * n if m else ()
-            return FiniteFunction(FiniteSet(n), FiniteSet(m), table)
+        def action(self, x, y, table):
+            m = self.base.size(y)
+            n = self.base.size(x)
+            return (0,) * n if m else ()
 
     report = check_monomorphic(Collapse(zoo_instance("power2")), 4)
     assert len(report.counterexamples) == 25
@@ -912,12 +925,10 @@ def test_intermediate_modification_sits_inside_max():
         def elements(self, n):
             return ("a",) if n == 0 else base.elements(n)
 
-        def map(self, f):
-            if f.dom.size == 0 and f.cod.size > 0:
-                return FiniteFunction(FiniteSet(1), FiniteSet(2), (0,))
-            if f.dom.size == 0:
-                return FiniteFunction(FiniteSet(1), FiniteSet(1), (0,))
-            return base.map(f)
+        def action(self, x, y, table):
+            if x == 0:
+                return (0,)
+            return base.action(x, y, table)
 
     report = check_modification_maximality(base, OneConstant(), 3)
     assert report.passed
@@ -937,14 +948,10 @@ def test_probe_exceeding_the_equalizer_cannot_be_lawful():
         def elements(self, n):
             return ("e",) if n == 0 else base.elements(n)
 
-        def map(self, f):
-            if f.dom.size == 0:
-                size = self.size(f.cod.size)
-                table = (0,) if size else ()
-                if f.cod.size == 0:
-                    return FiniteFunction(FiniteSet(1), FiniteSet(1), (0,))
-                return FiniteFunction(FiniteSet(1), FiniteSet(size), table)
-            return base.map(f)
+        def action(self, x, y, table):
+            if x == 0:
+                return (0,) if y == 0 or self.size(y) else ()
+            return base.action(x, y, table)
 
     with pytest.raises(ProbeMismatchError, match="not a functor"):
         check_modification_maximality(base, Overfull(), 3)
