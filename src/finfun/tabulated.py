@@ -9,14 +9,13 @@ The data file is JSON with three top-level fields:
   and ``action`` (map element name -> element name).
 
 Every function must be listed explicitly; nothing is inferred.  Loading
-validates completeness and the functor laws, the latter with the routine
-behind ``check_functor_laws``, and reports the offending function (pair)
-on failure.  That routine decides the composition law on the generating
-maps (adjacent transpositions, merges n -> n-1 and inclusions n -> n+1,
-which generate every map: Mac Lane, *Categories for the Working
-Mathematician*, §VII.5) and walks every composable pair only to name the
-first failure.  This is the vehicle for feeding hypothesis-violating
-functors to the checkers: tables need not come from any presentation.
+validates completeness and the functor laws, the latter with
+``theory.law_failures`` (it decides them on the generating maps and walks
+every composable pair only to name the first failure), and reports the
+offending function (pair) on failure.  The laws are decided once per
+load: the instance records the pass, and its ``laws`` check reuses it.
+This is the vehicle for feeding hypothesis-violating functors to the
+checkers: tables need not come from any presentation.
 """
 
 from __future__ import annotations
@@ -165,7 +164,9 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
         raise FunctorLawError(
             f"composition mismatch for f={table_repr(*f)} and "
             f"g={table_repr(*g)}")
-    return TabulatedInstance(tuple(objects), morphisms, name)
+    instance = TabulatedInstance(tuple(objects), morphisms, name)
+    instance._law_bound = max_size
+    return instance
 
 
 def export_tabulated(g: FunctorInstance, max_size: int) -> str:

@@ -87,12 +87,14 @@ class FunctorInstance(ABC):
 
     A subclass implements ``elements`` and ``action``; ``map`` is the
     validated wrapper.  Queries are deterministic and cached by the
-    concrete classes; instances are immutable values, shared freely.
+    concrete classes; instances are immutable values, shared freely.  The
+    bounds up to which one passed the laws and monomorphicity are recorded
+    on it, so never mutate ``TabulatedInstance.morphisms``.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._mono_bound = -1
+        self._mono_bound = self._law_bound = -1
 
     @abstractmethod
     def elements(self, n: int) -> tuple[str, ...]:
@@ -442,34 +444,35 @@ class _Collector:
 def _elementary_maps(y: int,
                      top: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(codomain size, table) of each generating map out of y within sizes
-    <= top: the adjacent transpositions of y, the merge y -> y-1 of its
-    last two points, and the inclusion y -> y+1."""
-    for i in range(y - 1):
-        yield y, tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, y))
+    <= top: the transposition (0 1) when y >= 2 and the cycle i -> i+1 mod
+    y when y >= 3, which together generate the symmetric group S_y; the
+    merge y -> y-1 of its last two points; and the inclusion y -> y+1."""
     if y >= 2:
+        yield y, (1, 0) + tuple(range(2, y))
+        if y >= 3:
+            yield y, tuple(range(1, y)) + (0,)
         yield y - 1, tuple(range(y - 1)) + (y - 2,)
     if y < top:
         yield y + 1, tuple(range(y))
 
 
-def _laws_hold_on_generators(action: Mapping[MorphismKey, tuple[int, ...]],
-                             sizes: Sequence[int]) -> bool:
-    """F(id_n) = id for each n, and F(s o f) = F(s) o F(f) for every map f
-    and every elementary map s out of f's codomain."""
-    top = len(sizes) - 1
-    if any(action[(n, n, tuple(range(n)))] != tuple(range(sizes[n]))
-           for n in range(top + 1)):
-        return False
-    for y in range(top + 1):
-        for z, st in _elementary_maps(y, top):
-            act = action[(y, z, st)]
-            for x in range(top + 1):
-                for ft in function_tables(x, y):
-                    af = action[(x, y, ft)]
-                    if (action[(x, z, tuple(map(st.__getitem__, ft)))]
-                            != tuple(map(act.__getitem__, af))):
-                        return False
-    return True
+def _composition_failures(action: Mapping[MorphismKey, tuple[int, ...]],
+                          top: int, seconds: TableSource) -> Iterator[
+                              tuple[MorphismKey, MorphismKey]]:
+    """Each (f, g) with F(g o f) != F(g) o F(f) for f: x -> y any map and
+    g in ``seconds(y, z)``, x, y, z <= top; by x, y, z, f, then g."""
+    for x in range(top + 1):
+        # F on the maps out of x, by codomain: both f and g o f are such.
+        out_of_x = [{t: action[(x, y, t)] for t in function_tables(x, y)}
+                    for y in range(top + 1)]
+        for y in range(top + 1):
+            for z in range(top + 1):
+                gs = [(gt, action[(y, z, gt)]) for gt in seconds(y, z)]
+                for ft, af in out_of_x[y].items():
+                    for gt, ag in gs:
+                        if (out_of_x[z][tuple(map(gt.__getitem__, ft))]
+                                != tuple(map(ag.__getitem__, af))):
+                            yield (x, y, ft), (y, z, gt)
 
 
 def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
@@ -486,38 +489,31 @@ def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
 
     Lawful tables are recognised from the generating maps alone.  Every
     g: y -> z factors as a surjection followed by an injection through
-    sets no larger than max(y, z), hence as a composite of adjacent
-    transpositions, merges n -> n-1 and inclusions n -> n+1 (Mac Lane,
-    *Categories for the Working Mathematician*, §VII.5).  So F(id) = id
-    and F(s o f) = F(s) o F(f), for every map f and every such s, give
-    F(g o f) = F(g) o F(f) for all g by induction on the factorisation.
-    Only when that fails are all composable pairs compared, so the
-    failures come out complete and in the order above.
+    sets no larger than max(y, z), hence as a composite of permutations,
+    merges n -> n-1 and inclusions n -> n+1 (Mac Lane, *Categories for
+    the Working Mathematician*, §VII.5); and every permutation of n is a
+    composite of the transposition (0 1) and the cycle i -> i+1 mod n.  So
+    F(id) = id and F(s o f) = F(s) o F(f), for every map f and every such
+    generator s, give F(g o f) = F(g) o F(f) for all g by induction on the
+    factorisation.  Only when an identity or one such s fails is every
+    composable pair compared, so the failures come out complete and in
+    the order above.
     """
-    if _laws_hold_on_generators(action, sizes):
+    top = len(sizes) - 1
+    broken = [((n, n, tuple(range(n))), None) for n in range(top + 1)
+              if action[(n, n, tuple(range(n)))] != tuple(range(sizes[n]))]
+    if not broken and next(_composition_failures(action, top, lambda y, z: [
+            t for c, t in _elementary_maps(y, top) if c == z]), None) is None:
         return
-    top = range(len(sizes))
-    for n in top:
-        key = (n, n, tuple(range(n)))
-        if action[key] != tuple(range(sizes[n])):
-            yield key, None
-    hom = {(x, y): {t: action[(x, y, t)] for t in function_tables(x, y)}
-           for x in top for y in top}
-    for x in top:
-        for y in top:
-            for z in top:
-                composites = hom[x, z]
-                gs = hom[y, z].items()
-                for ft, af in hom[x, y].items():
-                    for gt, ag in gs:
-                        if (composites[tuple(map(gt.__getitem__, ft))]
-                                != tuple(map(ag.__getitem__, af))):
-                            yield (x, y, ft), (y, z, gt)
+    yield from broken
+    yield from _composition_failures(action, top, function_tables)
 
 
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size."""
     out = _Collector("laws", f"sizes <= {max_size}")
+    if g._law_bound >= max_size >= 0:  # the walk refuses a negative bound
+        return out.report()
     action = {key: g.action(*key) for key in tables_up_to(max_size)}
     sizes = [g.size(n) for n in range(max_size + 1)]
     for f, h in law_failures(action, sizes):
@@ -526,6 +522,8 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
         else:
             out.add(f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
                     f"g={table_repr(*h)}")
+    if not out.total:
+        g._law_bound = max_size
     return out.report()
 
 

@@ -10,6 +10,7 @@ one entry, and on tables broken on a whole family of maps.
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,10 @@ from finfun.theory import (
     FunctorInstance,
     _elementary_maps,
     check_functor_laws,
+    empty_mod_max,
     law_failures,
     maps_up_to,
+    run_standard_checks,
 )
 from finfun.zoo import zoo_instance
 
@@ -152,7 +155,7 @@ def test_elementary_maps_generate_every_map(top):
 
 def test_elementary_maps_of_three():
     assert list(_elementary_maps(3, 4)) == [
-        (3, (1, 0, 2)), (3, (0, 2, 1)), (2, (0, 1, 1)), (4, (0, 1, 2))]
+        (3, (1, 0, 2)), (3, (1, 2, 0)), (2, (0, 1, 1)), (4, (0, 1, 2))]
     assert list(_elementary_maps(0, 0)) == []
     assert list(_elementary_maps(1, 1)) == []
 
@@ -201,6 +204,75 @@ def test_law_check_matches_the_pair_oracle(pres, max_size, tabulate, broken,
     expected = assert_agrees_with_oracle(g, max_size)
     if not broken:
         assert expected == []
+
+
+def relabel(draw, text):
+    """The tabulation ``text`` with each F(n)'s elements permuted and
+    renamed, consistently in the object lists and every action."""
+    data = json.loads(text)
+    renames = {}
+    for n, names in data["objects"].items():
+        order = draw(st.permutations(names))
+        renames[n] = {old: f"e{n}.{j}" for j, old in enumerate(order)}
+        data["objects"][n] = [renames[n][old] for old in order]
+    for rec in data["morphisms"]:
+        dom, cod = renames[str(rec["dom"])], renames[str(rec["cod"])]
+        rec["action"] = {dom[s]: cod[t] for s, t in rec["action"].items()}
+    return json.dumps(data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(), st.integers(0, 3), st.data())
+def test_relabelled_tabulations(pres, max_size, data):
+    # A tabulation that no export wrote: the same functor up to
+    # isomorphism, with other element indices and names.
+    g = PresentationInstance(pres)
+    loaded = load_tabulated(relabel(data.draw, export_tabulated(g, max_size)))
+
+    def verdicts(h):
+        return [(r.name, r.passed)
+                for r in run_standard_checks(h, max_size, skip=("laws",))]
+
+    assert verdicts(loaded) == verdicts(g)
+    sizes = [loaded.size(n) for n in range(max_size + 1)]
+    assert check_functor_laws(loaded, max_size).passed
+    assert list(law_failures(loaded.morphisms, sizes)) == []
+    broken = corrupt(data.draw, loaded, max_size)
+    if broken is not None:
+        assert_agrees_with_oracle(broken, max_size)
+
+
+# ---------------------------------------------------------------------------
+# A loaded tabulation records its law walk; wrappers around it do not.
+
+
+def test_loaded_tabulation_laws_are_not_walked_again(monkeypatch):
+    loaded = load_tabulated(export_tabulated(zoo_instance("upair"), 3))
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return type(loaded).action(loaded, *key)
+
+    monkeypatch.setattr(loaded, "action", counted)
+    report = check_functor_laws(loaded, 3)
+    assert calls == []
+    expected = check_functor_laws(zoo_instance("upair"), 3)
+    assert ((report.name, report.scope, report.counterexamples,
+             report.details) == (expected.name, expected.scope,
+                                 expected.counterexamples, expected.details))
+
+    key = (1, 2, (0,))
+    image = list(loaded.action(*key))
+    image[0] = (image[0] + 1) % loaded.size(2)
+    for g in (Overridden(loaded, {key: tuple(image)}),
+              empty_mod_max(loaded)):
+        calls.clear()
+        report = check_functor_laws(g, 3)
+        assert calls
+        failures = oracle_law_failures(*action_of(g, 3))
+        assert (report.counterexamples, report.details) == oracle_report(
+            failures)
 
 
 # ---------------------------------------------------------------------------
