@@ -15,7 +15,14 @@ every composable pair only to name the first failure), and reports the
 offending function (pair) on failure.  The laws are decided once per
 load: the instance records the pass, and its ``laws`` check reuses it.
 This is the vehicle for feeding hypothesis-violating functors to the
-checkers: tables need not come from any presentation.
+checkers: tables need not come from any presentation.  A refusal's text
+is formatted only when its check fails, so a valid file builds none.
+
+``export_tabulated`` writes exactly the text of ``json.dumps(payload,
+indent=2, ensure_ascii=False)`` for the payload ``{"max_size", "objects",
+"morphisms"}``, with one record per map in ``theory.tables_up_to`` order
+and no trailing newline (``finfun export`` adds one, on stdout and in the
+``--out`` file).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import json
 
 from .finset import check_table, table_repr
 from .theory import (FunctorInstance, MorphismKey, SizeBoundError,
-                     law_failures, tables_up_to)
+                     law_failures, sizes_up_to, tables_up_to)
 
 
 class TabulatedError(Exception):
@@ -76,9 +83,7 @@ class TabulatedInstance(FunctorInstance):
         return image
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise TabulatedFormatError(message)
+_RECORD_FIELDS = frozenset({"dom", "cod", "table", "action"})
 
 
 def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
@@ -87,56 +92,71 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise TabulatedFormatError(f"not valid JSON: {err}") from None
-    _require(isinstance(data, dict), "top level must be an object")
+    if not isinstance(data, dict):
+        raise TabulatedFormatError("top level must be an object")
     extra = set(data) - {"max_size", "objects", "morphisms"}
-    _require(not extra, f"unexpected top-level field(s): {sorted(extra)}")
-    _require("max_size" in data, "missing field 'max_size'")
-    _require("objects" in data, "missing field 'objects'")
-    _require("morphisms" in data, "missing field 'morphisms'")
+    if extra:
+        raise TabulatedFormatError(
+            f"unexpected top-level field(s): {sorted(extra)}")
+    for field in ("max_size", "objects", "morphisms"):
+        if field not in data:
+            raise TabulatedFormatError(f"missing field {field!r}")
     max_size = data["max_size"]
     # JSON true and false load as bool, a subclass of int: refuse them.
-    _require(type(max_size) is int and max_size >= 0,
-             "'max_size' must be a non-negative integer")
+    if not (type(max_size) is int and max_size >= 0):
+        raise TabulatedFormatError(
+            "'max_size' must be a non-negative integer")
 
     raw_objects = data["objects"]
-    _require(isinstance(raw_objects, dict), "'objects' must be a map")
+    if not isinstance(raw_objects, dict):
+        raise TabulatedFormatError("'objects' must be a map")
     objects: list[tuple[str, ...]] = []
     for k in range(max_size + 1):
         names = raw_objects.get(str(k))
-        _require(names is not None, f"missing object list for size {k}")
-        _require(isinstance(names, list)
-                 and all(isinstance(s, str) for s in names),
-                 f"object list for size {k} must be a list of strings")
-        _require(len(set(names)) == len(names),
-                 f"object list for size {k} has duplicate names")
+        if names is None:
+            raise TabulatedFormatError(f"missing object list for size {k}")
+        if not (isinstance(names, list)
+                and all(isinstance(s, str) for s in names)):
+            raise TabulatedFormatError(
+                f"object list for size {k} must be a list of strings")
+        if len(set(names)) != len(names):
+            raise TabulatedFormatError(
+                f"object list for size {k} has duplicate names")
         objects.append(tuple(names))
     extra_sizes = set(raw_objects) - {str(k) for k in range(max_size + 1)}
-    _require(not extra_sizes,
-             f"object list for out-of-range size(s): {sorted(extra_sizes)}")
+    if extra_sizes:
+        raise TabulatedFormatError(
+            f"object list for out-of-range size(s): {sorted(extra_sizes)}")
 
     raw_morphisms = data["morphisms"]
-    _require(isinstance(raw_morphisms, list), "'morphisms' must be a list")
+    if not isinstance(raw_morphisms, list):
+        raise TabulatedFormatError("'morphisms' must be a list")
     indices = [{s: i for i, s in enumerate(names)} for names in objects]
     morphisms: dict[MorphismKey, tuple[int, ...]] = {}
     for rec in raw_morphisms:
-        _require(isinstance(rec, dict), "morphism records must be objects")
-        _require(set(rec) == {"dom", "cod", "table", "action"},
-                 f"morphism record has fields {sorted(rec)}, expected "
-                 f"dom/cod/table/action")
-        dom, cod = rec["dom"], rec["cod"]
-        for field, end in (("dom", dom), ("cod", cod)):
-            _require(type(end) is int and 0 <= end <= max_size,
-                     f"morphism {field} {end!r} out of range")
-        table = rec["table"]
-        _require(isinstance(table, list) and len(table) == dom
-                 and all(type(v) is int and 0 <= v < cod for v in table),
-                 f"bad function table {table!r} for a map {dom}->{cod}")
+        if not isinstance(rec, dict):
+            raise TabulatedFormatError("morphism records must be objects")
+        if rec.keys() != _RECORD_FIELDS:
+            raise TabulatedFormatError(
+                f"morphism record has fields {sorted(rec)}, expected "
+                f"dom/cod/table/action")
+        dom, cod, table = rec["dom"], rec["cod"], rec["table"]
+        for field in ("dom", "cod"):
+            end = rec[field]
+            if not (type(end) is int and 0 <= end <= max_size):
+                raise TabulatedFormatError(
+                    f"morphism {field} {end!r} out of range")
+        if not (isinstance(table, list) and len(table) == dom
+                and all(type(v) is int and 0 <= v < cod for v in table)):
+            raise TabulatedFormatError(
+                f"bad function table {table!r} for a map {dom}->{cod}")
         key: MorphismKey = (dom, cod, tuple(table))
         if key in morphisms:
             raise TabulatedFormatError(
                 f"duplicate morphism {table_repr(*key)}")
         action = rec["action"]
-        _require(isinstance(action, dict), "morphism 'action' must be a map")
+        if not isinstance(action, dict):
+            raise TabulatedFormatError("morphism 'action' must be a map")
         if action.keys() != indices[dom].keys():
             raise TabulatedFormatError(
                 f"action of {table_repr(*key)} must cover exactly the "
@@ -169,15 +189,41 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
     return instance
 
 
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """``items``, each already JSON text, as the array (``brackets`` "[]")
+    or object ("{}") that ``json.dumps(..., indent=2)`` writes at nesting
+    ``depth``: one item per line, or the bare brackets when empty."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return (f"{brackets[0]}{pad}{(',' + pad).join(items)}\n"
+            f"{'  ' * depth}{brackets[1]}")
+
+
+_RECORD = ('{{\n      "dom": {},\n      "cod": {},\n      "table": {},\n'
+           '      "action": {}\n    }}')
+
+
 def export_tabulated(g: FunctorInstance, max_size: int) -> str:
-    """Dump any instance to the data format, queried up to max_size."""
-    names = [g.elements(n) for n in range(max_size + 1)]
-    objects = {str(n): list(ns) for n, ns in enumerate(names)}
-    morphisms = [{
-        "dom": x, "cod": y, "table": list(table),
-        "action": {names[x][i]: names[y][v]
-                   for i, v in enumerate(g.action(x, y, table))},
-    } for x, y, table in tables_up_to(max_size)]
-    payload = {"max_size": max_size, "objects": objects,
-               "morphisms": morphisms}
-    return json.dumps(payload, indent=2, ensure_ascii=False)
+    """Dump any instance to the data format, queried up to max_size.
+
+    The text is the module docstring's ``json.dumps`` layout, assembled
+    from strings, because with ``indent`` set the encoder runs in pure
+    Python: each element name is quoted once per size, by ``json.dumps``,
+    and each record is filled into one layout.  The names of each F(n)
+    are distinct, as loading requires.
+    """
+    quoted = [[json.dumps(s, ensure_ascii=False) for s in g.elements(n)]
+              for n in sizes_up_to(max_size)]
+    keys = [[q + ": " for q in names] for names in quoted]
+    records = []
+    for x, y, table in tables_up_to(max_size):
+        targets = map(quoted[y].__getitem__, g.action(x, y, table))
+        records.append(_RECORD.format(
+            x, y, _block("[]", list(map(str, table)), 3),
+            _block("{}", list(map(str.__add__, keys[x], targets)), 3)))
+    objects = [f'"{n}": {_block("[]", names, 2)}'
+               for n, names in enumerate(quoted)]
+    return (f'{{\n  "max_size": {max_size},\n'
+            f'  "objects": {_block("{}", objects, 1)},\n'
+            f'  "morphisms": {_block("[]", records, 1)}\n}}')

@@ -7,6 +7,9 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_theorem import presentations
 
 from finfun.finset import (FiniteFunction, FiniteSet, enumerate_functions,
                            table_repr)
@@ -18,7 +21,10 @@ from finfun.tabulated import (
     export_tabulated,
     load_tabulated,
 )
-from finfun.theory import SizeBoundError, check_functor_laws, empty_mod_max
+from finfun.presentation import PresentationInstance
+from finfun.theory import (ModificationKind, SizeBoundError,
+                           check_functor_laws, empty_mod_max, modify,
+                           tables_up_to)
 from finfun.zoo import zoo_instance, zoo_names
 
 
@@ -69,6 +75,64 @@ def test_export_covers_all_functions():
     assert data["objects"]["2"] == ["pt(0)", "pt(1)", "base"]
 
 
+def json_dumps_export(g, max_size):
+    """The writer ``export_tabulated`` replaced, kept as its byte oracle:
+    one payload dict through ``json.dumps(indent=2, ensure_ascii=False)``."""
+    names = [g.elements(n) for n in range(max_size + 1)]
+    objects = {str(n): list(ns) for n, ns in enumerate(names)}
+    morphisms = [{
+        "dom": x, "cod": y, "table": list(table),
+        "action": {names[x][i]: names[y][v]
+                   for i, v in enumerate(g.action(x, y, table))},
+    } for x, y, table in tables_up_to(max_size)]
+    payload = {"max_size": max_size, "objects": objects,
+               "morphisms": morphisms}
+    return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_export_writes_the_json_dumps_bytes_for_the_zoo(name):
+    g = zoo_instance(name)
+    for max_size in range(4):
+        assert export_tabulated(g, max_size) == json_dumps_export(g, max_size)
+
+
+@st.composite
+def renamed(draw, g, max_size):
+    """g's tables up to max_size as a TabulatedInstance whose element names
+    are drawn text, kept distinct by an index suffix."""
+    loaded = load_tabulated(export_tabulated(g, max_size))
+    objects = tuple(
+        tuple(draw(st.text(st.sampled_from('aé"\\☃\n\t\x00\u2028'),
+                           max_size=3)) + f"#{j}" for j in range(len(names)))
+        for names in loaded.objects)
+    return TabulatedInstance(objects, loaded.morphisms, name=g.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.integers(0, 3),
+       st.sampled_from([None, *ModificationKind]), st.data())
+def test_export_writes_the_json_dumps_bytes(pres, max_size, kind, data):
+    g = PresentationInstance(pres)
+    if kind is not None:
+        g = modify(g, kind)
+    assert export_tabulated(g, max_size) == json_dumps_export(g, max_size)
+    h = data.draw(renamed(g, max_size))
+    text = export_tabulated(h, max_size)
+    assert text == json_dumps_export(h, max_size)
+    assert load_tabulated(text).objects == h.objects
+
+
+def test_export_refuses_a_negative_bound_as_before():
+    g = zoo_instance("upair")
+    with pytest.raises(ValueError) as before:
+        json_dumps_export(g, -1)
+    with pytest.raises(ValueError) as after:
+        export_tabulated(g, -1)
+    assert str(after.value) == str(before.value) == (
+        "size must be non-negative, got -1")
+
+
 # ---------------------------------------------------------------------------
 # Size bound.
 
@@ -110,11 +174,6 @@ def test_rejects_invalid_json():
         load_tabulated("{nope")
 
 
-def test_rejects_non_object_top_level():
-    with pytest.raises(TabulatedFormatError, match="top level"):
-        load_tabulated("[1, 2]")
-
-
 def test_rejects_missing_and_extra_fields():
     data = export_dict("upair")
     del data["objects"]
@@ -123,18 +182,6 @@ def test_rejects_missing_and_extra_fields():
     data = export_dict("upair")
     data["comment"] = "hi"
     with pytest.raises(TabulatedFormatError, match="unexpected top-level"):
-        load_dict(data)
-
-
-def test_rejects_bad_max_size():
-    data = export_dict("upair")
-    data["max_size"] = -1
-    with pytest.raises(TabulatedFormatError, match="max_size"):
-        load_dict(data)
-    # JSON true is a Python bool, and bool is a subclass of int.
-    data = export_dict("upair", 1)
-    data["max_size"] = True
-    with pytest.raises(TabulatedFormatError, match="max_size"):
         load_dict(data)
 
 
@@ -159,11 +206,42 @@ def test_rejects_duplicate_element_names():
         load_dict(data)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: [d], "top level must be an object"),
+    (lambda d: {**d, "max_size": -1},
+     "'max_size' must be a non-negative integer"),
+    # JSON true is a Python bool, and bool is a subclass of int.
+    (lambda d: {**d, "max_size": True},
+     "'max_size' must be a non-negative integer"),
+    (lambda d: {**d, "objects": [d["objects"]]}, "'objects' must be a map"),
+    (lambda d: {**d, "objects": {**d["objects"], "1": "p(0,0)"}},
+     "object list for size 1 must be a list of strings"),
+    (lambda d: {**d, "objects": {**d["objects"], "2": ["p(0,0)", 1]}},
+     "object list for size 2 must be a list of strings"),
+    (lambda d: {**d, "morphisms": {"0": d["morphisms"][0]}},
+     "'morphisms' must be a list"),
+    (lambda d: {**d, "morphisms": [*d["morphisms"], [0, 0, [], {}]]},
+     "morphism records must be objects"),
+    (lambda d: {**d, "morphisms": [
+        {k: v for k, v in d["morphisms"][0].items() if k != "action"},
+        *d["morphisms"][1:]]},
+     "morphism record has fields ['cod', 'dom', 'table'], expected "
+     "dom/cod/table/action"),
+    (lambda d: {**d, "morphisms": [{**d["morphisms"][0], "note": 1}]},
+     "morphism record has fields ['action', 'cod', 'dom', 'note', 'table'], "
+     "expected dom/cod/table/action"),
+    (lambda d: {**d, "morphisms": [{**d["morphisms"][0], "action": []}]},
+     "morphism 'action' must be a map"),
+], ids=["top-level", "max-size-negative", "max-size-true", "objects",
+        "object-list-string", "object-list-non-string", "morphisms",
+        "record", "record-fields-missing", "record-fields-extra", "action"])
+def test_refusals_name_the_rule_in_full(edit, message):
+    with pytest.raises(TabulatedFormatError) as err:
+        load_dict(edit(export_dict("upair")))
+    assert str(err.value) == message
+
+
 def test_rejects_bad_morphism_record():
-    data = export_dict("upair")
-    del data["morphisms"][0]["action"]
-    with pytest.raises(TabulatedFormatError, match="expected dom/cod/table/action"):
-        load_dict(data)
     for field in ("dom", "cod"):
         data = export_dict("upair")
         rec = next(m for m in data["morphisms"]
