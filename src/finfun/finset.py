@@ -181,9 +181,13 @@ def surjective_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
     """The tables of the surjections x -> y, in ``function_tables`` order.
 
     When x = y they are the permutations, 720 of the 46,656 tables at 6.
+    When y > x there are none, so no table is looked at; only when y < x
+    are the tables of all maps x -> y filtered.
     """
     if x == y:
         return injective_tables(x, y)
+    if y > x:
+        return iter(())
     return (t for t in function_tables(x, y) if len(set(t)) == y)
 
 

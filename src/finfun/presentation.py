@@ -178,18 +178,26 @@ def _term_index(n: int, offsets: tuple[int, ...], shape_idx: int,
 @dataclass(frozen=True)
 class EvaluatedObject:
     """The value FX: one canonical representative per equivalence class,
-    as (shape index, arguments) and by name, plus the class of every raw
+    by name and as arguments grouped by shape, plus the class of every raw
     term.  ``offsets`` holds the position of each shape's first raw term,
-    then the number of raw terms."""
+    then the number of raw terms.  ``rep_groups`` holds one (shape index,
+    arity, argument tuples) per shape that has representatives; read in
+    turn, the groups list the classes in order."""
 
     size: int
     offsets: tuple[int, ...]
     names: tuple[str, ...]
-    rep_terms: tuple[tuple[int, tuple[int, ...]], ...]
+    rep_groups: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
     class_of_term: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @property
+    def rep_terms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The representatives as (shape index, arguments), by class."""
+        return tuple((i, args) for i, _, terms in self.rep_groups
+                     for args in terms)
 
     def class_of(self, shape_idx: int, args: tuple[int, ...]) -> int:
         return self.class_of_term[
@@ -219,11 +227,12 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
                 n, offsets, ri, tuple(theta[v] for v in eq.rhs.vars))
             uf.union(left, right)
     names: list[str] = []
-    rep_terms: list[tuple[int, tuple[int, ...]]] = []
+    rep_groups: list[tuple[int, int, tuple[tuple[int, ...], ...]]] = []
     class_of_term: list[int] = []
     class_of_root: dict[int, int] = {}
     term = 0
     for i, shape in enumerate(pres.shapes):
+        reps = []
         for args in itertools.product(range(n), repeat=shape.arity):
             root = uf.find(term)
             cls = class_of_root.get(root)
@@ -232,10 +241,12 @@ def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
                 cls = len(names)
                 class_of_root[root] = cls
                 names.append(repr(ElementRef(shape.name, args)))
-                rep_terms.append((i, args))
+                reps.append(args)
             class_of_term.append(cls)
             term += 1
-    return EvaluatedObject(n, tuple(offsets), tuple(names), tuple(rep_terms),
+        if reps:
+            rep_groups.append((i, shape.arity, tuple(reps)))
+    return EvaluatedObject(n, tuple(offsets), tuple(names), tuple(rep_groups),
                            tuple(class_of_term))
 
 
@@ -249,15 +260,36 @@ def evaluate_morphism(table: tuple[int, ...], dom_obj: EvaluatedObject,
     induced by composing the assignment with f.  ``dom_obj`` and
     ``cod_obj`` are one presentation evaluated at the domain and the
     codomain of f.
+
+    The representatives are read shape by shape from ``rep_groups``.  A
+    shape of arity 1 to 3 is filled by one list comprehension that
+    computes each substituted term's position (``_term_index``) inline;
+    a nullary shape has its one term, and a larger arity falls back to
+    the digit loop over the arguments.
     """
     n = cod_obj.size
-    offsets, class_of_term = cod_obj.offsets, cod_obj.class_of_term
-    image = []
-    for shape_idx, args in dom_obj.rep_terms:
-        rank = 0
-        for a in args:
-            rank = rank * n + table[a]
-        image.append(class_of_term[offsets[shape_idx] + rank])
+    offsets, cot = cod_obj.offsets, cod_obj.class_of_term
+    t = table
+    image: list[int] = []
+    for shape_idx, arity, terms in dom_obj.rep_groups:
+        off = offsets[shape_idx]
+        if arity == 0:  # one raw term, hence one representative
+            image.append(cot[off])
+        elif arity == 1:
+            image += [cot[off + t[a]] for a, in terms]
+        elif arity == 2:
+            image += [cot[off + t[a] * n + t[b]] for a, b in terms]
+        elif arity == 3:
+            # The two leading digits' place values, once per point.
+            high = [off + v * n * n for v in t]
+            mid = [v * n for v in t]
+            image += [cot[high[a] + mid[b] + t[c]] for a, b, c in terms]
+        else:
+            for args in terms:
+                rank = 0
+                for a in args:
+                    rank = rank * n + t[a]
+                image.append(cot[off + rank])
     check_table(image, len(dom_obj), len(cod_obj))
     return tuple(image)
 

@@ -89,12 +89,15 @@ class FunctorInstance(ABC):
     validated wrapper.  Queries are deterministic and cached by the
     concrete classes; instances are immutable values, shared freely.  The
     bounds up to which one passed the laws and monomorphicity are recorded
-    on it, so never mutate ``TabulatedInstance.morphisms``.
+    on it, and so is the image of each subset inclusion once computed
+    (``_images``, keyed by ambient size and mask), so never mutate
+    ``TabulatedInstance.morphisms``.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._mono_bound = self._law_bound = -1
+        self._images: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @abstractmethod
     def elements(self, n: int) -> tuple[str, ...]:
@@ -263,8 +266,14 @@ def empty_morphism(g: EmptyModified, y: FiniteSet,
 
 
 def image_of_inclusion(g: FunctorInstance, a: SubsetMask) -> tuple[int, ...]:
-    """Sorted element indices of the image of F applied to A -> X."""
-    return tuple(sorted(set(g.action(len(a), a.ambient.size, a.members))))
+    """Sorted element indices of the image of F applied to A -> X,
+    computed once per instance and subset."""
+    key = (a.ambient.size, a.bits)
+    image = g._images.get(key)
+    if image is None:
+        image = g._images[key] = tuple(sorted(set(
+            g.action(len(a), a.ambient.size, a.members))))
+    return image
 
 
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
@@ -543,9 +552,9 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size."""
     out = _Collector("epi", f"sizes <= {max_size}")
     for x, y, table in tables_up_to(max_size, surjective_tables):
-        missed = set(range(g.size(y))) - set(g.action(x, y, table))
-        if missed:
-            name = g.elements(y)[min(missed)]
+        gf = g.action(x, y, table)
+        if len(set(gf)) < g.size(y):
+            name = g.elements(y)[min(set(range(g.size(y))) - set(gf))]
             out.add(f"G(f) not surjective for f={table_repr(x, y, table)}: "
                     f"misses {name}")
     return out.report()
@@ -606,6 +615,16 @@ def check_supports(g: FunctorInstance, max_size: int,
     shuffled removal order, and that the returned witness maps back to the
     element.  Refuses (as a failure, with the violating injection) when
     the functor is not monomorphic up to the bound.
+
+    The two closure properties are first decided by counting.  Every
+    member of the family contains its intersection M, so the family lies
+    in the up-set of M, which has 2^(n - |M|) members.  A family of that
+    size is therefore the up-set of M: closed under intersection, upward
+    closed, and with M as a member, so neither pair walk could fail on
+    it.  Conversely, a family that passes both walks and has its
+    intersection as a member is the up-set of that member.  So the pair
+    walks run exactly on the families that fail some test, and list their
+    counterexamples in the same order and number as always.
     """
     out = _Collector("supports", f"sizes <= {max_size}, seed {seed}")
     try:
@@ -618,20 +637,23 @@ def check_supports(g: FunctorInstance, max_size: int,
         names = g.elements(n)
         for element in range(g.size(n)):
             family = [m for m in masks if element in images[m.bits]]
-            for ma in family:
-                for mb in family:
-                    if element not in images[ma.bits & mb.bits]:
-                        out.add(f"X={n} {names[element]}: family not closed "
-                                f"under {ma!r} & {mb!r}")
-            for ma in family:
-                for mb in masks:
-                    if ma.is_subset_of(mb) and element not in images[mb.bits]:
-                        out.add(f"X={n} {names[element]}: family not upward "
-                                f"closed at {ma!r} <= {mb!r}")
-            least = SubsetMask(FiniteSet(n), (1 << n) - 1)
+            meet = (1 << n) - 1
             for m in family:
-                least = least.intersection(m)
-            if element not in images[least.bits]:
+                meet &= m.bits
+            if len(family) != 1 << (n - meet.bit_count()):
+                for ma in family:
+                    for mb in family:
+                        if element not in images[ma.bits & mb.bits]:
+                            out.add(f"X={n} {names[element]}: family not "
+                                    f"closed under {ma!r} & {mb!r}")
+                for ma in family:
+                    for mb in masks:
+                        if (ma.is_subset_of(mb)
+                                and element not in images[mb.bits]):
+                            out.add(f"X={n} {names[element]}: family not "
+                                    f"upward closed at {ma!r} <= {mb!r}")
+            least = SubsetMask(FiniteSet(n), meet)
+            if element not in images[meet]:
                 out.add(f"X={n} {names[element]}: intersection of the family "
                         f"is not a member")
                 continue

@@ -246,8 +246,25 @@ def test_table_sources_filter_function_tables_in_order(x, y):
     every = list(function_tables(x, y))
     assert list(injective_tables(x, y)) \
         == [t for t in every if len(set(t)) == len(t)]
-    assert list(surjective_tables(x, y)) \
-        == [t for t in every if set(t) == set(range(y))]
+    onto = [t for t in every if len(set(t)) == y]
+    assert onto == [t for t in every if set(t) == set(range(y))]
+    assert list(surjective_tables(x, y)) == onto
+
+
+def test_surjective_tables_filter_only_below_the_domain_size(monkeypatch):
+    # No map onto a larger set exists, so none is looked at; when y < x
+    # every map is, and when x = y the permutations are listed directly.
+    walked = []
+
+    def recorded(x, y):
+        walked.append((x, y))
+        return function_tables(x, y)
+
+    monkeypatch.setattr("finfun.finset.function_tables", recorded)
+    for x in range(7):
+        for y in range(7):
+            list(surjective_tables(x, y))
+    assert walked == [(x, y) for x in range(7) for y in range(x)]
 
 
 def test_all_pairs_compose_correctly():

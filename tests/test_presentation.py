@@ -225,16 +225,39 @@ def action_oracle(f, dom_obj, cod_obj):
         for shape_idx, args in dom_obj.rep_terms)
 
 
+def reference_evaluate_morphism(table, dom_obj, cod_obj):
+    """The table of F(f) by one digit loop per representative, the way
+    it was computed before the per-arity kernels."""
+    n = cod_obj.size
+    image = []
+    for shape_idx, args in dom_obj.rep_terms:
+        rank = 0
+        for a in args:
+            rank = rank * n + table[a]
+        image.append(cod_obj.class_of_term[cod_obj.offsets[shape_idx] + rank])
+    return tuple(image)
+
+
+def assert_kernels_match(pres, objs, x, y, table):
+    """evaluate_morphism equals both oracles on the map x -> y, and the
+    grouped representatives list the classes in order."""
+    dom_obj, cod_obj = objs[x], objs[y]
+    assert [dom_obj.class_of(i, args) for i, args in dom_obj.rep_terms] \
+        == list(range(len(dom_obj)))
+    assert all(pres.shapes[i].arity == arity
+               for i, arity, _ in dom_obj.rep_groups)
+    f = FiniteFunction(FiniteSet(x), FiniteSet(y), table)
+    action = evaluate_morphism(table, dom_obj, cod_obj)
+    assert action == reference_evaluate_morphism(table, dom_obj, cod_obj) \
+        == action_oracle(f, dom_obj, cod_obj), (pres, f)
+
+
 @pytest.mark.parametrize("name", zoo_names())
 def test_evaluate_morphism_matches_the_oracle(name):
     pres = zoo_instance(name).presentation
     objs = [evaluate_object(pres, n) for n in range(5)]
     for f in maps_up_to(4):
-        dom_obj, cod_obj = objs[f.dom.size], objs[f.cod.size]
-        action = evaluate_morphism(f.table, dom_obj, cod_obj)
-        assert action == action_oracle(f, dom_obj, cod_obj), (name, f)
-        assert len(action) == len(dom_obj)
-        assert all(0 <= v < len(cod_obj) for v in action)
+        assert_kernels_match(pres, objs, f.dom.size, f.cod.size, f.table)
 
 
 @pytest.mark.parametrize("name", zoo_names())
@@ -280,8 +303,9 @@ def random_presentation(draw):
 
 @st.composite
 def flat_presentations(draw):
-    """One to three shapes of arities 0-3, and up to three equations."""
-    shapes = tuple(Shape(f"s{i}", draw(st.integers(0, 3)))
+    """One to three shapes of arities 0-4, and up to three equations,
+    whose sides may use different variables."""
+    shapes = tuple(Shape(f"s{i}", draw(st.integers(0, 4)))
                    for i in range(draw(st.integers(1, 3))))
     terms = [FlatTerm(s.name, vs) for s in shapes
              for vs in itertools.product("abc", repeat=s.arity)]
@@ -291,17 +315,31 @@ def flat_presentations(draw):
     return Presentation("flat", shapes, eqs)
 
 
+def test_evaluate_morphism_arity_four_fallback():
+    # The kernels of arity 0, 1 and 3 and the digit loop of arity 4, with
+    # equations across shapes, one of them with a one-sided variable.
+    pres = parse_presentation(
+        "shape c/0\nshape u/1\nshape p/2\nshape t/3\nshape q/4\n"
+        "eq q(a,b,a,c) = t(c,b,a)\neq t(a,a,b) = u(a)\neq p(a,b) = c")
+    objs = [evaluate_object(pres, n) for n in range(5)]
+    assert [arity for _, arity, _ in objs[4].rep_groups] == [0, 1, 3, 4]
+    for f in maps_up_to(4):
+        assert_kernels_match(pres, objs, f.dom.size, f.cod.size, f.table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(flat_presentations(), st.data())
 def test_evaluate_morphism_matches_the_oracle_on_random_presentations(
         pres, data):
-    x = data.draw(st.integers(0, 3))
-    y = data.draw(st.integers(0 if x == 0 else 1, 3))
-    f = FiniteFunction(FiniteSet(x), FiniteSet(y), tuple(
-        data.draw(st.integers(0, y - 1)) for _ in range(x)))
-    dom_obj, cod_obj = evaluate_object(pres, x), evaluate_object(pres, y)
-    assert evaluate_morphism(f.table, dom_obj, cod_obj) \
-        == action_oracle(f, dom_obj, cod_obj)
+    # Every map up to size 3, then drawn maps with a domain of size 4 or
+    # 5, where the arity-4 fallback has many terms.
+    objs = [evaluate_object(pres, n) for n in range(6)]
+    for f in maps_up_to(3):
+        assert_kernels_match(pres, objs, f.dom.size, f.cod.size, f.table)
+    for x in (4, 5):
+        y = data.draw(st.integers(1, 5))
+        table = tuple(data.draw(st.integers(0, y - 1)) for _ in range(x))
+        assert_kernels_match(pres, objs, x, y, table)
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,6 +21,14 @@ from finfun.finset import (
     is_surjective,
     surjective_tables,
 )
+from finfun.presentation import (
+    Equation,
+    FlatTerm,
+    Presentation,
+    PresentationInstance,
+    Shape,
+    parse_presentation,
+)
 from finfun.tabulated import TabulatedInstance, export_tabulated
 from finfun.theory import (
     STANDARD_CHECKS,
@@ -50,7 +58,7 @@ from finfun.theory import (
     skeleton,
     support,
 )
-from finfun.zoo import zoo_instance, zoo_names
+from finfun.zoo import zoo_instance, zoo_names, zoo_source
 
 MONO_ZOO = tuple(n for n in zoo_names() if n != "twins")
 
@@ -250,6 +258,21 @@ def test_image_of_inclusion_frozen_values():
     h = empty_mod_max(zoo_instance("twins"))
     assert image_of_inclusion(h, SubsetMask.of(FiniteSet(2), [])) == (0,)
     assert image_of_inclusion(up, SubsetMask.of(FiniteSet(3), [])) == ()
+
+
+def test_each_instance_keeps_its_own_inclusion_images():
+    # F, F∘ and F° share every non-empty value of twins but differ at the
+    # empty set, so images keyed alike must not be shared between them.
+    g = PresentationInstance(parse_presentation(zoo_source("twins")))
+    instances = (g, empty_mod_min(g), empty_mod_max(g))
+    expected = {(0, 0): [(0, 1), (), (0,)],
+                (1, 0): [(0,), (), (0,)], (1, 1): [(0,), (0,), (0,)]}
+    for (n, bits), images in expected.items():
+        mask = SubsetMask(FiniteSet(n), bits)
+        for h, image in zip(instances, images):
+            first = image_of_inclusion(h, mask)
+            assert first == image, (h.name, mask)
+            assert image_of_inclusion(h, mask) is first
 
 
 def test_support_frozen_values():
@@ -582,6 +605,18 @@ def test_check_epimorphic():
     assert any("misses" in c and "p(0,0)" in c for c in report.counterexamples)
 
 
+def test_epi_report_names_one_broken_surjection():
+    # F(f) for the surjection f = (0,0,1): 3 -> 2 of upair, replaced by a
+    # table that misses p(0,1) and p(1,1); the report names the first.
+    up = zoo_instance("upair")
+    broken = Tweaked(up, {(3, 2, (0, 0, 1)): (0,) * up.size(3)})
+    report = check_epimorphic(broken, 3)
+    assert report.counterexamples == (
+        "G(f) not surjective for f=(0,0,1):3->2: misses p(0,1)",)
+    assert report.details == ""
+    assert list(report.counterexamples) == epi_oracle(broken, 3)
+
+
 def mono_oracle(g, max_size):
     """The counterexamples of ``check_monomorphic`` as the walk over every
     map, keeping the injective ones, finds them."""
@@ -709,7 +744,7 @@ def intersections_oracle(g, max_size):
     cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
     for n in range(max_size + 1):
         masks = list(enumerate_subsets(FiniteSet(n)))
-        images = {m.members: frozenset(image_of_inclusion(g, m))
+        images = {m.members: frozenset(g.map(inclusion(m)).table)
                   for m in masks}
         for a in masks:
             for b in masks:
@@ -744,7 +779,7 @@ def supports_oracle(g, max_size, seed=0):
     found = []
     for n in range(max_size + 1):
         masks = list(enumerate_subsets(FiniteSet(n)))
-        images = {m.members: frozenset(image_of_inclusion(g, m))
+        images = {m.members: frozenset(g.map(inclusion(m)).table)
                   for m in masks}
         names = g.elements(n)
         for element in range(g.size(n)):
@@ -816,6 +851,86 @@ def test_subset_check_reports_match_the_member_set_walk(which):
     assert report.details == with_truncation("", found)
     if which == "twins∘":
         assert len(found) == 248
+
+
+_SHAPES = (Shape("c", 0), Shape("d", 0), Shape("u", 1), Shape("p", 2))
+
+
+@st.composite
+def presentations(draw):
+    """Random flat presentations; two constants, so that some are not
+    monomorphic and their minimal modifications have unclosed families."""
+    shapes = tuple(s for s in _SHAPES if draw(st.booleans())) or _SHAPES[:1]
+    terms = [FlatTerm(s.name, vs) for s in shapes
+             for vs in itertools.product("abc", repeat=s.arity)]
+    eqs = tuple(Equation(draw(st.sampled_from(terms)),
+                         draw(st.sampled_from(terms)))
+                for _ in range(draw(st.integers(0, 3))))
+    return Presentation("random", shapes, eqs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(0, 4),
+       st.sampled_from(["plain", "min", "max"]), st.integers(0, 3))
+def test_supports_report_matches_the_pair_walks(pres, max_size, which,
+                                                seed):
+    # The oracle always runs both pair walks; the check skips them on
+    # families whose size shows that they are up-sets.
+    g = PresentationInstance(pres)
+    if which != "plain":
+        g = modify(g, ModificationKind(which))
+    found = supports_oracle(g, max_size, seed)
+    report = check_supports(g, max_size, seed=seed)
+    assert report.counterexamples == tuple(found[:25])
+    assert report.details == with_truncation("", found)
+
+
+def count_pair_walks(monkeypatch):
+    """A list that gets one entry per ``is_subset_of`` call, which only
+    the upward-closure walk of ``check_supports`` makes."""
+    calls = []
+    is_subset_of = SubsetMask.is_subset_of
+
+    def counted(self, other):
+        calls.append(self)
+        return is_subset_of(self, other)
+
+    monkeypatch.setattr(SubsetMask, "is_subset_of", counted)
+    return calls
+
+
+def test_up_set_families_skip_the_pair_walks(monkeypatch):
+    calls = count_pair_walks(monkeypatch)
+    for g in mono_instances():
+        assert check_supports(g, 3).passed, g.name
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_size, key, image, expected", [
+    # x(0) lies in the images of {0} and {1} but not of {} = {0} & {1}:
+    # upward closed, not closed under intersection.
+    (2, (1, 2, (1,)), (0,),
+     ["X=2 x(0): family not closed under {0} & {1}",
+      "X=2 x(0): family not closed under {1} & {0}"]),
+    # x(0) lies in the images of {0}, {0,2} and {0,1,2} but not of
+    # {0,1}: closed under intersection, not upward closed.
+    (3, (2, 3, (0, 1)), (1, 2),
+     ["X=3 x(0): family not upward closed at {0} <= {0,1}"]),
+])
+def test_families_that_are_not_up_sets_are_walked(monkeypatch, max_size, key,
+                                                  image, expected):
+    # One inclusion of the identity functor sent elsewhere, injectively,
+    # so that the functor stays monomorphic and the family is walked.
+    g = Tweaked(zoo_instance("identity"), {key: image})
+    calls = count_pair_walks(monkeypatch)
+    report = check_supports(g, max_size)
+    assert calls
+    walked = [c for c in report.counterexamples
+              if " x(0): family not " in c]
+    assert walked == expected
+    found = supports_oracle(g, max_size)
+    assert report.counterexamples == tuple(found[:25])
+    assert report.details == with_truncation("", found)
 
 
 def test_intersection_report_matches_the_member_set_walk_scrambled():
