@@ -57,7 +57,6 @@ from .theory import (
     degree,
     empty_mod_max,
     empty_mod_min,
-    empty_morphism,
     epi_witness,
     image_of_inclusion,
     modify,
@@ -82,8 +81,8 @@ __all__ = [
     "UnknownElementError",
     "check_epimorphic", "check_functor_laws", "check_intersections",
     "check_modification_maximality", "check_monomorphic", "check_supports",
-    "degree", "empty_mod_max", "empty_mod_min", "empty_morphism",
-    "epi_witness", "image_of_inclusion", "modify", "run_standard_checks",
-    "skeleton", "support",
+    "degree", "empty_mod_max", "empty_mod_min", "epi_witness",
+    "image_of_inclusion", "modify", "run_standard_checks", "skeleton",
+    "support",
     "zoo_instance", "zoo_names", "zoo_source",
 ]

@@ -193,12 +193,6 @@ class EvaluatedObject:
     def __len__(self) -> int:
         return len(self.names)
 
-    @property
-    def rep_terms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The representatives as (shape index, arguments), by class."""
-        return tuple((i, args) for i, _, terms in self.rep_groups
-                     for args in terms)
-
     def class_of(self, shape_idx: int, args: tuple[int, ...]) -> int:
         return self.class_of_term[
             _term_index(self.size, self.offsets, shape_idx, args)]

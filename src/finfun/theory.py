@@ -146,13 +146,6 @@ def tables_up_to(max_size: int, tables: TableSource = function_tables
     return ((x, y, t) for x in sizes for y in sizes for t in tables(x, y))
 
 
-def maps_up_to(max_size: int, tables: TableSource = function_tables
-               ) -> Iterator[FiniteFunction]:
-    """The maps of ``tables_up_to`` as validated functions."""
-    for x, y, table in tables_up_to(max_size, tables):
-        yield FiniteFunction(FiniteSet(x), FiniteSet(y), table)
-
-
 # ---------------------------------------------------------------------------
 # Empty-set modifications
 
@@ -162,11 +155,16 @@ class EmptyModified(FunctorInstance):
 
     Non-empty values and maps are the base's.  The value at the empty set
     is the subset of F1 listed by ``empty_classes``, whose elements keep
-    their F1 names; maps out of the empty set restrict the action of a
-    constant map 1 -> Y (see ``empty_morphism``).  The maximal
-    modification takes the subset of F1 equalized by the two constant
-    maps 1 -> 2; the minimal one takes no element at all, so every map
-    out of the empty set is the empty function.
+    their F1 names.  The maximal modification takes the subset of F1
+    equalized by the two constant maps 1 -> 2; the minimal one takes no
+    element at all, so every map out of the empty set is the empty
+    function.
+
+    A map out of the empty set into a non-empty Y restricts F(c) to
+    ``empty_classes``, where c: 1 -> Y is the constant with value 0.  Any
+    other constant c' gives the same map: the map h: 2 -> Y through which
+    both constants factor forces F(c) and F(c') to agree on the equalizer.
+    That independence is property-tested, not assumed.
     """
 
     def __init__(self, base: FunctorInstance, kind: ModificationKind,
@@ -191,14 +189,10 @@ class EmptyModified(FunctorInstance):
                table: tuple[int, ...]) -> tuple[int, ...]:
         if x > 0:
             return self.base.action(x, y, table)
-        return self._from_empty(y, 0)
-
-    def _from_empty(self, y: int, via: int) -> tuple[int, ...]:
         k = len(self.empty_classes)
         if y == 0:
             return tuple(range(k))
-        check_table((via,), 1, y)
-        base_table = self.base.action(1, y, (via,))
+        base_table = self.base.action(1, y, (0,))
         table = tuple(base_table[i] for i in self.empty_classes)
         check_table(table, k, self.size(y))
         return table
@@ -242,23 +236,6 @@ def modify(f: FunctorInstance, kind: ModificationKind) -> FunctorInstance:
     if kind is ModificationKind.MINIMAL:
         return empty_mod_min(f)
     return empty_mod_max(f)
-
-
-def empty_morphism(g: EmptyModified, y: FiniteSet,
-                   via: int = 0) -> FiniteFunction:
-    """The action of the maximal modification on the map from the empty set.
-
-    Restricts F(g) to the equalizer subset of F1, where g: 1 -> Y is the
-    constant map with value ``via``.  The result does not depend on
-    ``via``: for another choice g', the map h: 2 -> Y through which both
-    constants factor forces F(g) and F(g') to agree on the equalizer.
-    That independence is property-tested, not assumed.
-    """
-    if (not isinstance(g, EmptyModified)
-            or g.kind is not ModificationKind.MAXIMAL):
-        raise TypeError("empty_morphism needs a maximal modification")
-    return FiniteFunction(FiniteSet(g.size(0)), FiniteSet(g.size(y.size)),
-                          g._from_empty(y.size, via))
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +427,17 @@ class _Collector:
 # Exhaustive checkers
 
 
-def _elementary_maps(y: int,
-                     top: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(codomain size, table) of each generating map out of y within sizes
-    <= top: the transposition (0 1) when y >= 2 and the cycle i -> i+1 mod
-    y when y >= 3, which together generate the symmetric group S_y; the
-    merge y -> y-1 of its last two points; and the inclusion y -> y+1."""
-    if y >= 2:
-        yield y, (1, 0) + tuple(range(2, y))
-        if y >= 3:
-            yield y, tuple(range(1, y)) + (0,)
-        yield y - 1, tuple(range(y - 1)) + (y - 2,)
-    if y < top:
-        yield y + 1, tuple(range(y))
+def _elementary_maps(y: int, z: int) -> list[tuple[int, ...]]:
+    """The tables of the generating maps y -> z: when z = y >= 2, the
+    transposition (0 1) and, when y >= 3, the cycle i -> i+1 mod y, which
+    together generate the symmetric group S_y; when z = y - 1 >= 1, the
+    merge of the last two points; when z = y + 1, the inclusion."""
+    if z == y >= 2:
+        swap = (1, 0) + tuple(range(2, y))
+        return [swap] if y == 2 else [swap, tuple(range(1, y)) + (0,)]
+    if z == y - 1 >= 1:
+        return [tuple(range(z)) + (z - 1,)]
+    return [tuple(range(y))] if z == y + 1 else []
 
 
 def _composition_failures(action: Mapping[MorphismKey, tuple[int, ...]],
@@ -506,13 +481,14 @@ def law_failures(action: Mapping[MorphismKey, tuple[int, ...]],
     generator s, give F(g o f) = F(g) o F(f) for all g by induction on the
     factorisation.  Only when an identity or one such s fails is every
     composable pair compared, so the failures come out complete and in
-    the order above.
+    the order above.  Both passes run the same walk, with
+    ``_elementary_maps`` and then ``function_tables`` as the source of g.
     """
     top = len(sizes) - 1
     broken = [((n, n, tuple(range(n))), None) for n in range(top + 1)
               if action[(n, n, tuple(range(n)))] != tuple(range(sizes[n]))]
-    if not broken and next(_composition_failures(action, top, lambda y, z: [
-            t for c, t in _elementary_maps(y, top) if c == z]), None) is None:
+    if not broken and next(_composition_failures(
+            action, top, _elementary_maps), None) is None:
         return
     yield from broken
     yield from _composition_failures(action, top, function_tables)
@@ -551,10 +527,11 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
 def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size."""
     out = _Collector("epi", f"sizes <= {max_size}")
+    sizes = [g.size(n) for n in sizes_up_to(max_size)]
     for x, y, table in tables_up_to(max_size, surjective_tables):
         gf = g.action(x, y, table)
-        if len(set(gf)) < g.size(y):
-            name = g.elements(y)[min(set(range(g.size(y))) - set(gf))]
+        if len(set(gf)) < sizes[y]:
+            name = g.elements(y)[min(set(range(sizes[y])) - set(gf))]
             out.add(f"G(f) not surjective for f={table_repr(x, y, table)}: "
                     f"misses {name}")
     return out.report()

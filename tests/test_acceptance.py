@@ -29,7 +29,6 @@ from finfun.theory import (
     degree,
     empty_mod_max,
     empty_mod_min,
-    empty_morphism,
     epi_witness,
     image_of_inclusion,
     skeleton,
@@ -75,12 +74,15 @@ def test_criterion_2_empty_set_repair():
         failures.append("identity° should vanish at the empty set")
     if empty_mod_max(zoo_instance("const2")).size(0) != 2:
         failures.append("const2° should keep both constants")
-    for name in zoo_names():
-        h = empty_mod_max(zoo_instance(name))
+    # F°(∅→Y) is F(c) restricted to the equalizer for the constant c = 0;
+    # every other constant c: 1 -> Y must restrict to the same table.
+    loaded = load_tabulated(export_tabulated(tw, MAX), name="twins-tabulated")
+    for g in [zoo_instance(name) for name in zoo_names()] + [loaded]:
+        h = empty_mod_max(g)
         for y in range(1, MAX + 1):
-            ys = FiniteSet(y)
-            tables = {empty_morphism(h, ys, via=v).table for v in range(y)}
-            if len(tables) != 1:
+            tables = {tuple(g.action(1, y, (v,))[i] for i in h.empty_classes)
+                      for v in range(y)}
+            if tables != {h.action(0, y, ())}:
                 failures.append(
                     f"{h.name}: map out of the empty set depends on the "
                     f"chosen constant into {y}")
@@ -175,7 +177,7 @@ def test_criterion_6_hypothesis_necessity(tmp_path):
     failures = []
     proc = subprocess.run(
         [sys.executable, "-m", "finfun", "check", "zoo:twins", "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     if proc.returncode != 1:
         failures.append(f"check zoo:twins exited {proc.returncode}, not 1")
     else:
@@ -193,7 +195,7 @@ def test_criterion_6_hypothesis_necessity(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "finfun", "supp", str(table_file),
          "--size", "2", "--element", "c"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
     if proc.returncode != 1:
         failures.append(f"supp on tabulated twins exited {proc.returncode}")
     if "():0->1" not in proc.stderr or "collapses c and d" not in proc.stderr:

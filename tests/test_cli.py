@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import finfun
 from finfun import __version__
 from finfun.cli import load_input, main
 from finfun.theory import STANDARD_CHECKS
@@ -132,7 +133,7 @@ def test_missing_file(capsys):
 
 def test_unrecognized_extension(tmp_path, capsys):
     p = tmp_path / "functor.txt"
-    p.write_text("shape s/1\n")
+    p.write_text("shape s/1\n", encoding="utf-8")
     code, out, err = run(capsys, "check", str(p))
     assert code == 2
     assert "cannot tell the format" in err
@@ -140,7 +141,7 @@ def test_unrecognized_extension(tmp_path, capsys):
 
 def test_presentation_file_input(tmp_path, capsys):
     p = tmp_path / "pairs.ffn"
-    p.write_text(SOURCES["upair"])
+    p.write_text(SOURCES["upair"], encoding="utf-8")
     code, out, err = run(capsys, "check", str(p))
     assert code == 0
     assert "upair" in out
@@ -148,7 +149,7 @@ def test_presentation_file_input(tmp_path, capsys):
 
 def test_presentation_file_default_name_is_stem(tmp_path, capsys):
     p = tmp_path / "mypairs.ffn"
-    p.write_text("shape p/2\neq p(a,b) = p(b,a)\n")
+    p.write_text("shape p/2\neq p(a,b) = p(b,a)\n", encoding="utf-8")
     code, out, err = run(capsys, "eval", str(p), "--size", "2")
     assert code == 0
     assert "mypairs(2): 3 elements" in out
@@ -156,7 +157,7 @@ def test_presentation_file_default_name_is_stem(tmp_path, capsys):
 
 def test_parse_error_reports_location(tmp_path, capsys):
     p = tmp_path / "broken.ffn"
-    p.write_text("shape s/1\neq s(a) = t(a)\n")
+    p.write_text("shape s/1\neq s(a) = t(a)\n", encoding="utf-8")
     code, out, err = run(capsys, "check", str(p))
     assert code == 2
     assert "line 2" in err and "unknown shape 't'" in err
@@ -183,7 +184,7 @@ def test_tabulated_beyond_bound(tmp_path, capsys):
 
 def test_corrupt_tabulation(tmp_path, capsys):
     p = tmp_path / "bad.json"
-    p.write_text('{"max_size": 0}')
+    p.write_text('{"max_size": 0}', encoding="utf-8")
     code, out, err = run(capsys, "check", str(p))
     assert code == 2
     assert "missing field 'objects'" in err
@@ -385,7 +386,7 @@ def test_negative_size_zoo(capsys):
 
 def test_negative_size_presentation_file(tmp_path, capsys):
     p = tmp_path / "pairs.ffn"
-    p.write_text(SOURCES["upair"])
+    p.write_text(SOURCES["upair"], encoding="utf-8")
     assert_negative_size_refused(capsys, str(p))
 
 
@@ -410,6 +411,11 @@ def test_version_flag(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0
     assert __version__ in out
+
+
+def test_public_exports():
+    assert len(set(finfun.__all__)) == len(finfun.__all__)
+    assert [n for n in finfun.__all__ if not hasattr(finfun, n)] == []
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -439,7 +445,7 @@ sys.exit(target.load()())
 def run_script_target(target, *argv):
     return subprocess.run(
         [sys.executable, "-c", SCRIPT_WRAPPER, target, *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, encoding="utf-8")
 
 
 def test_entry_point_installed():
@@ -467,6 +473,6 @@ def test_entry_point_installed():
     script = shutil.which("finfun")
     assert script is not None
     proc = subprocess.run([script, "--version"], capture_output=True,
-                          text=True)
+                          text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"finfun {__version__}"

@@ -36,8 +36,8 @@ from finfun.theory import (
     check_functor_laws,
     empty_mod_max,
     law_failures,
-    maps_up_to,
     run_standard_checks,
+    tables_up_to,
 )
 from finfun.zoo import zoo_instance
 
@@ -108,8 +108,9 @@ class Overridden(FunctorInstance):
 
 
 def action_of(g, max_size):
-    action = {(f.dom.size, f.cod.size, f.table): g.map(f).table
-              for f in maps_up_to(max_size)}
+    action = {(x, y, t): g.map(FiniteFunction(FiniteSet(x), FiniteSet(y),
+                                              t)).table
+              for x, y, t in tables_up_to(max_size)}
     return action, [g.size(n) for n in range(max_size + 1)]
 
 
@@ -144,20 +145,41 @@ def test_elementary_maps_generate_every_map(top):
     frontier = list(reached)
     while frontier:
         x, y, ft = frontier.pop()
-        for z, st_ in _elementary_maps(y, top):
-            key = (x, z, tuple(st_[i] for i in ft))
-            if key not in reached:
-                reached.add(key)
-                frontier.append(key)
-    assert reached == {(f.dom.size, f.cod.size, f.table)
-                       for f in maps_up_to(top)}
+        for z in range(top + 1):
+            for st_ in _elementary_maps(y, z):
+                key = (x, z, tuple(st_[i] for i in ft))
+                if key not in reached:
+                    reached.add(key)
+                    frontier.append(key)
+    assert reached == set(tables_up_to(top))
 
 
 def test_elementary_maps_of_three():
-    assert list(_elementary_maps(3, 4)) == [
-        (3, (1, 0, 2)), (3, (1, 2, 0)), (2, (0, 1, 1)), (4, (0, 1, 2))]
-    assert list(_elementary_maps(0, 0)) == []
-    assert list(_elementary_maps(1, 1)) == []
+    assert _elementary_maps(3, 3) == [(1, 0, 2), (1, 2, 0)]
+    assert _elementary_maps(3, 2) == [(0, 1, 1)]
+    assert _elementary_maps(3, 4) == [(0, 1, 2)]
+    assert _elementary_maps(0, 0) == _elementary_maps(1, 1) == []
+
+
+def generators_by_codomain(y, top):
+    """(codomain size, table) of each generating map out of y within sizes
+    <= top, listed independently of ``_elementary_maps``: the
+    transposition and, for y >= 3, the cycle; the merge; the inclusion."""
+    if y >= 2:
+        yield y, (1, 0) + tuple(range(2, y))
+        if y >= 3:
+            yield y, tuple(range(1, y)) + (0,)
+        yield y - 1, tuple(range(y - 1)) + (y - 2,)
+    if y < top:
+        yield y + 1, tuple(range(y))
+
+
+@pytest.mark.parametrize("top", range(8))
+def test_elementary_maps_match_the_generators_by_codomain(top):
+    for y in range(top + 1):
+        for z in range(top + 1):
+            assert _elementary_maps(y, z) == [
+                t for c, t in generators_by_codomain(y, top) if c == z], (y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +202,8 @@ def presentations(draw):
 def corrupt(draw, g, max_size):
     """g with one entry of one action table changed, or None when no
     table has an entry that could take another value."""
-    keys = [(f.dom.size, f.cod.size, f.table) for f in maps_up_to(max_size)
-            if g.size(f.dom.size) and g.size(f.cod.size) > 1]
+    keys = [(x, y, t) for x, y, t in tables_up_to(max_size)
+            if g.size(x) and g.size(y) > 1]
     if not keys:
         return None
     x, y, t = key = draw(st.sampled_from(keys))
@@ -298,15 +320,15 @@ def test_power2_broken_on_one_map(dom, cod, table):
     # Every non-injective map swaps the two points: each F(s o f) =
     # F(s) o F(f) with s injective holds, so only the merges (or two
     # non-injective maps in a row) expose it.
-    lambda f: (1, 0) if len(set(f.table)) < f.dom.size else None,
+    lambda x, y, t: (1, 0) if len(set(t)) < x else None,
     # Every map, identities included, is constant: composition holds
     # throughout and only F(id) = id fails.
-    lambda f: (0, 0),
+    lambda x, y, t: (0, 0),
 ])
 def test_const2_broken_on_a_family_of_maps(broken):
     g = zoo_instance("const2")
-    overrides = {(f.dom.size, f.cod.size, f.table): broken(f)
-                 for f in maps_up_to(3) if broken(f)}
+    overrides = {key: broken(*key) for key in tables_up_to(3)
+                 if broken(*key)}
     assert assert_agrees_with_oracle(Overridden(g, overrides), 3)
 
 

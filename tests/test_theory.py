@@ -29,7 +29,11 @@ from finfun.presentation import (
     Shape,
     parse_presentation,
 )
-from finfun.tabulated import TabulatedInstance, export_tabulated
+from finfun.tabulated import (
+    TabulatedInstance,
+    export_tabulated,
+    load_tabulated,
+)
 from finfun.theory import (
     STANDARD_CHECKS,
     DegreeResult,
@@ -48,15 +52,14 @@ from finfun.theory import (
     degree,
     empty_mod_max,
     empty_mod_min,
-    empty_morphism,
     epi_witness,
     image_of_inclusion,
-    maps_up_to,
     modify,
     require_monomorphic,
     run_standard_checks,
     skeleton,
     support,
+    tables_up_to,
 )
 from finfun.zoo import zoo_instance, zoo_names, zoo_source
 
@@ -179,21 +182,21 @@ def test_empty_to_empty_is_identity():
 
 
 def test_empty_morphism_choice_independent():
-    for name in zoo_names():
-        h = empty_mod_max(zoo_instance(name))
+    # F°(∅→Y) is F(c) restricted to the equalizer for the constant c = 0;
+    # every other constant c: 1 -> Y must restrict to the same table.
+    twins = load_tabulated(export_tabulated(zoo_instance("twins"), 4),
+                           name="twins-tabulated")
+    for g in [zoo_instance(name) for name in zoo_names()] + [twins]:
+        h = empty_mod_max(g)
         for y in range(1, 5):
-            ys = FiniteSet(y)
-            tables = {empty_morphism(h, ys, via=v).table for v in range(y)}
-            assert len(tables) == 1, (name, y)
-            assert h.map(FiniteFunction(FiniteSet(0), ys, ())).table \
-                == tables.pop()
-
-
-def test_empty_morphism_requires_max_modification():
-    with pytest.raises(TypeError):
-        empty_morphism(zoo_instance("upair"), FiniteSet(2))
-    with pytest.raises(TypeError):
-        empty_morphism(empty_mod_min(zoo_instance("upair")), FiniteSet(2))
+            got = h.action(0, y, ())
+            for v in range(y):
+                via = g.action(1, y, (v,))
+                assert got == tuple(via[i] for i in h.empty_classes), \
+                    (h.name, y, v)
+            assert h.map(FiniteFunction(FiniteSet(0), FiniteSet(y), ())
+                          ).table == got
+    assert empty_mod_max(twins).size(0) == 1
 
 
 def test_empty_morphism_factors_every_map_out_of_empty():
@@ -483,9 +486,9 @@ def test_epi_witness_rejects_non_surjective():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_maps_up_to_is_the_nested_size_walk(n):
-    nested = [f for x in range(n + 1) for y in range(n + 1)
+    nested = [(x, y, f.table) for x in range(n + 1) for y in range(n + 1)
               for f in enumerate_functions(FiniteSet(x), FiniteSet(y))]
-    walk = list(maps_up_to(n))
+    walk = list(tables_up_to(n))
     assert walk == nested
     assert len(walk) == sum(y ** x for x in range(n + 1)
                             for y in range(n + 1))
@@ -494,9 +497,10 @@ def test_maps_up_to_is_the_nested_size_walk(n):
 def test_maps_up_to_takes_a_table_source():
     for tables, keep, count in ((injective_tables, is_injective, 2372),
                                 (surjective_tables, is_surjective, 5317)):
-        assert sum(1 for _ in maps_up_to(6, tables)) == count
-        assert list(maps_up_to(4, tables)) \
-            == [f for f in maps_up_to(4) if keep(f)]
+        assert sum(1 for _ in tables_up_to(6, tables)) == count
+        assert list(tables_up_to(4, tables)) == [
+            (x, y, t) for x, y, t in tables_up_to(4)
+            if keep(FiniteFunction(FiniteSet(x), FiniteSet(y), t))]
 
 
 @pytest.mark.parametrize("g, n", [
@@ -510,7 +514,7 @@ def test_negative_size_is_refused(g, n):
 
 
 @pytest.mark.parametrize("entry", [
-    lambda g: list(maps_up_to(-1)),
+    lambda g: list(tables_up_to(-1)),
     lambda g: run_standard_checks(g, -1),
     lambda g: check_functor_laws(g, -1),
     lambda g: check_monomorphic(g, -1),
@@ -520,7 +524,7 @@ def test_negative_size_is_refused(g, n):
     lambda g: degree(g, -1),
     lambda g: export_tabulated(g, -1),
     lambda g: check_modification_maximality(g, empty_mod_max(g), -1),
-], ids=["maps_up_to", "run_standard_checks", "laws", "mono", "epi",
+], ids=["tables_up_to", "run_standard_checks", "laws", "mono", "epi",
         "intersections", "supports", "degree", "export_tabulated",
         "maximality"])
 def test_negative_size_bound_is_refused(entry):
@@ -621,13 +625,14 @@ def mono_oracle(g, max_size):
     """The counterexamples of ``check_monomorphic`` as the walk over every
     map, keeping the injective ones, finds them."""
     found = []
-    for f in maps_up_to(max_size):
+    for x, y, t in tables_up_to(max_size):
+        f = FiniteFunction(FiniteSet(x), FiniteSet(y), t)
         if not is_injective(f):
             continue
         gf = g.map(f)
         if is_injective(gf):
             continue
-        names = g.elements(f.dom.size)
+        names = g.elements(x)
         first = {}
         for i, v in enumerate(gf.table):
             if v in first:
@@ -642,10 +647,10 @@ def epi_oracle(g, max_size):
     """The counterexamples of ``check_epimorphic`` as the walk over every
     map, keeping the surjective ones, finds them."""
     found = []
-    for f in maps_up_to(max_size):
+    for x, y, t in tables_up_to(max_size):
+        f = FiniteFunction(FiniteSet(x), FiniteSet(y), t)
         if not is_surjective(f):
             continue
-        y = f.cod.size
         missed = set(range(g.size(y))) - set(g.map(f).table)
         if missed:
             found.append(f"G(f) not surjective for f={f!r}: misses "
@@ -659,10 +664,9 @@ def scrambled(name, max_size, seed):
     g = zoo_instance(name)
     objects = tuple(g.elements(n) for n in range(max_size + 1))
     rng = random.Random(seed)
-    morphisms = {(f.dom.size, f.cod.size, f.table):
-                 tuple(rng.randrange(len(objects[f.cod.size]))
-                       for _ in objects[f.dom.size])
-                 for f in maps_up_to(max_size)}
+    morphisms = {(x, y, t): tuple(rng.randrange(len(objects[y]))
+                                  for _ in objects[x])
+                 for x, y, t in tables_up_to(max_size)}
     return TabulatedInstance(objects, morphisms, name + "~")
 
 
