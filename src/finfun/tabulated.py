@@ -10,10 +10,11 @@ The data file is JSON with three top-level fields:
 
 Every function must be listed explicitly; nothing is inferred.  Loading
 validates completeness and the functor laws, the latter with
-``theory.law_failures`` (it decides them on the generating maps and walks
-every composable pair only to name the first failure), and reports the
-offending function (pair) on failure.  The laws are decided once per
-load: the instance records the pass, and its ``laws`` check reuses it.
+``theory.law_failures``, which reads the loaded records through a lookup
+(it decides the laws on the generating maps and walks every composable
+pair only to name the first failure), and reports the offending function
+(pair) on failure.  The laws are decided once per load: the instance
+records the pass, and its ``laws`` check reuses it.
 This is the vehicle for feeding hypothesis-violating functors to the
 checkers: tables need not come from any presentation.  A refusal's text
 is formatted only when its check fails, so a valid file builds none.
@@ -177,7 +178,8 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
             raise MissingMorphismError(
                 f"missing morphism table for {table_repr(*key)}")
 
-    for f, g in law_failures(morphisms, [len(names) for names in objects]):
+    sizes = [len(names) for names in objects]
+    for f, g in law_failures(lambda *key: morphisms[key], sizes):
         if g is None:
             raise FunctorLawError(
                 f"F({table_repr(*f)}) is not the identity on F({f[0]})")

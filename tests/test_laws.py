@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from finfun.presentation import (
     Presentation,
     PresentationInstance,
     Shape,
+    parse_presentation,
 )
 from finfun.tabulated import FunctorLawError, export_tabulated, load_tabulated
 from finfun.theory import (
@@ -39,7 +41,7 @@ from finfun.theory import (
     run_standard_checks,
     tables_up_to,
 )
-from finfun.zoo import zoo_instance
+from finfun.zoo import zoo_instance, zoo_names, zoo_source
 
 CAP = 25
 
@@ -119,7 +121,7 @@ def assert_agrees_with_oracle(g, max_size):
     oracle on g; returns the oracle's failures."""
     action, sizes = action_of(g, max_size)
     expected = oracle_law_failures(action, sizes)
-    assert list(law_failures(action, sizes)) == expected
+    assert list(law_failures(lambda *key: action[key], sizes)) == expected
     report = check_functor_laws(g, max_size)
     assert (report.counterexamples, report.details) == oracle_report(expected)
     text = export_tabulated(g, max_size)
@@ -258,7 +260,8 @@ def test_relabelled_tabulations(pres, max_size, data):
     assert verdicts(loaded) == verdicts(g)
     sizes = [loaded.size(n) for n in range(max_size + 1)]
     assert check_functor_laws(loaded, max_size).passed
-    assert list(law_failures(loaded.morphisms, sizes)) == []
+    assert list(law_failures(lambda *key: loaded.morphisms[key],
+                             sizes)) == []
     broken = corrupt(data.draw, loaded, max_size)
     if broken is not None:
         assert_agrees_with_oracle(broken, max_size)
@@ -302,18 +305,22 @@ def test_loaded_tabulation_laws_are_not_walked_again(monkeypatch):
 # reports them and the load refuses them, with the oracle's texts.
 
 
+def power2_broken_at(dom, cod, table):
+    """power2 with the first two entries of F on one map swapped."""
+    g = zoo_instance("power2")
+    image = list(g.map(FiniteFunction(FiniteSet(dom), FiniteSet(cod),
+                                      table)).table)
+    image[0], image[1] = image[1], image[0]
+    return Overridden(g, {(dom, cod, table): tuple(image)})
+
+
 @pytest.mark.parametrize("dom, cod, table", [
     (3, 3, (1, 2, 0)),  # a 3-cycle, not an adjacent transposition
     (3, 2, (0, 1, 1)),  # a merge
     (2, 3, (0, 1)),     # an inclusion
 ])
 def test_power2_broken_on_one_map(dom, cod, table):
-    g = zoo_instance("power2")
-    image = list(g.map(FiniteFunction(FiniteSet(dom), FiniteSet(cod),
-                                      table)).table)
-    image[0], image[1] = image[1], image[0]
-    broken = Overridden(g, {(dom, cod, table): tuple(image)})
-    assert assert_agrees_with_oracle(broken, 3)
+    assert assert_agrees_with_oracle(power2_broken_at(dom, cod, table), 3)
 
 
 @pytest.mark.parametrize("broken", [
@@ -333,6 +340,32 @@ def test_const2_broken_on_a_family_of_maps(broken):
 
 
 # ---------------------------------------------------------------------------
+# law_failures reads F only within its bound.
+
+
+def bounded_lookup(g, top):
+    """F of g as a lookup that answers the maps between sizes <= top and
+    fails on any other; a presentation's own ``action`` answers any size."""
+    tables = {key: g.action(*key) for key in tables_up_to(top)}
+
+    def lookup(*key):
+        assert key in tables, f"read beyond size {top}: {table_repr(*key)}"
+        return tables[key]
+    return lookup
+
+
+@pytest.mark.parametrize("g", [zoo_instance(name) for name in zoo_names()]
+                         + [power2_broken_at(3, 2, (0, 1, 1))],
+                         ids=lambda g: g.name)
+def test_law_walk_reads_only_maps_within_its_bound(g):
+    top = 3
+    sizes = [g.size(n) for n in range(top + 1)]
+    expected = oracle_law_failures(*action_of(g, top))
+    assert list(law_failures(bounded_lookup(g, top), sizes)) == expected
+    assert bool(expected) == g.name.endswith("!")
+
+
+# ---------------------------------------------------------------------------
 # Size 5, which the pair walk takes about a minute over.
 
 
@@ -340,6 +373,19 @@ def test_laws_pass_at_size_5():
     report = check_functor_laws(zoo_instance("upair"), 5)
     assert report.passed
     assert report.scope == "sizes <= 5"
+
+
+def test_laws_keep_no_second_table():
+    # The walk reads F through a fresh instance's cache, which it leaves
+    # filled; a second table of F would raise its peak well above that.
+    g = PresentationInstance(parse_presentation(zoo_source("upair")))
+    tracemalloc.start()
+    try:
+        assert check_functor_laws(g, 5).passed
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * kept, (peak, kept)
 
 
 def test_size_5_export_loads():
