@@ -198,13 +198,15 @@ class EvaluatedObject:
             _term_index(self.size, self.offsets, shape_idx, args)]
 
 
-def evaluate_object(pres: Presentation, x: FiniteSet | int) -> EvaluatedObject:
-    """Compute FX by equivalence closure over all instantiated equations.
+def evaluate_object(pres: Presentation, n: int) -> EvaluatedObject:
+    """Compute F applied to {0,...,n-1} by equivalence closure over all
+    instantiated equations.  The size ``n`` is an int; a negative one is
+    refused with ``FiniteSet``'s ValueError.
 
     Over the empty set only nullary shapes contribute terms and only
     equations without variables can instantiate.
     """
-    n = x if isinstance(x, int) else x.size
+    FiniteSet(n)  # refuses a negative size
     offsets = [0]
     for s in pres.shapes:
         offsets.append(offsets[-1] + n ** s.arity)
@@ -260,8 +262,14 @@ def evaluate_morphism(table: tuple[int, ...], dom_obj: EvaluatedObject,
     computes each substituted term's position (``_term_index``) inline;
     a nullary shape has its one term, and a larger arity falls back to
     the digit loop over the arguments.
+
+    ``table`` is checked on entry (``check_table``): one that is not a
+    map would read the wrong terms, and the instance caches the answer.
+    The result needs no check: it holds one class of ``cod_obj`` per
+    representative of ``dom_obj``.
     """
     n = cod_obj.size
+    check_table(table, dom_obj.size, n)
     offsets, cot = cod_obj.offsets, cod_obj.class_of_term
     t = table
     image: list[int] = []
@@ -284,7 +292,6 @@ def evaluate_morphism(table: tuple[int, ...], dom_obj: EvaluatedObject,
                 for a in args:
                     rank = rank * n + t[a]
                 image.append(cot[off + rank])
-    check_table(image, len(dom_obj), len(cod_obj))
     return tuple(image)
 
 
@@ -328,10 +335,8 @@ class _LineParser:
     def col(self) -> int:
         if self.pos < len(self.tokens):
             return self.tokens[self.pos][1]
-        if self.tokens:
-            last, lastcol = self.tokens[-1]
-            return lastcol + len(last)
-        return 1
+        last, lastcol = self.tokens[-1]
+        return lastcol + len(last)
 
     def take(self) -> str:
         tok = self.peek()
@@ -469,7 +474,7 @@ class PresentationInstance(FunctorInstance):
     def object(self, n: int) -> EvaluatedObject:
         obj = self._objects.get(n)
         if obj is None:
-            obj = evaluate_object(self.presentation, FiniteSet(n))
+            obj = evaluate_object(self.presentation, n)
             self._objects[n] = obj
         return obj
 

@@ -291,9 +291,10 @@ class SupportResult:
     witness: int
 
 
-def support(g: FunctorInstance, x: FiniteSet | int, element: int,
+def support(g: FunctorInstance, n: int, element: int,
             order: Sequence[int] | None = None) -> SupportResult:
-    """Greedy support computation for a monomorphic functor.
+    """Greedy support computation for a monomorphic functor, for an
+    element of F applied to the set of int size ``n``.
 
     Starting from the full subset, drop each point (ascending order by
     default) whenever the element stays in the image of the smaller
@@ -303,7 +304,6 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
     exercised by ``check_supports``.  The index is checked, after the
     removal order, before the monomorphicity requirement.
     """
-    n = x if isinstance(x, int) else x.size
     if order is None:
         order = range(n)
     elif sorted(order) != list(range(n)):
@@ -322,8 +322,9 @@ def support(g: FunctorInstance, x: FiniteSet | int, element: int,
     return SupportResult(element, mask, table.index(element))
 
 
-def skeleton(g: FunctorInstance, n: int, x: FiniteSet | int) -> tuple[int, ...]:
-    """Union of the images of G(f) over all maps f from sets of size <= n.
+def skeleton(g: FunctorInstance, n: int, size: int) -> tuple[int, ...]:
+    """Union of the images of G(f) over all maps f from sets of size <= n
+    into the set of int size ``size``, as sorted element indices.
 
     Equals the set of elements with support of size at most n; the chain
     over increasing n is monotone and stabilizes at the full value once n
@@ -333,7 +334,7 @@ def skeleton(g: FunctorInstance, n: int, x: FiniteSet | int) -> tuple[int, ...]:
     with the support filter valid over the empty set too, where only the
     empty domain admits a map.
     """
-    size = FiniteSet(x).size if isinstance(x, int) else x.size
+    FiniteSet(size)  # refuses a negative size
     top = FiniteSet(n).size if size else 0
     return tuple(sorted({v for t in function_tables(top, size)
                          for v in g.action(top, size, t)}))
@@ -374,7 +375,7 @@ def epi_witness(g: FunctorInstance, f: FiniteFunction, b: int) -> int:
     """
     if not is_surjective(f):
         raise ValueError(f"epi_witness needs a surjective map, got {f!r}")
-    res = support(g, f.cod, b)
+    res = support(g, f.cod.size, b)
     section = tuple(f.table.index(m) for m in res.support.members)
     return g.action(len(section), f.dom.size, section)[res.witness]
 
@@ -659,8 +660,15 @@ def check_modification_maximality(f: FunctorInstance,
     the map into F1 is contained in the equalizer subset.
 
     Raises ProbeMismatchError when the probe disagrees with F on a
-    non-empty set up to the bound or fails the functor laws.
+    non-empty set up to the bound or fails the functor laws, and
+    ValueError for a bound below 2: the equalizer is read off the maps
+    1 -> 2, on which the probe's laws must be checked.
     """
+    if FiniteSet(max_size).size < 2:
+        raise ValueError(
+            f"maximality needs a size bound of at least 2, got {max_size}: "
+            f"the equalizer is read off the maps 1 -> 2, and the probe's "
+            f"laws must hold on them")
     for n in range(1, max_size + 1):
         if probe.elements(n) != f.elements(n):
             raise ProbeMismatchError(

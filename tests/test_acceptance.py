@@ -13,6 +13,8 @@ import random
 import subprocess
 import sys
 
+from helpers import mono_instances
+
 from finfun.finset import (
     FiniteSet,
     SubsetMask,
@@ -37,12 +39,6 @@ from finfun.theory import (
 from finfun.zoo import zoo_instance, zoo_names
 
 MAX = 4
-
-# Raw twins is not monomorphic, so the support-based operations refuse
-# it by design; wherever a criterion needs supports "for every zoo
-# functor", its repaired form stands in for it.
-SUPPORTED = [zoo_instance(n) for n in zoo_names() if n != "twins"] \
-    + [empty_mod_max(zoo_instance("twins"))]
 
 
 def verdict(num: int, name: str, failures: list[str]) -> None:
@@ -91,7 +87,7 @@ def test_criterion_2_empty_set_repair():
 
 def test_criterion_3_supports():
     failures = []
-    for g in SUPPORTED:
+    for g in mono_instances():
         for n in range(MAX + 1):
             x = FiniteSet(n)
             masks = list(enumerate_subsets(x))
@@ -156,7 +152,7 @@ def test_criterion_5_epimorphicity():
         if not report.passed:
             failures.append(f"{name}: {report.counterexamples[0]}")
     cases = checked = 0
-    for g in SUPPORTED:
+    for g in mono_instances():
         for x in range(MAX + 1):
             for y in range(x + 1):
                 for f in enumerate_functions(FiniteSet(x), FiniteSet(y)):
@@ -212,7 +208,7 @@ def test_criterion_7_degree_and_skeleton():
         if (res.value, res.exact) != (value, True):
             failures.append(f"degree({name}) = {res!r}, expected "
                             f"{value} (exact)")
-    for g in SUPPORTED:
+    for g in mono_instances():
         d = degree(g, MAX).value
         for x in range(MAX + 1):
             full = tuple(range(g.size(x)))

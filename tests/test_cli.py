@@ -428,6 +428,17 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 2
 
 
+def test_unexpected_error_is_an_internal_error(capsys, monkeypatch):
+    # No input reaches the catch-all; it keeps the exit code within 0-2.
+    def boom(name):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("finfun.cli.zoo_instance", boom)
+    code, out, err = run(capsys, "eval", "zoo:upair", "--size", "1")
+    assert code == 2
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # What an installer's generated console script does: import the module,

@@ -46,6 +46,9 @@ class TestFiniteSet:
         assert list(FiniteSet(3)) == [0, 1, 2]
         assert len(FiniteSet(0)) == 0
 
+    def test_repr(self):
+        assert repr(FiniteSet(3)) == "FiniteSet(3)"
+
 
 class TestFiniteFunction:
     def test_repr(self):
@@ -187,6 +190,9 @@ class TestSubsetMask:
         assert a.intersection(b).is_subset_of(b)
         assert 1 in b and 0 not in b
         assert list(a) == [0, 1, 2]
+        with pytest.raises(ValueError,
+                           match="intersection needs a common ambient set"):
+            a.intersection(SubsetMask.of(FiniteSet(5), [1]))
 
     def test_inclusion_function(self):
         m = SubsetMask.of(FiniteSet(4), [1, 3])

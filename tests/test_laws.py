@@ -9,13 +9,13 @@ one entry, and on tables broken on a whole family of maps.
 
 from __future__ import annotations
 
-import itertools
 import json
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import CAP, Overridden, presentations, with_truncation
 
 from finfun.finset import (
     FiniteFunction,
@@ -24,16 +24,12 @@ from finfun.finset import (
     table_repr,
 )
 from finfun.presentation import (
-    Equation,
-    FlatTerm,
-    Presentation,
     PresentationInstance,
     Shape,
     parse_presentation,
 )
 from finfun.tabulated import FunctorLawError, export_tabulated, load_tabulated
 from finfun.theory import (
-    FunctorInstance,
     _elementary_maps,
     check_functor_laws,
     empty_mod_max,
@@ -42,8 +38,6 @@ from finfun.theory import (
     tables_up_to,
 )
 from finfun.zoo import zoo_instance, zoo_names, zoo_source
-
-CAP = 25
 
 
 def oracle_law_failures(action, sizes):
@@ -75,9 +69,7 @@ def oracle_report(failures):
     texts = [f"F(id_{f[0]}) is not the identity" if g is None else
              f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
              f"g={table_repr(*g)}" for f, g in failures]
-    details = (f"counterexamples truncated ({len(texts)} found)"
-               if len(texts) > CAP else "")
-    return tuple(texts[:CAP]), details
+    return tuple(texts[:CAP]), with_truncation("", texts)
 
 
 def oracle_load_error(failures):
@@ -89,24 +81,6 @@ def oracle_load_error(failures):
         return f"F({table_repr(*f)}) is not the identity on F({f[0]})"
     return (f"composition mismatch for f={table_repr(*f)} and "
             f"g={table_repr(*g)}")
-
-
-class Overridden(FunctorInstance):
-    """A base instance with some action tables replaced."""
-
-    def __init__(self, base, overrides):
-        super().__init__(base.name + "!")
-        self.base = base
-        self.overrides = overrides
-
-    def elements(self, n):
-        return self.base.elements(n)
-
-    def action(self, x, y, table):
-        key = (x, y, table)
-        if key in self.overrides:
-            return self.overrides[key]
-        return self.base.action(x, y, table)
 
 
 def action_of(g, max_size):
@@ -190,17 +164,6 @@ def test_elementary_maps_match_the_generators_by_codomain(top):
 _SHAPES = (Shape("c", 0), Shape("u", 1), Shape("p", 2))
 
 
-@st.composite
-def presentations(draw):
-    shapes = tuple(s for s in _SHAPES if draw(st.booleans())) or _SHAPES[:1]
-    terms = [FlatTerm(s.name, vs) for s in shapes
-             for vs in itertools.product("ab", repeat=s.arity)]
-    eqs = tuple(Equation(draw(st.sampled_from(terms)),
-                         draw(st.sampled_from(terms)))
-                for _ in range(draw(st.integers(0, 2))))
-    return Presentation("random", shapes, eqs)
-
-
 def corrupt(draw, g, max_size):
     """g with one entry of one action table changed, or None when no
     table has an entry that could take another value."""
@@ -216,8 +179,8 @@ def corrupt(draw, g, max_size):
 
 
 @settings(max_examples=25, deadline=None)
-@given(presentations(), st.integers(0, 4), st.booleans(), st.booleans(),
-       st.data())
+@given(presentations(_SHAPES, "ab", 2), st.integers(0, 4), st.booleans(),
+       st.booleans(), st.data())
 def test_law_check_matches_the_pair_oracle(pres, max_size, tabulate, broken,
                                            data):
     g = PresentationInstance(pres)
@@ -246,7 +209,7 @@ def relabel(draw, text):
 
 
 @settings(max_examples=25, deadline=None)
-@given(presentations(), st.integers(0, 3), st.data())
+@given(presentations(_SHAPES, "ab", 2), st.integers(0, 3), st.data())
 def test_relabelled_tabulations(pres, max_size, data):
     # A tabulation that no export wrote: the same functor up to
     # isomorphism, with other element indices and names.

@@ -262,6 +262,25 @@ def test_evaluate_morphism_matches_the_oracle(name):
 
 
 @pytest.mark.parametrize("name", zoo_names())
+def test_a_table_that_is_not_a_map_is_refused(name):
+    # Refused before it is read, so no answer is cached for it: a second
+    # query raises again.
+    g = zoo_instance(name)
+    objs = [evaluate_object(g.presentation, n) for n in range(3)]
+    for x, y, table, message in [
+            (1, 2, (2,), "table entry 2 at position 0 is not below the "
+                         "codomain size 2"),
+            (2, 2, (0,), "table has 1 entries for a domain of size 2")]:
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                g.action(x, y, table)
+            assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            evaluate_morphism(table, objs[x], objs[y])
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", zoo_names())
 def test_functor_laws_small(name):
     g = zoo_instance(name)
     for n in range(4):
@@ -421,6 +440,10 @@ class TestParseErrors:
     def test_unexpected_character(self):
         self.expect_error("shape s/1\nshape !/2", ParseError, 2, 7, "'!'")
 
+    def test_shape_name_expected(self):
+        self.expect_error("shape (/1", ParseError, 1, 7,
+                          "expected a shape name, found '('")
+
     def test_bad_keyword(self):
         self.expect_error("form s/1", ParseError, 1, 1, "'form'")
 
@@ -468,6 +491,11 @@ class TestParseErrors:
         assert str(info.value) == (
             "line 2, column 4: shape 's' has arity 2 but is applied to 1 "
             "variable(s) in equation s(a) = s(a,b)")
+        with pytest.raises(ArityMismatchError) as info:
+            parse_presentation("shape c/1\neq c = c")
+        assert str(info.value) == (
+            "line 2, column 4: shape 'c' has arity 1 but is applied to 0 "
+            "variable(s) in equation c = c")
 
     def test_syntax_is_checked_before_shape_names(self):
         # The whole text is read before the duplicate on line 2 is seen.

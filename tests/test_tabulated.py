@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_theorem import presentations
+from helpers import SHAPES, presentations
 
 from finfun.finset import (FiniteFunction, FiniteSet, enumerate_functions,
                            table_repr)
@@ -110,7 +110,7 @@ def renamed(draw, g, max_size):
 
 
 @settings(max_examples=60, deadline=None)
-@given(presentations(), st.integers(0, 3),
+@given(presentations(SHAPES, "ab", 3), st.integers(0, 3),
        st.sampled_from([None, *ModificationKind]), st.data())
 def test_export_writes_the_json_dumps_bytes(pres, max_size, kind, data):
     g = PresentationInstance(pres)

@@ -15,21 +15,13 @@ require that their reports never contradict the rules.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from helpers import SHAPES, presentations
 
 from finfun.finset import FiniteSet, empty_function, is_injective
-from finfun.presentation import (
-    Equation,
-    FlatTerm,
-    Presentation,
-    PresentationInstance,
-    Shape,
-    parse_presentation,
-)
+from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (
     check_epimorphic,
     check_intersections,
@@ -41,22 +33,7 @@ from finfun.zoo import zoo_source
 
 SIZE = 3
 
-# Two constants, so that an equation can identify them over every
-# inhabited set and F(∅→1) can fail to be injective.
-_SHAPES = (Shape("c", 0), Shape("d", 0), Shape("u", 1), Shape("p", 2))
-
 _PAIR_RE = re.compile(r"A=\{([\d,]*)\} B=\{([\d,]*)\}")
-
-
-@st.composite
-def presentations(draw):
-    shapes = tuple(s for s in _SHAPES if draw(st.booleans())) or _SHAPES[:1]
-    terms = [FlatTerm(s.name, vs) for s in shapes
-             for vs in itertools.product("ab", repeat=s.arity)]
-    eqs = tuple(Equation(draw(st.sampled_from(terms)),
-                         draw(st.sampled_from(terms)))
-                for _ in range(draw(st.integers(0, 3))))
-    return Presentation("random", shapes, eqs)
 
 
 def _members(text):
@@ -64,7 +41,7 @@ def _members(text):
 
 
 @settings(max_examples=100, deadline=None)
-@given(presentations())
+@given(presentations(SHAPES, "ab", 3))
 @example(parse_presentation(zoo_source("twins")))
 @example(parse_presentation("shape u/1\neq u(a) = u(b)"))
 def test_checks_obey_trnkova_and_the_paper(pres):

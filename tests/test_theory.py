@@ -8,6 +8,14 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import (
+    MONO_ZOO,
+    SHAPES,
+    Overridden,
+    mono_instances,
+    presentations,
+    with_truncation,
+)
 
 from finfun.finset import (
     FiniteFunction,
@@ -21,14 +29,7 @@ from finfun.finset import (
     is_surjective,
     surjective_tables,
 )
-from finfun.presentation import (
-    Equation,
-    FlatTerm,
-    Presentation,
-    PresentationInstance,
-    Shape,
-    parse_presentation,
-)
+from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.tabulated import (
     TabulatedInstance,
     export_tabulated,
@@ -62,36 +63,6 @@ from finfun.theory import (
     tables_up_to,
 )
 from finfun.zoo import zoo_instance, zoo_names, zoo_source
-
-MONO_ZOO = tuple(n for n in zoo_names() if n != "twins")
-
-
-def mono_instances():
-    return [zoo_instance(n) for n in MONO_ZOO] + \
-        [empty_mod_max(zoo_instance("twins"))]
-
-
-class Tweaked(FunctorInstance):
-    """Forwards to a base instance, overriding selected action tables."""
-
-    def __init__(self, base, overrides):
-        super().__init__(base.name + "!")
-        self.base = base
-        self.overrides = overrides
-
-    @property
-    def max_arity(self):
-        return self.base.max_arity
-
-    def elements(self, n):
-        return self.base.elements(n)
-
-    def action(self, x, y, table):
-        key = (x, y, table)
-        if key in self.overrides:
-            return self.overrides[key]
-        return self.base.action(x, y, table)
-
 
 # ---------------------------------------------------------------------------
 # Modifications at the empty set.
@@ -544,7 +515,7 @@ def test_check_functor_laws_passes_zoo():
 
 def test_check_functor_laws_catches_planted_violation():
     up = zoo_instance("upair")
-    broken = Tweaked(up, {(1, 2, (0,)): (1,)})
+    broken = Overridden(up, {(1, 2, (0,)): (1,)})
     report = check_functor_laws(broken, 3)
     assert not report.passed
     assert any("(0):1->2" in c for c in report.counterexamples)
@@ -552,7 +523,7 @@ def test_check_functor_laws_catches_planted_violation():
 
 def test_check_functor_laws_catches_broken_identity():
     up = zoo_instance("upair")
-    broken = Tweaked(up, {(2, 2, (0, 1)): (2, 1, 0)})
+    broken = Overridden(up, {(2, 2, (0, 1)): (2, 1, 0)})
     report = check_functor_laws(broken, 2)
     assert any("identity" in c for c in report.counterexamples)
 
@@ -567,7 +538,7 @@ def test_check_monomorphic():
 
 
 def test_passing_mono_check_spares_require_monomorphic_the_walk():
-    class Counting(Tweaked):
+    class Counting(Overridden):
         calls = 0
 
         def action(self, x, y, table):
@@ -606,7 +577,7 @@ def test_check_epimorphic():
     for name in zoo_names():
         assert check_epimorphic(zoo_instance(name), 3).passed, name
     up = zoo_instance("upair")
-    broken = Tweaked(up, {(2, 2, (1, 0)): (2, 1, 2)})
+    broken = Overridden(up, {(2, 2, (1, 0)): (2, 1, 2)})
     report = check_epimorphic(broken, 2)
     assert not report.passed
     assert any("misses" in c and "p(0,0)" in c for c in report.counterexamples)
@@ -616,7 +587,7 @@ def test_epi_report_names_one_broken_surjection():
     # F(f) for the surjection f = (0,0,1): 3 -> 2 of upair, replaced by a
     # table that misses p(0,1) and p(1,1); the report names the first.
     up = zoo_instance("upair")
-    broken = Tweaked(up, {(3, 2, (0, 0, 1)): (0,) * up.size(3)})
+    broken = Overridden(up, {(3, 2, (0, 0, 1)): (0,) * up.size(3)})
     report = check_epimorphic(broken, 3)
     assert report.counterexamples == (
         "G(f) not surjective for f=(0,0,1):3->2: misses p(0,1)",)
@@ -685,10 +656,8 @@ def test_mono_and_epi_reports_match_the_every_map_walk(which):
                           (check_epimorphic, epi_oracle)):
         report = check(g, 5)
         found = oracle(g, 5)
-        note = (f"counterexamples truncated ({len(found)} found)"
-                if len(found) > 25 else "")
         assert report.counterexamples == tuple(found[:25])
-        assert report.details == note
+        assert report.details == with_truncation("", found)
         if which == "scrambled":
             assert len(found) > 25, check.__name__
 
@@ -831,12 +800,6 @@ def supports_oracle(g, max_size, seed=0):
     return found
 
 
-def with_truncation(details, found):
-    note = (f"counterexamples truncated ({len(found)} found)"
-            if len(found) > 25 else "")
-    return f"{details}; {note}" if details and note else details or note
-
-
 SUBSET_ORACLE_CASES = {
     "twins": lambda: zoo_instance("twins"),
     "twins°": lambda: empty_mod_max(zoo_instance("twins")),
@@ -860,24 +823,8 @@ def test_subset_check_reports_match_the_member_set_walk(which):
         assert len(found) == 248
 
 
-_SHAPES = (Shape("c", 0), Shape("d", 0), Shape("u", 1), Shape("p", 2))
-
-
-@st.composite
-def presentations(draw):
-    """Random flat presentations; two constants, so that some are not
-    monomorphic and their minimal modifications have unclosed families."""
-    shapes = tuple(s for s in _SHAPES if draw(st.booleans())) or _SHAPES[:1]
-    terms = [FlatTerm(s.name, vs) for s in shapes
-             for vs in itertools.product("abc", repeat=s.arity)]
-    eqs = tuple(Equation(draw(st.sampled_from(terms)),
-                         draw(st.sampled_from(terms)))
-                for _ in range(draw(st.integers(0, 3))))
-    return Presentation("random", shapes, eqs)
-
-
 @settings(max_examples=40, deadline=None)
-@given(presentations(), st.integers(0, 4),
+@given(presentations(SHAPES, "abc", 3), st.integers(0, 4),
        st.sampled_from(["plain", "min", "max"]), st.integers(0, 3))
 def test_supports_report_matches_the_pair_walks(pres, max_size, which,
                                                 seed):
@@ -928,7 +875,7 @@ def test_families_that_are_not_up_sets_are_walked(monkeypatch, max_size, key,
                                                   image, expected):
     # One inclusion of the identity functor sent elsewhere, injectively,
     # so that the functor stays monomorphic and the family is walked.
-    g = Tweaked(zoo_instance("identity"), {key: image})
+    g = Overridden(zoo_instance("identity"), {key: image})
     calls = count_pair_walks(monkeypatch)
     report = check_supports(g, max_size)
     assert calls
@@ -1084,6 +1031,10 @@ def test_probe_exceeding_the_equalizer_cannot_be_lawful():
 
     with pytest.raises(ProbeMismatchError, match="not a functor"):
         check_modification_maximality(base, Overfull(), 3)
+    # Below 2 the laws are not checked on the maps 1 -> 2 that define the
+    # equalizer, and e would be reported outside it.
+    with pytest.raises(ValueError, match="size bound of at least 2, got 1"):
+        check_modification_maximality(base, Overfull(), 1)
 
 
 def test_probe_disagreeing_on_nonempty_values_is_rejected():
@@ -1094,6 +1045,6 @@ def test_probe_disagreeing_on_nonempty_values_is_rejected():
 
 def test_probe_disagreeing_on_an_action_is_rejected():
     up = zoo_instance("upair")
-    probe = Tweaked(up, {(1, 2, (0,)): (1,)})
+    probe = Overridden(up, {(1, 2, (0,)): (1,)})
     with pytest.raises(ProbeMismatchError, match="disagrees with upair at"):
         check_modification_maximality(up, probe, 2)
