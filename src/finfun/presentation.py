@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .finset import FiniteSet, check_table
-from .theory import FunctorInstance, UnknownElementError
+from .theory import FunctorInstance, UnknownElementError, _elementary_maps
 
 
 class ParseError(Exception):
@@ -295,6 +295,22 @@ def evaluate_morphism(table: tuple[int, ...], dom_obj: EvaluatedObject,
     return tuple(image)
 
 
+def _substituted_classes(arities: list[int], table: tuple[int, ...],
+                         cod_obj: EvaluatedObject) -> list[int]:
+    """For each raw term over the domain of the map with the given
+    ``table``, in raw term order, the class in ``cod_obj`` of the term
+    with the map substituted into its slots.  ``arities`` lists the
+    presentation's shapes' arities."""
+    n, classes = cod_obj.size, cod_obj.class_of_term
+    out: list[int] = []
+    for arity, off in zip(arities, cod_obj.offsets):
+        ranks = [0]
+        for _ in range(arity):  # arguments in lexicographic order
+            ranks = [r * n + v for r in ranks for v in table]
+        out += [classes[off + r] for r in ranks]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -489,6 +505,48 @@ class PresentationInstance(FunctorInstance):
             cached = evaluate_morphism(table, self.object(x), self.object(y))
             self._morphisms[key] = cached
         return cached
+
+    def proves_laws(self, max_size: int) -> bool:
+        """Decide the functor laws up to ``max_size`` from the congruence,
+        reading F through ``action`` on the identities and the generating
+        maps (``theory._elementary_maps``) only.
+
+        Write [t] for the class of a raw term t, r_c for the
+        representative of class c, and g.t for t with the map g
+        substituted into its slots.  ``action`` gives F(g)(c) = [g.r_c]
+        for every map g.  Two things are checked for sizes x, z up to
+        the bound: (a) F(id_x) = id, that is [r_c] = c for each class c
+        of Fx; (b) F(s)([t]) = [s.t] for each raw term t over x and each
+        generating map s: x -> z.  Write P(g) for (b) with any map g in
+        place of s.  P(id) follows from (a).  P is closed under
+        composition: given P(f) and P(g) for f: x -> y and g: y -> z, and
+        a raw term t, P(f) gives [f.r] = F(f)([t]) = [f.t] for r = r_[t],
+        so P(g) applied to f.r and to f.t gives [g.f.r] = [g.f.t], that
+        is F(g o f)([t]) = [(g o f).t].  Every map between sizes up to the
+        bound is a composite of generating maps between such sizes (see
+        ``theory.law_failures``), so P holds for every map.  Then F(id)
+        = id by (a), and F(g)(F(f)([t])) = F(g)([f.t]) = [g.f.t] =
+        F(g o f)([t]) for each class, which is [t] for t = r_c by (a).
+
+        The argument needs ``action`` to be this class's: a subclass
+        that overrides it answers False, and so is walked.
+        """
+        if type(self).action is not PresentationInstance.action:
+            return False
+        arities = [s.arity for s in self.presentation.shapes]
+        sizes = range(max_size + 1)
+        for x in sizes:
+            dom = self.object(x)
+            if self.action(x, x, tuple(range(x))) != tuple(range(len(dom))):
+                return False
+            for z in sizes:
+                for s in _elementary_maps(x, z):
+                    image = self.action(x, z, s)
+                    if (list(map(image.__getitem__, dom.class_of_term))
+                            != _substituted_classes(arities, s,
+                                                    self.object(z))):
+                        return False
+        return True
 
     def element_index(self, n: int, name: str) -> int:
         """Resolve a term string to its class; non-canonical spellings

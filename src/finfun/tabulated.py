@@ -79,7 +79,11 @@ class TabulatedInstance(FunctorInstance):
     def action(self, x: int, y: int,
                table: tuple[int, ...]) -> tuple[int, ...]:
         sizes = self.size(x), self.size(y)  # refuses sizes beyond the bound
-        image = tuple(self.morphisms[(x, y, table)])
+        try:
+            image = tuple(self.morphisms[(x, y, table)])
+        except KeyError:
+            check_table(table, x, y)  # refuses a table that is not a map
+            raise
         check_table(image, *sizes)
         return image
 

@@ -92,7 +92,8 @@ class FunctorInstance(ABC):
     bounds up to which one passed the laws and monomorphicity are recorded
     on it, and so is the frozenset image of each subset inclusion once
     computed (``_images``, keyed by ambient size and mask, shared by every
-    caller), so never mutate ``TabulatedInstance.morphisms``.
+    caller), so never mutate ``TabulatedInstance.morphisms``.  A subclass
+    that can prove its own laws overrides ``proves_laws``.
     """
 
     def __init__(self, name: str):
@@ -108,6 +109,14 @@ class FunctorInstance(ABC):
     def action(self, x: int, y: int,
                table: tuple[int, ...]) -> tuple[int, ...]:
         """The table of F(f) for the map f: x -> y with the given table."""
+
+    def proves_laws(self, max_size: int) -> bool:
+        """Whether F(id) = id and F(g o f) = F(g) o F(f) are shown to hold
+        for every map between sizes <= max_size without comparing every
+        composable pair.  False means "not decided": ``check_functor_laws``
+        then walks the pairs.  This default always answers False; an
+        override answers True only for the ``action`` its proof reads."""
+        return False
 
     def map(self, f: FiniteFunction) -> FiniteFunction:
         """F(f) as a validated function."""
@@ -190,6 +199,7 @@ class EmptyModified(FunctorInstance):
                table: tuple[int, ...]) -> tuple[int, ...]:
         if x > 0:
             return self.base.action(x, y, table)
+        check_table(table, x, y)  # refuses a table that is not a map
         k = len(self.empty_classes)
         if y == 0:
             return tuple(range(k))
@@ -197,6 +207,29 @@ class EmptyModified(FunctorInstance):
         table = tuple(base_table[i] for i in self.empty_classes)
         check_table(table, k, self.size(y))
         return table
+
+    def proves_laws(self, max_size: int) -> bool:
+        """The base's proof for the maps out of non-empty sets, and a pass
+        over the generating maps for the maps out of the empty set.
+
+        A pair f, g in which f has a non-empty domain composes as the
+        base's does.  Write f_y for the one map 0 -> y; for g: y -> z,
+        g o f_y = f_z.  When y = 0, f_y = id_0, and F(id_0) = id is
+        checked.  When y > 0, g factors through non-empty sets as
+        generators s_k o ... o s_1 (see ``law_failures``), and F(g) =
+        F(s_k) o ... o F(s_1) by the base's laws; so F(s o f_y) =
+        F(s) o F(f_y), checked for each generator s out of each y, gives
+        F(g) o F(f_y) = F(f_z) by induction on k.
+        """
+        if (type(self).action is not EmptyModified.action
+                or not self.base.proves_laws(max_size)):
+            return False
+        sizes = range(max_size + 1)
+        out_of_0 = [self.action(0, y, ()) for y in sizes]
+        return out_of_0[0] == tuple(range(len(self.empty_classes))) and all(
+            tuple(map(self.action(y, z, s).__getitem__, out_of_0[y]))
+            == out_of_0[z]
+            for y in sizes for z in sizes for s in _elementary_maps(y, z))
 
     def element_index(self, n: int, name: str) -> int:
         if n > 0:
@@ -496,17 +529,26 @@ def law_failures(action: _Action, sizes: Sequence[int]) -> Iterator[
 
 
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
-    """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size."""
+    """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size.
+
+    An instance whose ``proves_laws`` holds passes without the walk: a
+    presentation decides the laws from its congruence, reading F on the
+    identities and the generating maps only, and a modification of one
+    adds the maps out of the empty set.  Any other instance, and any
+    whose proof fails, is walked by ``law_failures``, which lists every
+    failure.  A pass is recorded on the instance (``_law_bound``).
+    """
     out = _Collector("laws", f"sizes <= {max_size}")
     if g._law_bound >= max_size >= 0:  # the walk refuses a negative bound
         return out.report()
     sizes = [g.size(n) for n in sizes_up_to(max_size)]
-    for f, h in law_failures(g.action, sizes):
-        if h is None:
-            out.add(f"F(id_{f[0]}) is not the identity")
-        else:
-            out.add(f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
-                    f"g={table_repr(*h)}")
+    if not g.proves_laws(max_size):
+        for f, h in law_failures(g.action, sizes):
+            if h is None:
+                out.add(f"F(id_{f[0]}) is not the identity")
+            else:
+                out.add(f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
+                        f"g={table_repr(*h)}")
     if not out.total:
         g._law_bound = max_size
     return out.report()

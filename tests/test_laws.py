@@ -5,18 +5,24 @@ every composable pair only to list the failures.  The oracle below is
 that pair walk on its own, so the verdicts, the reports and the load
 errors must come out identical on lawful tables, on tables broken in
 one entry, and on tables broken on a whole family of maps.
+``check_functor_laws`` decides a presentation's laws from its
+congruence instead (``proves_laws``); the last tests hold that path to
+the walk, and make sure that the walk runs wherever the proof fails or
+does not apply.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import CAP, Overridden, presentations, with_truncation
+from helpers import CAP, SHAPES, Overridden, presentations, with_truncation
 
+from finfun import presentation
 from finfun.finset import (
     FiniteFunction,
     FiniteSet,
@@ -30,10 +36,13 @@ from finfun.presentation import (
 )
 from finfun.tabulated import FunctorLawError, export_tabulated, load_tabulated
 from finfun.theory import (
+    EmptyModified,
+    ModificationKind,
     _elementary_maps,
     check_functor_laws,
     empty_mod_max,
     law_failures,
+    modify,
     run_standard_checks,
     tables_up_to,
 )
@@ -281,6 +290,7 @@ def power2_broken_at(dom, cod, table):
     (3, 3, (1, 2, 0)),  # a 3-cycle, not an adjacent transposition
     (3, 2, (0, 1, 1)),  # a merge
     (2, 3, (0, 1)),     # an inclusion
+    (3, 2, (0, 1, 0)),  # not a generating map
 ])
 def test_power2_broken_on_one_map(dom, cod, table):
     assert assert_agrees_with_oracle(power2_broken_at(dom, cod, table), 3)
@@ -341,10 +351,11 @@ def test_laws_pass_at_size_5():
 def test_laws_keep_no_second_table():
     # The walk reads F through a fresh instance's cache, which it leaves
     # filled; a second table of F would raise its peak well above that.
+    # The wrapper has no proof of its own, so the walk runs.
     g = PresentationInstance(parse_presentation(zoo_source("upair")))
     tracemalloc.start()
     try:
-        assert check_functor_laws(g, 5).passed
+        assert check_functor_laws(Overridden(g, {}), 5).passed
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -356,3 +367,145 @@ def test_size_5_export_loads():
     t = load_tabulated(text, name="upair5")
     assert t.max_size == 5
     assert t.size(5) == 15
+
+
+# ---------------------------------------------------------------------------
+# A presentation decides its laws from its congruence (``proves_laws``);
+# the walk runs when that proof fails or does not apply.
+
+
+def fresh(pres, kind=None):
+    """A new instance of ``pres``, with empty caches, modified by
+    ``kind`` ("min" or "max") if one is given."""
+    g = PresentationInstance(pres)
+    return g if kind is None else modify(g, ModificationKind(kind))
+
+
+def report_of(report):
+    return report.name, report.scope, report.counterexamples, report.details
+
+
+def walk_report(g, top):
+    """The counterexamples and details of the walk over g up to top."""
+    sizes = [g.size(n) for n in range(top + 1)]
+    return oracle_report(list(law_failures(g.action, sizes)))
+
+
+def assert_paths_agree(pres, kind, bounds):
+    """Both paths pass ``pres`` at each bound: the congruence decides it,
+    and the walk over a wrapper that has no proof gives the same report."""
+    g, walked = fresh(pres, kind), Overridden(fresh(pres, kind), {})
+    for bound in bounds:
+        assert g.proves_laws(bound), (g.name, bound)
+        assert not walked.proves_laws(bound)
+        report = check_functor_laws(g, bound)
+        assert report.passed
+        assert report_of(report) == report_of(
+            check_functor_laws(walked, bound))
+
+
+@pytest.mark.parametrize("kind", [None, "min", "max"])
+@pytest.mark.parametrize("name", zoo_names())
+def test_congruence_and_walk_agree_on_the_zoo(name, kind):
+    assert_paths_agree(parse_presentation(zoo_source(name)), kind, range(6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]))
+def test_congruence_and_walk_agree_on_random_presentations(pres, kind):
+    assert_paths_agree(pres, kind, range(5))
+
+
+def skip_union(monkeypatch, name, size, left, right):
+    """Make ``evaluate_object`` skip the union of raw terms ``left`` and
+    ``right``, one instance of one equation, when it evaluates the
+    presentation ``name`` at ``size``; every other value is unchanged."""
+    real = presentation.evaluate_object
+
+    class Skipping(presentation._UnionFind):
+        def union(self, i, j):
+            if (i, j) != (left, right):
+                super().union(i, j)
+
+    def mutant(pres, n):
+        if (pres.name, n) != (name, size):
+            return real(pres, n)
+        with monkeypatch.context() as m:
+            m.setattr(presentation, "_UnionFind", Skipping)
+            return real(pres, n)
+
+    monkeypatch.setattr(presentation, "evaluate_object", mutant)
+
+
+def test_a_congruence_missing_one_equation_instance_is_walked(monkeypatch):
+    # exp2 at size 2 without s2(1,1) = s1(1), the instance a = 1 of
+    # s2(a,a) = s1(a): raw terms s1(0), s1(1), then s2(0,0) ... s2(1,1).
+    skip_union(monkeypatch, "exp2", 2, 5, 1)
+    pres = parse_presentation(zoo_source("exp2"))
+    g = fresh(pres)
+    assert g.size(2) == 4
+    assert not g.proves_laws(2)
+    report = check_functor_laws(g, 3)
+    assert (report.counterexamples, report.details) == walk_report(
+        fresh(pres), 3)
+    assert report.details == "counterexamples truncated (134 found)"
+    assert_agrees_with_oracle(fresh(pres), 3)
+
+
+def test_a_class_its_representative_is_not_in_is_walked(monkeypatch):
+    # identity at size 1 with a second class whose representative is x(0)
+    # again, so that no raw term lies in it: F(id_1) sends it to x(0).
+    # No generating map goes 1 -> 1, so only the identity sees it.
+    real = presentation.evaluate_object
+
+    def mutant(pres, n):
+        obj = real(pres, n)
+        if n != 1:
+            return obj
+        (shape_idx, arity, reps), = obj.rep_groups
+        return dataclasses.replace(
+            obj, names=obj.names + ("x(0)*",),
+            rep_groups=((shape_idx, arity, reps + reps),))
+
+    monkeypatch.setattr(presentation, "evaluate_object", mutant)
+    pres = parse_presentation(zoo_source("identity"))
+    assert not fresh(pres).proves_laws(1)
+    report = check_functor_laws(fresh(pres), 2)
+    assert report.counterexamples[0] == "F(id_1) is not the identity"
+    assert (report.counterexamples, report.details) == walk_report(
+        fresh(pres), 2)
+
+
+def power2_rewired(cls, *args):
+    """An instance of ``cls`` whose own ``action`` reads power2 broken at
+    the map (0,1,0): 3 -> 2, which is not a generating map, on every
+    non-empty domain."""
+    broken = power2_broken_at(3, 2, (0, 1, 0))
+
+    class Rewired(cls):
+        def action(self, x, y, table):
+            if x == 0:
+                return super().action(x, y, table)
+            return broken.action(x, y, table)
+
+    return Rewired(*args)
+
+
+@pytest.mark.parametrize("g", [
+    power2_rewired(PresentationInstance,
+                   parse_presentation(zoo_source("power2"))),
+    power2_rewired(EmptyModified, zoo_instance("power2"),
+                   ModificationKind.MINIMAL, ()),
+], ids=["presentation", "modification"])
+def test_a_subclass_that_overrides_action_is_walked(g):
+    assert not g.proves_laws(3)
+    assert assert_agrees_with_oracle(g, 3)
+
+
+def test_a_modification_beyond_the_equalizer_is_walked():
+    # The identity functor with its point x(0) of F1 kept at the empty
+    # set: the two constants 1 -> 2 do not agree on it.
+    g = EmptyModified(zoo_instance("identity"), ModificationKind.MAXIMAL,
+                      (0,))
+    assert not g.proves_laws(2)
+    assert assert_agrees_with_oracle(g, 3)

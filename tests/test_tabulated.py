@@ -381,6 +381,22 @@ def test_directly_built_tables_keep_the_range_rule(image, message):
         g.map(f)
 
 
+def test_a_table_that_is_not_a_map_is_refused():
+    # As a presentation refuses it; a map missing from tables built
+    # directly still raises KeyError.
+    t = load_tabulated(export_tabulated(zoo_instance("upair"), 2))
+    for x, y, table, message in [
+            (1, 2, (2,), "table entry 2 at position 0 is not below the "
+                         "codomain size 2"),
+            (2, 2, (0,), "table has 1 entries for a domain of size 2")]:
+        with pytest.raises(ValueError) as err:
+            t.action(x, y, table)
+        assert str(err.value) == message
+    g = TabulatedInstance(((), ("a",), ("a", "b")), {})
+    with pytest.raises(KeyError):
+        g.action(1, 2, (0,))
+
+
 def test_load_and_check_name_the_same_first_law_failure():
     # One wrong entry of F((1):1->3) breaks many composable pairs; walked
     # with g outer instead of f outer, the first pair would differ.

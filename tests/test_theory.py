@@ -152,6 +152,15 @@ def test_empty_to_empty_is_identity():
     assert hmin.map(f).table == ()
 
 
+@pytest.mark.parametrize("kind", list(ModificationKind))
+def test_a_table_out_of_the_empty_set_that_is_not_a_map_is_refused(kind):
+    h = modify(zoo_instance("twins"), kind)
+    for y in (0, 2):
+        with pytest.raises(ValueError) as err:
+            h.action(0, y, (7,))
+        assert str(err.value) == "table has 1 entries for a domain of size 0"
+
+
 def test_empty_morphism_choice_independent():
     # F°(∅→Y) is F(c) restricted to the equalizer for the constant c = 0;
     # every other constant c: 1 -> Y must restrict to the same table.
