@@ -15,6 +15,7 @@ adds elapsed seconds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -232,7 +233,10 @@ def _parse_skip(text: str | None) -> tuple[str, ...]:
     return names
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every argument list with, built once per
+    process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="finfun",
         description="Check, evaluate and modify finitary set functors.")

@@ -27,7 +27,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .finset import (
     FiniteFunction,
@@ -298,17 +298,63 @@ def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     g._mono_bound = bound
 
 
-def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
-        tuple[MorphismKey, tuple[str, str]]]:
-    """Each injective f between sets of sizes <= max_size, maps out of the
-    empty set included, for which G(f) is not injective, with the names
-    of the first two elements G(f) collapses."""
-    for key in tables_up_to(max_size, injective_tables):
+def _laws_known(g: FunctorInstance, n: int) -> bool:
+    """Whether F's laws are known to hold up to size n: recorded on the
+    instance (``_law_bound``) by a passing ``laws`` check or load walk, or
+    proved now by ``proves_laws`` and then recorded.  Nothing is assumed:
+    an instance without a proof answers False until it is walked."""
+    if g._law_bound < n:
+        if not g.proves_laws(n):
+            return False
+        g._law_bound = n
+    return True
+
+
+def _orbit_walk(walk: Callable[[FunctorInstance, int, Callable], Iterator],
+                g: FunctorInstance, max_size: int,
+                representatives: Callable, every: Callable) -> Iterator:
+    """The failures ``walk(g, max_size, every)`` lists, decided first on
+    one representative per orbit of the permutations.
+
+    Once F's laws hold up to max_size, F(s) is a bijection for every
+    permutation s, with inverse F(s^-1): F(s) o F(s^-1) = F(id) = id.
+    Each caller shows that an item of ``every`` then fails exactly when
+    the representative of its orbit does, so a pass over the
+    representatives clears them all.  When the laws are not known, or
+    some representative fails, ``every`` is walked, so the failures,
+    their order and their number are always the walk's."""
+    if not (_laws_known(g, max_size) and next(
+            walk(g, max_size, representatives), None) is None):
+        yield from walk(g, max_size, every)
+
+
+def _first_points(x: int, y: int) -> list[tuple[int, ...]]:
+    """The table of the inclusion of x into y as its first x points."""
+    return [tuple(range(x))] if x <= y else []
+
+
+def _noninjective(g: FunctorInstance, max_size: int, tables: TableSource
+                  ) -> Iterator[tuple[MorphismKey, tuple[str, str]]]:
+    for key in tables_up_to(max_size, tables):
         gf = g.action(*key)
         if len(set(gf)) < len(gf):
             j = next(j for j, v in enumerate(gf) if v in gf[:j])
             names = g.elements(key[0])
             yield key, (names[gf.index(gf[j])], names[j])
+
+
+def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
+        tuple[MorphismKey, tuple[str, str]]]:
+    """Each injective f between sets of sizes <= max_size, maps out of the
+    empty set included, for which G(f) is not injective, with the names
+    of the first two elements G(f) collapses.
+
+    Every injection f: x -> y is s o i, for i the inclusion of the first
+    x points and s a permutation of y.  With the laws, G(f) = G(s) o G(i)
+    and G(s) is a bijection, so G(f) is injective exactly when G(i) is:
+    ``_orbit_walk`` reads the inclusions, one per x <= y, first."""
+    return _orbit_walk(_noninjective, g, max_size, _first_points,
+                       injective_tables)
 
 
 @dataclass(frozen=True)
@@ -536,21 +582,20 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     identities and the generating maps only, and a modification of one
     adds the maps out of the empty set.  Any other instance, and any
     whose proof fails, is walked by ``law_failures``, which lists every
-    failure.  A pass is recorded on the instance (``_law_bound``).
+    failure.  A pass is recorded on the instance (``_law_bound``), where
+    the other checks read it (``_laws_known``).
     """
     out = _Collector("laws", f"sizes <= {max_size}")
-    if g._law_bound >= max_size >= 0:  # the walk refuses a negative bound
-        return out.report()
     sizes = [g.size(n) for n in sizes_up_to(max_size)]
-    if not g.proves_laws(max_size):
+    if not _laws_known(g, max_size):
         for f, h in law_failures(g.action, sizes):
             if h is None:
                 out.add(f"F(id_{f[0]}) is not the identity")
             else:
                 out.add(f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
                         f"g={table_repr(*h)}")
-    if not out.total:
-        g._law_bound = max_size
+        if not out.total:
+            g._law_bound = max_size
     return out.report()
 
 
@@ -566,16 +611,44 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     return out.report()
 
 
-def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
-    """G(f) surjective for every surjective f between sets of sizes <= max_size."""
-    out = _Collector("epi", f"sizes <= {max_size}")
+def _sorted_surjections(x: int, y: int, largest: int | None = None
+                        ) -> list[tuple[int, ...]]:
+    """The non-decreasing surjections x -> y whose fibres shrink from 0
+    to y - 1, one per partition of x into y parts (none above
+    ``largest``): the fibres of those 6 -> 3 are 4+1+1, 3+2+1, 2+2+2."""
+    if y == 0:
+        return [()] if x == 0 else []
+    return [(0,) * k + tuple(v + 1 for v in rest)
+            for k in range(min(x if largest is None else largest,
+                               x - y + 1), 0, -1)
+            for rest in _sorted_surjections(x - k, y - 1, k)]
+
+
+def _nonsurjective(g: FunctorInstance, max_size: int, tables: TableSource
+                   ) -> Iterator[str]:
     sizes = [g.size(n) for n in sizes_up_to(max_size)]
-    for x, y, table in tables_up_to(max_size, surjective_tables):
+    for x, y, table in tables_up_to(max_size, tables):
         gf = g.action(x, y, table)
         if len(set(gf)) < sizes[y]:
             name = g.elements(y)[min(set(range(sizes[y])) - set(gf))]
-            out.add(f"G(f) not surjective for f={table_repr(x, y, table)}: "
-                    f"misses {name}")
+            yield (f"G(f) not surjective for f={table_repr(x, y, table)}: "
+                   f"misses {name}")
+
+
+def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
+    """G(f) surjective for every surjective f between sets of sizes <= max_size.
+
+    Every surjection f: x -> y is s o p o t, for s and t permutations of
+    y and x and p the sorted surjection with the same fibre sizes: t
+    lines the points of x up fibre by fibre, largest fibre first, and s
+    relabels the fibres.  With the laws, G(f) = G(s) o G(p) o G(t) for
+    bijections G(s) and G(t), so G(f) is onto exactly when G(p) is, and
+    ``_orbit_walk`` reads one p per partition of x into y parts first.
+    """
+    out = _Collector("epi", f"sizes <= {max_size}")
+    for text in _orbit_walk(_nonsurjective, g, max_size, _sorted_surjections,
+                            surjective_tables):
+        out.add(text)
     return out.report()
 
 
@@ -584,6 +657,50 @@ def _subset_images(g: FunctorInstance, n: int) -> tuple[
     """Every subset of n, and the image of its inclusion keyed by mask."""
     masks = list(enumerate_subsets(FiniteSet(n)))
     return masks, {m.bits: image_of_inclusion(g, m) for m in masks}
+
+
+# A pair (A, B) of subsets of one set, and A & B.
+_SubsetPair = tuple[SubsetMask, SubsetMask, SubsetMask]
+
+
+def _subset_pairs(n: int) -> Iterator[_SubsetPair]:
+    """Every ordered pair of subsets of n, in ``enumerate_subsets`` order."""
+    masks = list(enumerate_subsets(FiniteSet(n)))
+    by_bits = {m.bits: m for m in masks}
+    return ((a, b, by_bits[a.bits & b.bits]) for a in masks for b in masks)
+
+
+def _subset_pair_orbits(n: int) -> Iterator[_SubsetPair]:
+    """One pair (A, B) of subsets of n per orbit of the permutations of n,
+    C(n+3, 3) in all: for each i + j + k <= n, A - B is the first i
+    points, B - A the next j and A & B the next k."""
+    ambient = FiniteSet(n)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            for k in range(n + 1 - i - j):
+                both = ((1 << k) - 1) << (i + j)
+                yield (SubsetMask(ambient, (1 << i) - 1 | both),
+                       SubsetMask(ambient, ((1 << j) - 1) << i | both),
+                       SubsetMask(ambient, both))
+
+
+def _intersection_failures(
+        g: FunctorInstance, max_size: int,
+        pairs: Callable[[int], Iterable[_SubsetPair]]) -> Iterator[str]:
+    for n in sizes_up_to(max_size):
+        # The inclusion images by mask, each fetched once per n: the walk
+        # meets every subset at least 2^(n+1) times.
+        images: dict[int, frozenset[int]] = {}
+        for a, b, meet in pairs(n):
+            for m in (a, b, meet):
+                if m.bits not in images:
+                    images[m.bits] = image_of_inclusion(g, m)
+            lhs = images[meet.bits]
+            rhs = images[a.bits] & images[b.bits]
+            if lhs != rhs:
+                offending = min(lhs ^ rhs)
+                yield (f"X={n} A={a!r} B={b!r}: image of A&B differs from "
+                       f"intersection at {g.elements(n)[offending]}")
 
 
 def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
@@ -598,21 +715,20 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     2*3^n - 2^n pairs are nested.  Disjoint pairs number 3^n, of which the
     2^(n+1) - 1 with A or B empty are nested: 3^n - 2^(n+1) + 1 are
     disjoint.  The other pairs overlap.
+
+    A permutation s of X carries (A, B) to (sA, sB), and every pair to
+    the representative of its orbit (``_subset_pair_orbits``).  With the
+    laws, image(sA) = G(s)(image A): s after the inclusion of A is the
+    inclusion of sA after a permutation of A, whose G is onto.  As G(s)
+    is a bijection and s(A & B) = sA & sB, the pair (sA, sB) fails
+    exactly when (A, B) does, so ``_orbit_walk`` reads the
+    representatives first.
     """
     out = _Collector("intersections", f"sizes <= {max_size}")
+    for text in _orbit_walk(_intersection_failures, g, max_size,
+                            _subset_pair_orbits, _subset_pairs):
+        out.add(text)
     sizes = sizes_up_to(max_size)
-    for n in sizes:
-        masks, images = _subset_images(g, n)
-        for a in masks:
-            for b in masks:
-                meet = a.bits & b.bits
-                lhs = images[meet]
-                rhs = images[a.bits] & images[b.bits]
-                if lhs != rhs:
-                    offending = min(lhs ^ rhs)
-                    out.add(
-                        f"X={n} A={a!r} B={b!r}: image of A&B differs from "
-                        f"intersection at {g.elements(n)[offending]}")
     nested = sum(2 * 3 ** n - 2 ** n for n in sizes)
     disjoint = sum(3 ** n - 2 ** (n + 1) + 1 for n in sizes)
     overlapping = sum(4 ** n for n in sizes) - nested - disjoint

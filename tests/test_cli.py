@@ -13,7 +13,7 @@ import pytest
 
 import finfun
 from finfun import __version__
-from finfun.cli import load_input, main
+from finfun.cli import build_parser, load_input, main
 from finfun.theory import STANDARD_CHECKS
 from finfun.zoo import SOURCES
 
@@ -437,6 +437,31 @@ def test_unexpected_error_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", "zoo:upair", "--size", "1")
     assert code == 2
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# One process's calls share ``main``'s parser: flags, defaults and usage
+# errors of one call must not reach the next.
+SUCCESSIVE_CALLS = [
+    ("check", "zoo:upair", "--max-size", "2", "--json"),
+    ("check", "zoo:upair", "--max-size", "2"),
+    ("eval", "zoo:twins", "--size", "1", "--modify", "max"),
+    ("eval", "zoo:twins", "--size", "1"),
+    ("check", "zoo:twins", "--skip", "laws", "--json", "--seed", "3"),
+    ("check", "zoo:twins", "--frobnicate"),
+    ("check", "zoo:twins", "--modify", "min"),
+    ("map", "zoo:upair", "--fn", "1,0", "--dom", "2", "--cod", "2"),
+]
+
+
+def test_successive_calls_read_as_fresh_processes(capsys):
+    assert build_parser() is build_parser()
+    for argv in SUCCESSIVE_CALLS:
+        in_process = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "finfun", *argv],
+                              capture_output=True, text=True,
+                              encoding="utf-8")
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), \
+            argv
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
