@@ -209,8 +209,9 @@ class EmptyModified(FunctorInstance):
         return table
 
     def proves_laws(self, max_size: int) -> bool:
-        """The base's proof for the maps out of non-empty sets, and a pass
-        over the generating maps for the maps out of the empty set.
+        """The base's laws for the maps out of non-empty sets, recorded on
+        it or proved by it (``_laws_known``), and a pass over the
+        generating maps for the maps out of the empty set.
 
         A pair f, g in which f has a non-empty domain composes as the
         base's does.  Write f_y for the one map 0 -> y; for g: y -> z,
@@ -222,7 +223,7 @@ class EmptyModified(FunctorInstance):
         F(g) o F(f_y) = F(f_z) by induction on k.
         """
         if (type(self).action is not EmptyModified.action
-                or not self.base.proves_laws(max_size)):
+                or not _laws_known(self.base, max_size)):
             return False
         sizes = range(max_size + 1)
         out_of_0 = [self.action(0, y, ()) for y in sizes]
@@ -310,51 +311,28 @@ def _laws_known(g: FunctorInstance, n: int) -> bool:
     return True
 
 
-def _orbit_walk(walk: Callable[[FunctorInstance, int, Callable], Iterator],
-                g: FunctorInstance, max_size: int,
-                representatives: Callable, every: Callable) -> Iterator:
-    """The failures ``walk(g, max_size, every)`` lists, decided first on
-    one representative per orbit of the permutations.
+def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
+        tuple[MorphismKey, tuple[str, str]]]:
+    """Each injective f between sets of sizes <= max_size, maps out of the
+    empty set included, for which G(f) is not injective, with the names
+    of the first two elements G(f) collapses; in ``tables_up_to`` order.
 
-    Once F's laws hold up to max_size, F(s) is a bijection for every
-    permutation s, with inverse F(s^-1): F(s) o F(s^-1) = F(id) = id.
-    Each caller shows that an item of ``every`` then fails exactly when
-    the representative of its orbit does, so a pass over the
-    representatives clears them all.  When the laws are not known, or
-    some representative fails, ``every`` is walked, so the failures,
-    their order and their number are always the walk's."""
-    if not (_laws_known(g, max_size) and next(
-            walk(g, max_size, representatives), None) is None):
-        yield from walk(g, max_size, every)
-
-
-def _first_points(x: int, y: int) -> list[tuple[int, ...]]:
-    """The table of the inclusion of x into y as its first x points."""
-    return [tuple(range(x))] if x <= y else []
-
-
-def _noninjective(g: FunctorInstance, max_size: int, tables: TableSource
-                  ) -> Iterator[tuple[MorphismKey, tuple[str, str]]]:
-    for key in tables_up_to(max_size, tables):
+    Once G's laws hold up to max_size, only the maps 0 -> y can fail
+    (Trnková): an injection f: x -> y with x > 0 has a retraction r, and
+    G(r) o G(f) = G(r o f) = id, so G(f) is injective.  Those maps come
+    first in ``tables_up_to`` order, so reading them alone lists the
+    walk's failures in the walk's order."""
+    if _laws_known(g, max_size):
+        keys: Iterable[MorphismKey] = (
+            (0, y, ()) for y in sizes_up_to(max_size))
+    else:
+        keys = tables_up_to(max_size, injective_tables)
+    for key in keys:
         gf = g.action(*key)
         if len(set(gf)) < len(gf):
             j = next(j for j, v in enumerate(gf) if v in gf[:j])
             names = g.elements(key[0])
             yield key, (names[gf.index(gf[j])], names[j])
-
-
-def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
-        tuple[MorphismKey, tuple[str, str]]]:
-    """Each injective f between sets of sizes <= max_size, maps out of the
-    empty set included, for which G(f) is not injective, with the names
-    of the first two elements G(f) collapses.
-
-    Every injection f: x -> y is s o i, for i the inclusion of the first
-    x points and s a permutation of y.  With the laws, G(f) = G(s) o G(i)
-    and G(s) is a bijection, so G(f) is injective exactly when G(i) is:
-    ``_orbit_walk`` reads the inclusions, one per x <= y, first."""
-    return _orbit_walk(_noninjective, g, max_size, _first_points,
-                       injective_tables)
 
 
 @dataclass(frozen=True)
@@ -611,44 +589,23 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     return out.report()
 
 
-def _sorted_surjections(x: int, y: int, largest: int | None = None
-                        ) -> list[tuple[int, ...]]:
-    """The non-decreasing surjections x -> y whose fibres shrink from 0
-    to y - 1, one per partition of x into y parts (none above
-    ``largest``): the fibres of those 6 -> 3 are 4+1+1, 3+2+1, 2+2+2."""
-    if y == 0:
-        return [()] if x == 0 else []
-    return [(0,) * k + tuple(v + 1 for v in rest)
-            for k in range(min(x if largest is None else largest,
-                               x - y + 1), 0, -1)
-            for rest in _sorted_surjections(x - k, y - 1, k)]
-
-
-def _nonsurjective(g: FunctorInstance, max_size: int, tables: TableSource
-                   ) -> Iterator[str]:
-    sizes = [g.size(n) for n in sizes_up_to(max_size)]
-    for x, y, table in tables_up_to(max_size, tables):
-        gf = g.action(x, y, table)
-        if len(set(gf)) < sizes[y]:
-            name = g.elements(y)[min(set(range(sizes[y])) - set(gf))]
-            yield (f"G(f) not surjective for f={table_repr(x, y, table)}: "
-                   f"misses {name}")
-
-
 def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size.
 
-    Every surjection f: x -> y is s o p o t, for s and t permutations of
-    y and x and p the sorted surjection with the same fibre sizes: t
-    lines the points of x up fibre by fibre, largest fibre first, and s
-    relabels the fibres.  With the laws, G(f) = G(s) o G(p) o G(t) for
-    bijections G(s) and G(t), so G(f) is onto exactly when G(p) is, and
-    ``_orbit_walk`` reads one p per partition of x into y parts first.
+    Once G's laws hold up to max_size, no map is read (Trnková): a
+    surjection p: x -> y has a section s, and G(p) o G(s) = G(p o s) =
+    id, so G(p) is onto.
     """
     out = _Collector("epi", f"sizes <= {max_size}")
-    for text in _orbit_walk(_nonsurjective, g, max_size, _sorted_surjections,
-                            surjective_tables):
-        out.add(text)
+    sizes = sizes_up_to(max_size)  # refuses a negative bound
+    if not _laws_known(g, max_size):
+        card = [g.size(n) for n in sizes]
+        for x, y, table in tables_up_to(max_size, surjective_tables):
+            gf = g.action(x, y, table)
+            if len(set(gf)) < card[y]:
+                name = g.elements(y)[min(set(range(card[y])) - set(gf))]
+                out.add(f"G(f) not surjective for "
+                        f"f={table_repr(x, y, table)}: misses {name}")
     return out.report()
 
 
@@ -663,25 +620,25 @@ def _subset_images(g: FunctorInstance, n: int) -> tuple[
 _SubsetPair = tuple[SubsetMask, SubsetMask, SubsetMask]
 
 
-def _subset_pairs(n: int) -> Iterator[_SubsetPair]:
-    """Every ordered pair of subsets of n, in ``enumerate_subsets`` order."""
+def _subset_pairs(n: int, disjoint: bool = False) -> Iterator[_SubsetPair]:
+    """Every ordered pair of subsets of n, or every disjoint one, in
+    ``enumerate_subsets`` order."""
     masks = list(enumerate_subsets(FiniteSet(n)))
     by_bits = {m.bits: m for m in masks}
-    return ((a, b, by_bits[a.bits & b.bits]) for a in masks for b in masks)
+    return ((a, b, by_bits[a.bits & b.bits]) for a in masks for b in masks
+            if not (disjoint and a.bits & b.bits))
 
 
-def _subset_pair_orbits(n: int) -> Iterator[_SubsetPair]:
-    """One pair (A, B) of subsets of n per orbit of the permutations of n,
-    C(n+3, 3) in all: for each i + j + k <= n, A - B is the first i
-    points, B - A the next j and A & B the next k."""
+def _disjoint_pair_orbits(n: int) -> Iterator[_SubsetPair]:
+    """One disjoint pair (A, B) of subsets of n per orbit of the
+    permutations of n, (n+1)(n+2)/2 in all: for each i + j <= n, A is the
+    first i points and B the next j."""
     ambient = FiniteSet(n)
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            for k in range(n + 1 - i - j):
-                both = ((1 << k) - 1) << (i + j)
-                yield (SubsetMask(ambient, (1 << i) - 1 | both),
-                       SubsetMask(ambient, ((1 << j) - 1) << i | both),
-                       SubsetMask(ambient, both))
+            yield (SubsetMask(ambient, (1 << i) - 1),
+                   SubsetMask(ambient, ((1 << j) - 1) << i),
+                   SubsetMask(ambient, 0))
 
 
 def _intersection_failures(
@@ -716,17 +673,33 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     2^(n+1) - 1 with A or B empty are nested: 3^n - 2^(n+1) + 1 are
     disjoint.  The other pairs overlap.
 
-    A permutation s of X carries (A, B) to (sA, sB), and every pair to
-    the representative of its orbit (``_subset_pair_orbits``).  With the
-    laws, image(sA) = G(s)(image A): s after the inclusion of A is the
-    inclusion of sA after a permutation of A, whose G is onto.  As G(s)
-    is a bijection and s(A & B) = sA & sB, the pair (sA, sB) fails
-    exactly when (A, B) does, so ``_orbit_walk`` reads the
-    representatives first.
+    Once G's laws hold up to max_size, only disjoint pairs can fail
+    (Trnková).  Let A & B = C hold a point c, and let f fix A and send
+    the rest of X to c, and h fix B and send the rest to c.  Then f o h
+    fixes C and sends the rest to c, so it factors through the inclusion
+    of C.  G(f) fixes the image of A, as f does A, and G(h) the image of
+    B, so an element of both images is G(f o h) of itself: it lies in the
+    image of C.  The image of C lies in both, through A and through B.
+
+    The disjoint pairs are read first on one representative per orbit of
+    the permutations (``_disjoint_pair_orbits``).  A permutation s of X
+    carries (A, B) to (sA, sB), and s after the inclusion of A is the
+    inclusion of sA after a permutation of A, whose G is onto; so
+    image(sA) = G(s)(image A).  As G(s) is a bijection, with inverse
+    G(s^-1), and s(A & B) = sA & sB, the pair (sA, sB) fails exactly when
+    (A, B) does.  When a representative fails, every disjoint pair is
+    walked.  Either way the failures, their order and their number are
+    those of the walk over every pair.
     """
     out = _Collector("intersections", f"sizes <= {max_size}")
-    for text in _orbit_walk(_intersection_failures, g, max_size,
-                            _subset_pair_orbits, _subset_pairs):
+    if not _laws_known(g, max_size):
+        failures = _intersection_failures(g, max_size, _subset_pairs)
+    else:
+        failures = _intersection_failures(g, max_size, _disjoint_pair_orbits)
+        if next(failures, None) is not None:
+            failures = _intersection_failures(
+                g, max_size, lambda n: _subset_pairs(n, disjoint=True))
+    for text in failures:
         out.add(text)
     sizes = sizes_up_to(max_size)
     nested = sum(2 * 3 ** n - 2 ** n for n in sizes)

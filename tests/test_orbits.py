@@ -1,17 +1,17 @@
-"""Mono, epi and intersections on orbit representatives.
+"""Mono, epi and intersections under Trnková's rules.
 
-Once a functor's laws are known up to the bound, ``check_monomorphic``,
-``check_epimorphic``, ``check_intersections`` and ``require_monomorphic``
-read F on one map, or one pair of subsets, per orbit of the
-permutations, and walk everything only when a representative fails.
-These tests hold the representatives to brute force, the reports to the
-walk over an instance without a proof, and the fast path to its gate.
+Once a functor's laws are known up to the bound, ``check_monomorphic``
+and ``require_monomorphic`` read F on the maps out of the empty set
+only, ``check_epimorphic`` reads no map, and ``check_intersections``
+reads one disjoint pair of subsets per orbit of the permutations, and
+walks the disjoint pairs only when one fails.  These tests hold the
+representatives to brute force, the reports to the walk over an
+instance without a proof, and the rules to their gate.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +23,7 @@ from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (
     ModificationKind,
     MonomorphicityError,
-    _first_points,
-    _sorted_surjections,
-    _subset_pair_orbits,
+    _disjoint_pair_orbits,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
@@ -39,91 +37,51 @@ from finfun.zoo import zoo_names, zoo_source
 SIZES = range(7)
 
 
-def after(g, f):
-    """The table of g o f."""
-    return tuple(g[v] for v in f)
-
-
 # ---------------------------------------------------------------------------
 # The representatives are complete, by brute force up to size 6.
 
 
-@pytest.mark.parametrize("y", SIZES)
-def test_every_injection_is_a_permutation_after_the_first_points(y):
-    perms = list(itertools.permutations(range(y)))
-    for x in SIZES:
-        expected = set(injective_tables(x, y))
-        found = {after(s, i) for i in _first_points(x, y) for s in perms}
-        assert found == expected, (x, y)
-        assert len(_first_points(x, y)) == (x <= y)
-
-
-def partitions(x, y):
-    """The number of ways to write x as a sum of y positive parts."""
-    return sum(sum(parts) == x for parts in
-               itertools.combinations_with_replacement(range(1, x + 1), y))
-
-
-@pytest.mark.parametrize("x", SIZES)
-def test_every_surjection_is_one_sorted_surjection_up_to_permutations(x):
-    for y in SIZES:
-        reps = _sorted_surjections(x, y)
-        assert len(reps) == len(set(reps)) == partitions(x, y), (x, y)
-        covered = set()
-        for p in reps:
-            assert list(p) == sorted(p) and len(set(p)) == y, p
-            fibres = [p.count(v) for v in range(y)]
-            assert fibres == sorted(fibres, reverse=True), p
-            # s o p o t over every permutation s of y and t of x.
-            lined_up = {after(p, t)
-                        for t in itertools.permutations(range(x))}
-            orbit = {after(s, q) for q in lined_up
-                     for s in itertools.permutations(range(y))}
-            assert not orbit & covered, p
-            covered |= orbit
-        assert covered == set(surjective_tables(x, y)), (x, y)
-
-
 def test_representative_counts():
-    def maps(source, top):
-        return len(list(tables_up_to(top, source)))
-    assert [maps(_first_points, n) for n in (6, 7)] == [28, 36]
-    assert [maps(_sorted_surjections, n) for n in (6, 7)] == [30, 45]
-    assert len(list(_subset_pair_orbits(7))) == 120
+    assert [len(list(_disjoint_pair_orbits(n))) for n in (6, 7)] == [28, 36]
 
 
 def permuted(bits, s):
     return sum(1 << s[i] for i in range(len(s)) if bits >> i & 1)
 
 
-def test_every_pair_of_subsets_lies_in_one_representative_orbit():
-    tally = {"nested": 0, "disjoint": 0, "overlapping": 0}
+def test_every_disjoint_pair_lies_in_one_representative_orbit():
     for n in SIZES:
-        reps = list(_subset_pair_orbits(n))
-        assert len(reps) == comb(n + 3, 3)
+        reps = list(_disjoint_pair_orbits(n))
+        assert len(reps) == (n + 1) * (n + 2) // 2
         covered = set()
         for a, b, meet in reps:
-            assert meet == a.intersection(b)
+            assert meet == a.intersection(b) and not meet.bits
             orbit = {(permuted(a.bits, s), permuted(b.bits, s))
                      for s in itertools.permutations(range(n))}
             assert not orbit & covered, (a, b)
             covered |= orbit
-            if a.is_subset_of(b) or b.is_subset_of(a):
-                tally["nested"] += len(orbit)
-            elif not a.bits & b.bits:
-                tally["disjoint"] += len(orbit)
-            else:
-                tally["overlapping"] += len(orbit)
         assert covered == {(a, b) for a in range(1 << n)
-                           for b in range(1 << n)}
-        # The tallies of the orbits are the closed forms of the report.
-        g = PresentationInstance(parse_presentation(zoo_source("identity")))
+                           for b in range(1 << n) if not a & b}
+
+
+def test_the_case_counts_are_the_closed_forms():
+    tally = {"nested": 0, "disjoint": 0, "overlapping": 0}
+    g = PresentationInstance(parse_presentation(zoo_source("identity")))
+    for n in SIZES:
+        for a in range(1 << n):
+            for b in range(1 << n):
+                if a & b in (a, b):
+                    tally["nested"] += 1
+                elif not a & b:
+                    tally["disjoint"] += 1
+                else:
+                    tally["overlapping"] += 1
         assert check_intersections(g, n).details.endswith(
             "case counts: " + ", ".join(f"{k}={v}" for k, v in tally.items()))
 
 
 # ---------------------------------------------------------------------------
-# The orbit path gives the walk's reports.
+# The rules give the walk's reports.
 
 
 def fresh(pres, kind=None):
@@ -165,7 +123,7 @@ def test_orbits_and_walk_agree_on_random_presentations(pres, kind):
 
 
 # ---------------------------------------------------------------------------
-# The fast path runs only when the laws are known.
+# The rules apply only when the laws are known.
 
 
 class Counting(Overridden):
@@ -196,17 +154,16 @@ def inclusions(pairs):
     return {(len(m.ambient), m.bits) for pair in pairs for m in pair}
 
 
-@pytest.mark.parametrize("check, representatives, every", [
-    (check_monomorphic, len(list(tables_up_to(4, _first_points))),
-     len(list(tables_up_to(4, injective_tables)))),
-    (check_epimorphic, len(list(tables_up_to(4, _sorted_surjections))),
-     len(list(tables_up_to(4, surjective_tables)))),
+@pytest.mark.parametrize("check, rules, every", [
+    # The maps 0 -> y, for y <= 4.
+    (check_monomorphic, 5, len(list(tables_up_to(4, injective_tables)))),
+    (check_epimorphic, 0, len(list(tables_up_to(4, surjective_tables)))),
     (check_intersections,
-     len(inclusions(p for n in range(5) for p in _subset_pair_orbits(n))),
+     len(inclusions(p for n in range(5) for p in _disjoint_pair_orbits(n))),
      sum(2 ** n for n in range(5))),
 ], ids=["mono", "epi", "intersections"])
-def test_the_fast_path_needs_the_laws(check, representatives, every):
-    assert representatives < every
+def test_the_fast_path_needs_the_laws(check, rules, every):
+    assert rules < every
     # No proof and nothing recorded: the walk.
     assert calls_of(check, Counting()) == every
     # A recorded pass below the bound is not enough.
@@ -216,15 +173,16 @@ def test_the_fast_path_needs_the_laws(check, representatives, every):
     # A recorded pass at the bound, or a proof, which is then recorded.
     g = Counting()
     g._law_bound = 4
-    assert calls_of(check, g) == representatives
+    assert calls_of(check, g) == rules
     g = Counting(proof=True)
-    assert calls_of(check, g) == representatives
+    assert calls_of(check, g) == rules
     assert g._law_bound == 4
 
 
 def test_a_broken_injection_off_the_representatives_is_reported():
-    # upair's F((0,2): 2 -> 3) collapsed to one point; the representative
-    # of its orbit is the inclusion (0,1), which is left as it is.
+    # upair's F((0,2): 2 -> 3) collapsed to one point.  With the laws,
+    # only the maps out of the empty set are read, and they are left as
+    # they are.
     broken = {(2, 3, (0, 2)): (0, 0, 0)}
     g = Counting(broken)
     laws = check_functor_laws(g, 4)
@@ -237,7 +195,29 @@ def test_a_broken_injection_off_the_representatives_is_reported():
     with pytest.raises(MonomorphicityError, match=r"\(0,2\):2->3"):
         require_monomorphic(g, 4)
     # Only the gate keeps it in view: with the laws taken as known, the
-    # representatives alone pass.
+    # maps out of the empty set alone pass.
     forged = Counting(broken)
     forged._law_bound = 4
     assert check_monomorphic(forged, 4).passed
+
+
+def test_a_broken_overlapping_pair_is_reported():
+    # upair's F of the inclusion of {1} into 3 sent to p(1,2), where it
+    # should be p(1,1): the pair {0,1}, {1,2} overlaps, and no disjoint
+    # pair sees the change.
+    names = fresh(parse_presentation(zoo_source("upair"))).elements(3)
+    broken = {(1, 3, (1,)): (names.index("p(1,2)"),)}
+    g = Counting(broken)
+    laws = check_functor_laws(g, 4)
+    assert not laws.passed and g._law_bound == -1
+    assert any("f=(1):1->3" in c for c in laws.counterexamples)
+    assert check_intersections(g, 4).counterexamples == tuple(
+        f"X=3 A={a} B={b}: image of A&B differs from intersection at {e}"
+        for a, b, e in [("{1}", "{0,1}", "p(1,2)"), ("{0,1}", "{1}", "p(1,2)"),
+                        ("{0,1}", "{1,2}", "p(1,1)"),
+                        ("{1,2}", "{0,1}", "p(1,1)")])
+    # Only the gate keeps it in view: with the laws taken as known, the
+    # disjoint representatives alone pass.
+    forged = Counting(broken)
+    forged._law_bound = 4
+    assert check_intersections(forged, 4).passed
