@@ -51,7 +51,6 @@ from .theory import (
     check_epimorphic,
     check_functor_laws,
     check_intersections,
-    check_modification_maximality,
     check_monomorphic,
     check_supports,
     degree,
@@ -80,9 +79,8 @@ __all__ = [
     "MonomorphicityError", "SizeBoundError", "SupportResult",
     "UnknownElementError",
     "check_epimorphic", "check_functor_laws", "check_intersections",
-    "check_modification_maximality", "check_monomorphic", "check_supports",
-    "degree", "empty_mod_max", "empty_mod_min", "epi_witness",
-    "image_of_inclusion", "modify", "run_standard_checks", "skeleton",
-    "support",
+    "check_monomorphic", "check_supports", "degree", "empty_mod_max",
+    "empty_mod_min", "epi_witness", "image_of_inclusion", "modify",
+    "run_standard_checks", "skeleton", "support",
     "zoo_instance", "zoo_names", "zoo_source",
 ]

@@ -69,10 +69,6 @@ class MonomorphicityError(Exception):
             f"{collapsed[0]} and {collapsed[1]}")
 
 
-class ProbeMismatchError(Exception):
-    """A probe functor fails the preconditions of the maximality check."""
-
-
 class ModificationKind(Enum):
     MINIMAL = "min"
     MAXIMAL = "max"
@@ -357,9 +353,9 @@ def support(g: FunctorInstance, n: int, element: int,
     default) whenever the element stays in the image of the smaller
     inclusion.  Because the family of subsets whose inclusion image
     contains the element is closed under intersection, the result is its
-    least member regardless of the removal order; order independence is
-    exercised by ``check_supports``.  The index is checked, after the
-    removal order, before the monomorphicity requirement.
+    least member regardless of the removal order (``check_supports``
+    tries three orders).  The index is checked, after the removal order,
+    before the monomorphicity requirement.
     """
     if order is None:
         order = range(n)
@@ -469,10 +465,13 @@ class _Collector:
         self.total = 0
         self.start = time.perf_counter()
 
-    def add(self, text: str) -> None:
+    def add(self, text: Callable[[], str]) -> None:
+        """Count one failure and, while fewer than the cap are kept, keep
+        its text.  ``text()`` is written here, before the walk draws the
+        next failure, so it may read the walk's loop variables."""
         self.total += 1
         if len(self.items) < _COUNTEREXAMPLE_CAP:
-            self.items.append(text)
+            self.items.append(text())
 
     def report(self, details: str = "") -> CheckReport:
         if self.total > len(self.items):
@@ -568,10 +567,10 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     if not _laws_known(g, max_size):
         for f, h in law_failures(g.action, sizes):
             if h is None:
-                out.add(f"F(id_{f[0]}) is not the identity")
+                out.add(lambda: f"F(id_{f[0]}) is not the identity")
             else:
-                out.add(f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
-                        f"g={table_repr(*h)}")
+                out.add(lambda: f"F(g o f) != F(g) o F(f) for "
+                        f"f={table_repr(*f)}, g={table_repr(*h)}")
         if not out.total:
             g._law_bound = max_size
     return out.report()
@@ -582,8 +581,8 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     including maps out of the empty set."""
     out = _Collector("mono", f"sizes <= {max_size}")
     for key, (a, b) in _injectivity_failures(g, max_size):
-        out.add(f"G(f) not injective for f={table_repr(*key)}: collapses "
-                f"{a} and {b}")
+        out.add(lambda: f"G(f) not injective for f={table_repr(*key)}: "
+                f"collapses {a} and {b}")
     if not out.total:
         g._mono_bound = max(g._mono_bound, max_size)
     return out.report()
@@ -603,9 +602,9 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
         for x, y, table in tables_up_to(max_size, surjective_tables):
             gf = g.action(x, y, table)
             if len(set(gf)) < card[y]:
-                name = g.elements(y)[min(set(range(card[y])) - set(gf))]
-                out.add(f"G(f) not surjective for "
-                        f"f={table_repr(x, y, table)}: misses {name}")
+                out.add(lambda: f"G(f) not surjective for "
+                        f"f={table_repr(x, y, table)}: misses "
+                        f"{g.elements(y)[min(set(range(card[y])) - set(gf))]}")
     return out.report()
 
 
@@ -643,7 +642,9 @@ def _disjoint_pair_orbits(n: int) -> Iterator[_SubsetPair]:
 
 def _intersection_failures(
         g: FunctorInstance, max_size: int,
-        pairs: Callable[[int], Iterable[_SubsetPair]]) -> Iterator[str]:
+        pairs: Callable[[int], Iterable[_SubsetPair]]
+) -> Iterator[Callable[[], str]]:
+    """The text of each failing pair of ``pairs(n)``, as ``add`` takes it."""
     for n in sizes_up_to(max_size):
         # The inclusion images by mask, each fetched once per n: the walk
         # meets every subset at least 2^(n+1) times.
@@ -655,9 +656,9 @@ def _intersection_failures(
             lhs = images[meet.bits]
             rhs = images[a.bits] & images[b.bits]
             if lhs != rhs:
-                offending = min(lhs ^ rhs)
-                yield (f"X={n} A={a!r} B={b!r}: image of A&B differs from "
-                       f"intersection at {g.elements(n)[offending]}")
+                yield lambda: (f"X={n} A={a!r} B={b!r}: image of A&B differs "
+                               f"from intersection at "
+                               f"{g.elements(n)[min(lhs ^ rhs)]}")
 
 
 def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
@@ -717,27 +718,31 @@ def check_supports(g: FunctorInstance, max_size: int,
 
     Verifies that the family of subsets whose inclusion image contains the
     element is intersection-closed and upward closed, that its least
-    member is the intersection of the family, that the greedy computation
-    agrees with that minimum for ascending, descending, and one seeded
-    shuffled removal order, and that the returned witness maps back to the
-    element.  Refuses (as a failure, with the violating injection) when
-    the functor is not monomorphic up to the bound.
+    member is the intersection of the family, and that the greedy
+    computation agrees with that minimum for ascending, descending, and
+    one seeded shuffled removal order.  Refuses (as a failure, with the
+    violating injection) when the functor is not monomorphic up to the
+    bound.  The witness that ``support`` returns indexes the very table
+    that ``support`` read, so it is not read again.
 
-    The two closure properties are first decided by counting.  Every
-    member of the family contains its intersection M, so the family lies
-    in the up-set of M, which has 2^(n - |M|) members.  A family of that
-    size is therefore the up-set of M: closed under intersection, upward
-    closed, and with M as a member, so neither pair walk could fail on
-    it.  Conversely, a family that passes both walks and has its
-    intersection as a member is the up-set of that member.  So the pair
-    walks run exactly on the families that fail some test, and list their
-    counterexamples in the same order and number as always.
+    Each family is first decided by counting.  Every member of the family
+    contains its intersection M, so the family lies in the up-set of M,
+    which has 2^(n - |M|) members.  A family of that size is therefore
+    the up-set of M: closed under intersection, upward closed, and with M
+    as a member.  From a member S, the greedy computation drops a point p
+    exactly when S - {p} contains M, that is when p is not in M, so every
+    removal order ends at M.  No test can fail on such a family, and none
+    runs.  Conversely, a family that passes both pair walks and has its
+    intersection as a member is the up-set of that member.  So the tests
+    run exactly on the families that fail one, and list their
+    counterexamples in the same order and number as a run over every
+    family would.
     """
     out = _Collector("supports", f"sizes <= {max_size}, seed {seed}")
     try:
         require_monomorphic(g, max_size)
     except MonomorphicityError as err:
-        out.add(f"refused: {err}")
+        out.add(lambda: f"refused: {err}")
         return out.report()
     for n in sizes_up_to(max_size):
         masks, images = _subset_images(g, n)
@@ -747,23 +752,23 @@ def check_supports(g: FunctorInstance, max_size: int,
             meet = (1 << n) - 1
             for m in family:
                 meet &= m.bits
-            if len(family) != 1 << (n - meet.bit_count()):
-                for ma in family:
-                    for mb in family:
-                        if element not in images[ma.bits & mb.bits]:
-                            out.add(f"X={n} {names[element]}: family not "
-                                    f"closed under {ma!r} & {mb!r}")
-                for ma in family:
-                    for mb in masks:
-                        if (ma.is_subset_of(mb)
-                                and element not in images[mb.bits]):
-                            out.add(f"X={n} {names[element]}: family not "
-                                    f"upward closed at {ma!r} <= {mb!r}")
-            least = SubsetMask(FiniteSet(n), meet)
-            if element not in images[meet]:
-                out.add(f"X={n} {names[element]}: intersection of the family "
-                        f"is not a member")
+            if len(family) == 1 << (n - meet.bit_count()):
                 continue
+            for ma in family:
+                for mb in family:
+                    if element not in images[ma.bits & mb.bits]:
+                        out.add(lambda: f"X={n} {names[element]}: family not "
+                                f"closed under {ma!r} & {mb!r}")
+            for ma in family:
+                for mb in masks:
+                    if ma.is_subset_of(mb) and element not in images[mb.bits]:
+                        out.add(lambda: f"X={n} {names[element]}: family not "
+                                f"upward closed at {ma!r} <= {mb!r}")
+            if element not in images[meet]:
+                out.add(lambda: f"X={n} {names[element]}: intersection of "
+                        f"the family is not a member")
+                continue
+            least = SubsetMask(FiniteSet(n), meet)
             orders = [list(range(n)), list(range(n - 1, -1, -1))]
             shuffled = list(range(n))
             random.Random(f"{seed}:{n}:{element}").shuffle(shuffled)
@@ -771,59 +776,10 @@ def check_supports(g: FunctorInstance, max_size: int,
             for order in orders:
                 res = support(g, n, element, order=order)
                 if res.support != least:
-                    out.add(f"X={n} {names[element]}: greedy order {order} "
-                            f"gives {res.support!r}, family minimum is "
-                            f"{least!r}")
-                    continue
-                back = g.action(len(res.support), n,
-                                res.support.members)[res.witness]
-                if back != element:
-                    out.add(f"X={n} {names[element]}: witness does not map "
-                            f"back to the element")
+                    out.add(lambda: f"X={n} {names[element]}: greedy order "
+                            f"{order} gives {res.support!r}, family minimum "
+                            f"is {least!r}")
     return out.report()
-
-
-def check_modification_maximality(f: FunctorInstance,
-                                  probe: FunctorInstance,
-                                  max_size: int = 3) -> CheckReport:
-    """Any functor agreeing with F on non-empty sets lands inside the
-    maximal modification: the image of its value at the empty set under
-    the map into F1 is contained in the equalizer subset.
-
-    Raises ProbeMismatchError when the probe disagrees with F on a
-    non-empty set up to the bound or fails the functor laws, and
-    ValueError for a bound below 2: the equalizer is read off the maps
-    1 -> 2, on which the probe's laws must be checked.
-    """
-    if FiniteSet(max_size).size < 2:
-        raise ValueError(
-            f"maximality needs a size bound of at least 2, got {max_size}: "
-            f"the equalizer is read off the maps 1 -> 2, and the probe's "
-            f"laws must hold on them")
-    for n in range(1, max_size + 1):
-        if probe.elements(n) != f.elements(n):
-            raise ProbeMismatchError(
-                f"probe disagrees with {f.name} on the value at size {n}")
-    for key in tables_up_to(max_size):
-        # The probe may differ from F at the empty set, and every map
-        # with an end of size 0 starts there.
-        if key[0] and probe.action(*key) != f.action(*key):
-            raise ProbeMismatchError(
-                f"probe disagrees with {f.name} at {table_repr(*key)}")
-    laws = check_functor_laws(probe, max_size)
-    if not laws.passed:
-        raise ProbeMismatchError(
-            f"probe is not a functor: {laws.counterexamples[0]}")
-    out = _Collector("maximality", f"sizes <= {max_size}")
-    allowed = set(empty_mod_max(f).empty_classes)
-    to_one = probe.action(0, 1, ())
-    for i, target in enumerate(to_one):
-        if target not in allowed:
-            out.add(f"{probe.elements(0)[i]} maps to "
-                    f"{f.elements(1)[target]} outside the equalizer subset")
-    return out.report(
-        f"image size {len(set(to_one))} of {probe.size(0)} elements, "
-        f"equalizer size {len(allowed)}")
 
 
 # Checks are looked up at call time, so one rebound on the module runs.

@@ -7,7 +7,13 @@ possibly those out of the empty set (so it is monomorphic exactly when
 F(∅→1) is injective), and preserves every intersection of two subsets
 except possibly an empty one.  The paper's theorem: a monomorphic F is
 epimorphic, and its maximal ∅-modification F° preserves intersections.
-F° is monomorphic whatever F is, so F° passes the whole battery.
+F° is monomorphic whatever F is, so F° passes the whole battery.  F° is
+also the largest: any functor P that agrees with F on non-empty sets
+sends P∅ into the equalizer of the two constants 1 -> 2 under F, the
+subset of F1 that F°∅ keeps.  With the laws, the support families are
+upward closed, and they are closed under intersection exactly when the
+images of inclusions are; so ``supports`` passes exactly when ``mono``
+and ``intersections`` do.
 
 The exhaustive checks stay the source of the verdicts; these tests only
 require that their reports never contradict the rules.  Once the laws
@@ -20,19 +26,27 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import SHAPES, Overridden, presentations
 
 from finfun.finset import FiniteSet, empty_function, is_injective
 from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (
+    FunctorInstance,
+    ModificationKind,
     check_epimorphic,
+    check_functor_laws,
     check_intersections,
     check_monomorphic,
     empty_mod_max,
+    empty_mod_min,
+    modify,
     run_standard_checks,
+    tables_up_to,
 )
-from finfun.zoo import zoo_source
+from finfun.zoo import zoo_instance, zoo_names, zoo_source
 
 SIZE = 3
 
@@ -66,3 +80,77 @@ def test_checks_obey_trnkova_and_the_paper(pres):
 
     repaired = run_standard_checks(empty_mod_max(g), SIZE)
     assert [r.name for r in repaired if not r.passed] == []
+
+
+class OnePoint(FunctorInstance):
+    """A base functor with one point e at the empty set, which every map
+    out of it sends to the first element of its codomain."""
+
+    def __init__(self, base):
+        super().__init__(base.name + "+")
+        self.base = base
+
+    def elements(self, n):
+        return ("e",) if n == 0 else self.base.elements(n)
+
+    def action(self, x, y, table):
+        return (0,) if x == 0 else self.base.action(x, y, table)
+
+
+def _probes():
+    """(F, P) with P agreeing with F on non-empty sets: both
+    modifications of every zoo functor, raw twins against itself (both
+    of its constants land on the class that survives), and const2 with
+    one constant at ∅, strictly between its two modifications."""
+    for name in zoo_names():
+        f = zoo_instance(name)
+        yield pytest.param(f, empty_mod_min(f), id=f"{name}-min")
+        yield pytest.param(f, empty_mod_max(f), id=f"{name}-max")
+    yield pytest.param(zoo_instance("twins"), zoo_instance("twins"),
+                       id="twins-itself")
+    yield pytest.param(zoo_instance("const2"),
+                       OnePoint(zoo_instance("const2")), id="const2-one-point")
+
+
+@pytest.mark.parametrize("f, probe", _probes())
+def test_lawful_probes_land_inside_the_maximal_modification(f, probe):
+    assert all(probe.elements(n) == f.elements(n) for n in (1, 2, 3))
+    assert all(probe.action(*key) == f.action(*key)
+               for key in tables_up_to(3) if key[0])
+    # The equalizer is read off the maps 1 -> 2, so the laws at 2 suffice.
+    assert check_functor_laws(probe, 2).passed
+    assert set(probe.action(0, 1, ())) <= set(empty_mod_max(f).empty_classes)
+
+
+def test_a_point_beyond_the_equalizer_breaks_the_laws():
+    # The identity's equalizer is empty: the two constants 1 -> 2 send
+    # e to different places, and ∅ -> 2 cannot follow both.
+    report = check_functor_laws(OnePoint(zoo_instance("identity")), 2)
+    assert report.counterexamples[0] == \
+        "F(g o f) != F(g) o F(f) for f=():0->1, g=(1):1->2"
+
+
+def _supports_agree_with_mono_and_intersections(g, max_size):
+    verdict = {r.name: r.passed for r in run_standard_checks(g, max_size)}
+    assert verdict["laws"], g.name
+    assert verdict["supports"] == (verdict["mono"]
+                                   and verdict["intersections"]), g.name
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_zoo_supports_pass_exactly_when_mono_and_intersections_do(name):
+    for max_size in range(6):
+        for g in (zoo_instance(name), empty_mod_min(zoo_instance(name)),
+                  empty_mod_max(zoo_instance(name))):
+            _supports_agree_with_mono_and_intersections(g, max_size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations(SHAPES, "ab", 3), st.integers(0, 4),
+       st.sampled_from(["plain", "min", "max"]))
+def test_supports_pass_exactly_when_mono_and_intersections_do(pres, max_size,
+                                                              which):
+    g = PresentationInstance(pres)
+    if which != "plain":
+        g = modify(g, ModificationKind(which))
+    _supports_agree_with_mono_and_intersections(g, max_size)

@@ -42,12 +42,10 @@ from finfun.theory import (
     FunctorInstance,
     ModificationKind,
     MonomorphicityError,
-    ProbeMismatchError,
     UnknownElementError,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
-    check_modification_maximality,
     check_monomorphic,
     check_supports,
     degree,
@@ -506,10 +504,8 @@ def test_negative_size_is_refused(g, n):
     lambda g: check_supports(g, -1),
     lambda g: degree(g, -1),
     lambda g: export_tabulated(g, -1),
-    lambda g: check_modification_maximality(g, empty_mod_max(g), -1),
 ], ids=["tables_up_to", "run_standard_checks", "laws", "mono", "epi",
-        "intersections", "supports", "degree", "export_tabulated",
-        "maximality"])
+        "intersections", "supports", "degree", "export_tabulated"])
 def test_negative_size_bound_is_refused(entry):
     with pytest.raises(ValueError, match="size must be non-negative, got -1"):
         entry(zoo_instance("upair"))
@@ -869,6 +865,27 @@ def test_up_set_families_skip_the_pair_walks(monkeypatch):
     assert calls == []
 
 
+def test_only_families_that_are_not_up_sets_run_the_greedy_orders(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr("finfun.theory.support",
+                        lambda *args, **kw: calls.append(args)
+                        or support(*args, **kw))
+    for name in zoo_names():
+        g = zoo_instance(name)
+        for h in (g, empty_mod_min(g), empty_mod_max(g)):
+            check_supports(h, 4)
+    assert calls == []
+    # {0,1} -> 3 sent onto {0,2}: the family of x(1) is {1}, {0,1,2} and
+    # {1,2}, closed under intersection but not upward closed, so its
+    # three removal orders run, and the descending one stops at {1,2}.
+    g = Overridden(zoo_instance("identity"), {(2, 3, (0, 1)): (0, 2)})
+    report = check_supports(g, 3)
+    assert len(calls) == 3
+    assert ("X=3 x(1): greedy order [2, 1, 0] gives {1,2}, family minimum "
+            "is {1}") in report.counterexamples
+
+
 @pytest.mark.parametrize("max_size, key, image, expected", [
     # x(0) lies in the images of {0} and {1} but not of {} = {0} & {1}:
     # upward closed, not closed under intersection.
@@ -976,84 +993,3 @@ def test_run_standard_checks_looks_each_check_up_at_call_time(monkeypatch):
                         lambda g, n: calls.append(n) or check_epimorphic(g, n))
     run_standard_checks(zoo_instance("upair"), 2, skip=("laws",))
     assert calls == [2]
-
-
-# ---------------------------------------------------------------------------
-# Maximality of the repaired value.
-
-
-def test_maximality_of_max_modification():
-    for name in zoo_names():
-        g = zoo_instance(name)
-        for probe in (empty_mod_max(g), empty_mod_min(g)):
-            report = check_modification_maximality(g, probe, 3)
-            assert report.passed, (name, probe.name)
-
-
-def test_twins_itself_sits_inside_its_repair():
-    # Raw twins agrees with itself away from the empty set, and both of
-    # its constants land on the surviving class, inside the equalizer.
-    tw = zoo_instance("twins")
-    report = check_modification_maximality(tw, tw, 3)
-    assert report.passed
-
-
-def test_intermediate_modification_sits_inside_max():
-    # const2 admits a modification keeping just one constant at the
-    # empty set; it lands strictly between min and max.
-    base = zoo_instance("const2")
-
-    class OneConstant(FunctorInstance):
-        def __init__(self):
-            super().__init__("const2?")
-
-        def elements(self, n):
-            return ("a",) if n == 0 else base.elements(n)
-
-        def action(self, x, y, table):
-            if x == 0:
-                return (0,)
-            return base.action(x, y, table)
-
-    report = check_modification_maximality(base, OneConstant(), 3)
-    assert report.passed
-    assert "equalizer size 2" in report.details
-
-
-def test_probe_exceeding_the_equalizer_cannot_be_lawful():
-    # Try to give the identity functor a point at the empty set: the two
-    # factorizations of ∅→2 disagree, so the functor laws must break,
-    # which is exactly why the equalizer bound is maximal.
-    base = zoo_instance("identity")
-
-    class Overfull(FunctorInstance):
-        def __init__(self):
-            super().__init__("identity+")
-
-        def elements(self, n):
-            return ("e",) if n == 0 else base.elements(n)
-
-        def action(self, x, y, table):
-            if x == 0:
-                return (0,) if y == 0 or self.size(y) else ()
-            return base.action(x, y, table)
-
-    with pytest.raises(ProbeMismatchError, match="not a functor"):
-        check_modification_maximality(base, Overfull(), 3)
-    # Below 2 the laws are not checked on the maps 1 -> 2 that define the
-    # equalizer, and e would be reported outside it.
-    with pytest.raises(ValueError, match="size bound of at least 2, got 1"):
-        check_modification_maximality(base, Overfull(), 1)
-
-
-def test_probe_disagreeing_on_nonempty_values_is_rejected():
-    with pytest.raises(ProbeMismatchError, match="disagrees"):
-        check_modification_maximality(zoo_instance("upair"),
-                                      zoo_instance("exp2"), 3)
-
-
-def test_probe_disagreeing_on_an_action_is_rejected():
-    up = zoo_instance("upair")
-    probe = Overridden(up, {(1, 2, (0,)): (1,)})
-    with pytest.raises(ProbeMismatchError, match="disagrees with upair at"):
-        check_modification_maximality(up, probe, 2)
