@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,9 +79,7 @@ class FlatTerm:
                                         repr=False)
 
     def __repr__(self) -> str:
-        if not self.vars:
-            return self.shape
-        return f"{self.shape}({','.join(self.vars)})"
+        return _term_text(self.shape, self.vars)
 
 
 @dataclass(frozen=True)
@@ -98,20 +97,6 @@ class Equation:
 
     def __repr__(self) -> str:
         return f"{self.lhs!r} = {self.rhs!r}"
-
-
-@dataclass(frozen=True)
-class ElementRef:
-    """An element of FX, named by the canonical representative of its class:
-    the lexicographically least (shape declaration index, argument tuple)."""
-
-    shape: str
-    args: tuple[int, ...]
-
-    def __repr__(self) -> str:
-        if not self.args:
-            return self.shape
-        return f"{self.shape}({','.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)
@@ -146,6 +131,13 @@ class Presentation:
     @cached_property
     def max_arity(self) -> int:
         return max((s.arity for s in self.shapes), default=0)
+
+
+def _term_text(shape: str, args: tuple) -> str:
+    """How a term is written: ``c``, ``p(a,b)`` or ``p(0,2)``.  An element
+    of FX is named by the canonical representative of its class: the
+    lexicographically least (shape declaration index, argument tuple)."""
+    return f"{shape}({','.join(map(str, args))})" if args else shape
 
 
 class _UnionFind:
@@ -236,7 +228,7 @@ def evaluate_object(pres: Presentation, n: int) -> EvaluatedObject:
                 # First occurrence in term order is the least (shape, args).
                 cls = len(names)
                 class_of_root[root] = cls
-                names.append(repr(ElementRef(shape.name, args)))
+                names.append(_term_text(shape.name, args))
                 reps.append(args)
             class_of_term.append(cls)
             term += 1
@@ -317,6 +309,7 @@ def _substituted_classes(arities: list[int], table: tuple[int, ...],
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(rf"{_IDENT}|\d+|[/(),=]")
 _IDENT_RE = re.compile(rf"{_IDENT}\Z")
+_KEYWORDS = ("functor", "shape", "eq")
 
 
 def _tokenize(line: str, lineno: int) -> list[tuple[str, int]]:
@@ -354,47 +347,31 @@ class _LineParser:
         last, lastcol = self.tokens[-1]
         return lastcol + len(last)
 
-    def take(self) -> str:
+    def take(self, ok: Callable[[str], object] | None = None,
+             what: str = "") -> str:
+        """The next token; a ParseError at its column if there is none or
+        if ``ok`` is given and does not hold for it."""
+        col = self.col()
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of line", self.lineno, self.col())
+            raise ParseError("unexpected end of line", self.lineno, col)
+        if ok is not None and not ok(tok):
+            raise ParseError(f"expected {what}, found {tok!r}",
+                             self.lineno, col)
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> None:
-        col = self.col()
-        tok = self.take()
-        if tok != text:
-            raise ParseError(f"expected {text!r}, found {tok!r}",
-                             self.lineno, col)
-
-    def ident(self, what: str) -> str:
-        col = self.col()
-        tok = self.take()
-        if not _IDENT_RE.match(tok):
-            raise ParseError(f"expected {what}, found {tok!r}",
-                             self.lineno, col)
-        return tok
-
-    def nat(self) -> int:
-        col = self.col()
-        tok = self.take()
-        if not tok.isdigit():
-            raise ParseError(f"expected a number, found {tok!r}",
-                             self.lineno, col)
-        return int(tok)
-
     def term(self) -> FlatTerm:
         pos = (self.lineno, self.col())
-        head = self.ident("a shape name")
+        head = self.take(_IDENT_RE.match, "a shape name")
         if self.peek() != "(":
             return FlatTerm(head, (), pos)
         self.take()
-        vars_ = [self.ident("a variable")]
+        vars_ = [self.take(_IDENT_RE.match, "a variable")]
         while self.peek() == ",":
             self.take()
-            vars_.append(self.ident("a variable"))
-        self.expect(")")
+            vars_.append(self.take(_IDENT_RE.match, "a variable"))
+        self.take(")".__eq__, "')'")
         return FlatTerm(head, tuple(vars_), pos)
 
     def done(self) -> None:
@@ -416,36 +393,26 @@ def parse_presentation(text: str, default_name: str = "anonymous") -> Presentati
         if not tokens:
             continue
         p = _LineParser(tokens, lineno)
-        keyword = p.peek()
+        col = p.col()
+        keyword = p.take(_KEYWORDS.__contains__, "'functor', 'shape' or 'eq'")
         if keyword == "functor":
-            col = p.col()
-            p.take()
             if saw_header:
                 raise ParseError("duplicate functor header", lineno, col)
             if shapes or equations:
                 raise ParseError("functor header must come first", lineno, col)
-            name = p.ident("a functor name")
-            p.done()
+            name = p.take(_IDENT_RE.match, "a functor name")
             saw_header = True
         elif keyword == "shape":
-            p.take()
             pos = (lineno, p.col())
-            shape_name = p.ident("a shape name")
-            p.expect("/")
-            arity = p.nat()
-            p.done()
+            shape_name = p.take(_IDENT_RE.match, "a shape name")
+            p.take("/".__eq__, "'/'")
+            arity = int(p.take(str.isdigit, "a number"))
             shapes.append(Shape(shape_name, arity, pos))
-        elif keyword == "eq":
-            p.take()
+        else:  # "eq"
             lhs = p.term()
-            p.expect("=")
-            rhs = p.term()
-            p.done()
-            equations.append(Equation(lhs, rhs))
-        else:
-            raise ParseError(
-                f"expected 'functor', 'shape' or 'eq', found {keyword!r}",
-                lineno, p.col())
+            p.take("=".__eq__, "'='")
+            equations.append(Equation(lhs, p.term()))
+        p.done()
     return Presentation(name, tuple(shapes), tuple(equations))
 
 
@@ -453,15 +420,16 @@ _ELEMENT_RE = re.compile(
     rf"\s*({_IDENT})\s*(?:\(\s*(\d+(?:\s*,\s*\d+)*)\s*\))?\s*\Z")
 
 
-def parse_element(text: str) -> ElementRef:
-    """Parse a concrete term such as ``p(0,2)`` or ``c``."""
+def parse_element(text: str) -> tuple[str, tuple[int, ...]]:
+    """Parse a concrete term such as ``p(0,2)`` or ``c`` into its shape
+    name and arguments."""
     m = _ELEMENT_RE.match(text)
     if m is None:
         raise UnknownElementError(f"cannot parse element {text!r}")
     args = ()
     if m.group(2) is not None:
         args = tuple(int(a) for a in m.group(2).split(","))
-    return ElementRef(m.group(1), args)
+    return m.group(1), args
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +519,17 @@ class PresentationInstance(FunctorInstance):
     def element_index(self, n: int, name: str) -> int:
         """Resolve a term string to its class; non-canonical spellings
         such as p(2,0) canonicalize to the class of p(0,2)."""
-        ref = parse_element(name)
-        shape_idx = self.presentation.shape_index.get(ref.shape)
+        shape_name, args = parse_element(name)
+        shape_idx = self.presentation.shape_index.get(shape_name)
         if shape_idx is None:
             raise UnknownElementError(
-                f"unknown shape {ref.shape!r} in element {name!r}")
+                f"unknown shape {shape_name!r} in element {name!r}")
         shape = self.presentation.shapes[shape_idx]
-        if len(ref.args) != shape.arity:
+        if len(args) != shape.arity:
             raise UnknownElementError(
-                f"shape {ref.shape!r} has arity {shape.arity} but element "
-                f"{name!r} has {len(ref.args)} argument(s)")
-        if any(not 0 <= a < n for a in ref.args):
+                f"shape {shape_name!r} has arity {shape.arity} but element "
+                f"{name!r} has {len(args)} argument(s)")
+        if any(not 0 <= a < n for a in args):
             raise UnknownElementError(
                 f"element {name!r} uses points outside 0..{n - 1}")
-        return self.object(n).class_of(shape_idx, ref.args)
+        return self.object(n).class_of(shape_idx, args)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import SHAPES, presentations
 
 from finfun.finset import FiniteFunction, FiniteSet, compose, identity
 from finfun.presentation import (
@@ -24,7 +25,12 @@ from finfun.presentation import (
     parse_element,
     parse_presentation,
 )
-from finfun.theory import UnknownElementError, tables_up_to
+from finfun.theory import (
+    UnknownElementError,
+    empty_mod_max,
+    empty_mod_min,
+    tables_up_to,
+)
 from finfun.zoo import SOURCES, zoo_instance, zoo_names, zoo_source
 
 
@@ -503,6 +509,103 @@ class TestParseErrors:
                           3, 7, "unexpected character '!'")
 
 
+# Every error the parser and ``Presentation`` raise on a text, with its
+# full message, line and column.
+PARSE_ERRORS = [
+    ("shape s/1\nshape !/2", ParseError, 2, 7,
+     "line 2, column 7: unexpected character '!'"),
+    ("functor 1", ParseError, 1, 9,
+     "line 1, column 9: expected a functor name, found '1'"),
+    ("functor", ParseError, 1, 8,
+     "line 1, column 8: unexpected end of line"),
+    ("functor a b", ParseError, 1, 11,
+     "line 1, column 11: trailing input 'b'"),
+    ("form s/1", ParseError, 1, 1,
+     "line 1, column 1: expected 'functor', 'shape' or 'eq', found 'form'"),
+    ("1 s/1", ParseError, 1, 1,
+     "line 1, column 1: expected 'functor', 'shape' or 'eq', found '1'"),
+    ("functor a\nfunctor b", ParseError, 2, 1,
+     "line 2, column 1: duplicate functor header"),
+    ("shape s/1\nfunctor late", ParseError, 2, 1,
+     "line 2, column 1: functor header must come first"),
+    ("shape (/1", ParseError, 1, 7,
+     "line 1, column 7: expected a shape name, found '('"),
+    ("shape s", ParseError, 1, 8,
+     "line 1, column 8: unexpected end of line"),
+    ("shape s 1", ParseError, 1, 9,
+     "line 1, column 9: expected '/', found '1'"),
+    ("shape s/", ParseError, 1, 9,
+     "line 1, column 9: unexpected end of line"),
+    ("shape s/x", ParseError, 1, 9,
+     "line 1, column 9: expected a number, found 'x'"),
+    ("shape s/1 extra", ParseError, 1, 11,
+     "line 1, column 11: trailing input 'extra'"),
+    ("eq 1 = s", ParseError, 1, 4,
+     "line 1, column 4: expected a shape name, found '1'"),
+    ("eq s(1) = s(a)", ParseError, 1, 6,
+     "line 1, column 6: expected a variable, found '1'"),
+    ("eq s(a", ParseError, 1, 7,
+     "line 1, column 7: unexpected end of line"),
+    ("eq s(a,", ParseError, 1, 8,
+     "line 1, column 8: unexpected end of line"),
+    ("shape s/2\neq s(a,b = s(b,a)", ParseError, 2, 10,
+     "line 2, column 10: expected ')', found '='"),
+    ("shape s/1\neq s(a) s(a)", ParseError, 2, 9,
+     "line 2, column 9: expected '=', found 's'"),
+    ("eq s(a) =", ParseError, 1, 10,
+     "line 1, column 10: unexpected end of line"),
+    ("shape s/1\nshape s/2", DuplicateShapeError, 2, 7,
+     "line 2, column 7: duplicate shape name 's'"),
+    ("shape s/1\neq s(a) = t(a)", UnknownShapeError, 2, 11,
+     "line 2, column 11: unknown shape 't' in equation s(a) = t(a)"),
+    ("shape s/2\neq s(a) = s(a,b)", ArityMismatchError, 2, 4,
+     "line 2, column 4: shape 's' has arity 2 but is applied to 1 "
+     "variable(s) in equation s(a) = s(a,b)"),
+    ("shape c/1\neq c = c", ArityMismatchError, 2, 4,
+     "line 2, column 4: shape 'c' has arity 1 but is applied to 0 "
+     "variable(s) in equation c = c"),
+    ("shape s/1\nshape s/2\nshape !/3", ParseError, 3, 7,
+     "line 3, column 7: unexpected character '!'"),
+]
+
+
+@pytest.mark.parametrize("source, exc, line, col, text", PARSE_ERRORS)
+def test_parse_errors_are_pinned(source, exc, line, col, text):
+    with pytest.raises(exc) as info:
+        parse_presentation(source)
+    err = info.value
+    assert (type(err), str(err), err.line, err.col) == (exc, text, line, col)
+
+
+def assert_names_resolve(instances, max_size):
+    for g in instances:
+        for n in range(max_size + 1):
+            names = g.elements(n)
+            assert [g.element_index(n, s) for s in names] == list(
+                range(len(names))), (g.name, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(SHAPES, "ab", 3))
+def test_written_terms_read_back(pres):
+    """A presentation written out as text parses back equal, and every
+    element name resolves to its own index, also at the empty set of the
+    maximal modification."""
+    text = "\n".join([f"functor {pres.name}"]
+                     + [f"shape {s.name}/{s.arity}" for s in pres.shapes]
+                     + [f"eq {eq!r}" for eq in pres.equations])
+    assert parse_presentation(text) == pres
+    g = PresentationInstance(pres)
+    assert_names_resolve([g, empty_mod_max(g)], 3)
+
+
+def test_zoo_element_names_resolve():
+    plain = [zoo_instance(name) for name in zoo_names()]
+    assert_names_resolve(
+        plain + [empty_mod_min(g) for g in plain]
+        + [empty_mod_max(g) for g in plain], 4)
+
+
 def test_programmatic_presentation_validation():
     with pytest.raises(DuplicateShapeError) as dup:
         Presentation("p", (Shape("s", 1), Shape("s", 2)), ())
@@ -534,10 +637,8 @@ def test_source_positions_are_not_compared():
 
 
 def test_parse_element():
-    ref = parse_element("p(0, 2)")
-    assert ref.shape == "p" and ref.args == (0, 2)
-    assert repr(ref) == "p(0,2)"
-    assert parse_element("c").args == ()
+    assert parse_element("p(0, 2)") == ("p", (0, 2))
+    assert parse_element("c") == ("c", ())
     with pytest.raises(UnknownElementError):
         parse_element("p(a)")
     with pytest.raises(UnknownElementError):
