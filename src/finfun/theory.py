@@ -88,14 +88,17 @@ class FunctorInstance(ABC):
     bounds up to which one passed the laws and monomorphicity are recorded
     on it, and so is the frozenset image of each subset inclusion once
     computed (``_images``, keyed by ambient size and mask, shared by every
-    caller), so never mutate ``TabulatedInstance.morphisms``.  A subclass
-    that can prove its own laws overrides ``proves_laws``.
+    caller), and each default-order ``support`` result (``_supports``,
+    keyed by size and element), so never mutate
+    ``TabulatedInstance.morphisms``.  A subclass that can prove its own
+    laws overrides ``proves_laws``.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._mono_bound = self._law_bound = -1
         self._images: dict[tuple[int, int], frozenset[int]] = {}
+        self._supports: dict[tuple[int, int], SupportResult] = {}
 
     @abstractmethod
     def elements(self, n: int) -> tuple[str, ...]:
@@ -279,9 +282,33 @@ def image_of_inclusion(g: FunctorInstance, a: SubsetMask) -> frozenset[int]:
     key = (a.ambient.size, a.bits)
     image = g._images.get(key)
     if image is None:
-        image = g._images[key] = frozenset(
-            g.action(len(a), a.ambient.size, a.members))
+        image = _new_image(g, *key)
     return image
+
+
+def _new_image(g: FunctorInstance, n: int, bits: int) -> frozenset[int]:
+    """Compute the image of the inclusion of ``bits`` into n, in ``_images``."""
+    members = tuple(i for i in range(n) if bits >> i & 1)
+    image = g._images[n, bits] = frozenset(
+        g.action(len(members), n, members))
+    return image
+
+
+def _greedy_bits(g: FunctorInstance, n: int, element: int,
+                 order: Iterable[int]) -> int:
+    """The greedy support of ``element`` of F(n) as a bit mask: from the
+    full set, drop each point of ``order`` in turn whenever the element
+    stays in the image of the smaller inclusion."""
+    images = g._images
+    bits = (1 << n) - 1
+    for point in order:
+        smaller = bits & ~(1 << point)
+        image = images.get((n, smaller))
+        if image is None:
+            image = _new_image(g, n, smaller)
+        if element in image:
+            bits = smaller
+    return bits
 
 
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
@@ -356,9 +383,14 @@ def support(g: FunctorInstance, n: int, element: int,
     least member regardless of the removal order (``check_supports``
     tries three orders).  The index is checked, after the removal order,
     before the monomorphicity requirement.
+
+    A default-order result is kept in ``g._supports`` and returned again
+    on later calls; a result for an explicit ``order`` is never kept.
     """
     if order is None:
-        order = range(n)
+        known = g._supports.get((n, element))
+        if known is not None:
+            return known
     elif sorted(order) != list(range(n)):
         raise ValueError(f"removal order {list(order)} is not a permutation "
                          f"of range({n})")
@@ -366,13 +398,13 @@ def support(g: FunctorInstance, n: int, element: int,
         raise UnknownElementError(
             f"index {element} is not an element of {g.name}({n})")
     require_monomorphic(g, n)
-    mask = SubsetMask(FiniteSet(n), (1 << n) - 1)
-    for point in order:
-        smaller = mask.without(point)
-        if element in image_of_inclusion(g, smaller):
-            mask = smaller
+    mask = SubsetMask(FiniteSet(n), _greedy_bits(
+        g, n, element, range(n) if order is None else order))
     table = g.action(len(mask), n, mask.members)
-    return SupportResult(element, mask, table.index(element))
+    result = SupportResult(element, mask, table.index(element))
+    if order is None:
+        g._supports[n, element] = result
+    return result
 
 
 def skeleton(g: FunctorInstance, n: int, size: int) -> tuple[int, ...]:
@@ -409,12 +441,14 @@ def degree(g: FunctorInstance, probe_bound: int) -> DegreeResult:
     bound reaches the largest shape arity m: every element is the image of
     an element over a set of size <= m, and supports only shrink along
     maps.  Tabulated instances can only ever certify a lower bound.
+
+    It reads only the size of each ascending-order greedy support: it
+    builds no ``SupportResult`` and keeps none in ``g._supports``.
     """
     require_monomorphic(g, probe_bound)
-    best = 0
-    for n in sizes_up_to(probe_bound):
-        for element in range(g.size(n)):
-            best = max(best, len(support(g, n, element).support))
+    best = max((_greedy_bits(g, n, element, range(n)).bit_count()
+                for n in sizes_up_to(probe_bound)
+                for element in range(g.size(n))), default=0)
     exact = g.max_arity is not None and probe_bound >= g.max_arity
     return DegreeResult(best, exact)
 

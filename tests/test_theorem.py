@@ -25,6 +25,8 @@ proves no laws.
 from __future__ import annotations
 
 import re
+from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,10 +42,13 @@ from finfun.theory import (
     check_functor_laws,
     check_intersections,
     check_monomorphic,
+    check_supports,
+    degree,
     empty_mod_max,
     empty_mod_min,
     modify,
     run_standard_checks,
+    support,
     tables_up_to,
 )
 from finfun.zoo import zoo_instance, zoo_names, zoo_source
@@ -154,3 +159,61 @@ def test_supports_pass_exactly_when_mono_and_intersections_do(pres, max_size,
     if which != "plain":
         g = modify(g, ModificationKind(which))
     _supports_agree_with_mono_and_intersections(g, max_size)
+
+
+# The binomial transform of the sizes.  Let F be monomorphic with a least
+# support for every element.  An element of F(n) with support A of size k
+# is F(A -> n) of exactly one element of F(A) whose support is all of A,
+# so F(n) holds C(n, k)·g(k) elements with a support of size k, where
+# g(k) = Σ_j (−1)^(k−j) C(k, j)|F(j)| counts the elements of F(k) with
+# full support (inclusion-exclusion over the subsets of k).  So the
+# degree up to n is the largest k <= n with g(k) != 0.  g reads only the
+# sizes, not ``support`` or ``degree``.
+
+
+def _full_support_counts(g, max_size):
+    sizes = [g.size(n) for n in range(max_size + 1)]
+    return [sum((-1) ** (k - j) * comb(k, j) * sizes[j] for j in range(k + 1))
+            for k in range(max_size + 1)]
+
+
+def _check_binomial_transform(g, max_size):
+    """Assert the histogram and the degree against g(k) when ``mono`` and
+    ``supports`` pass up to max_size; return whether they did."""
+    if not (check_monomorphic(g, max_size).passed
+            and check_supports(g, max_size).passed):
+        return False
+    full = _full_support_counts(g, max_size)
+    for n in range(max_size + 1):
+        histogram = Counter(len(support(g, n, a).support)
+                            for a in range(g.size(n)))
+        assert histogram == Counter({k: comb(n, k) * full[k]
+                                     for k in range(n + 1) if full[k]}), \
+            (g.name, n, full)
+    assert degree(g, max_size).value == max(
+        (k for k, c in enumerate(full) if c), default=0), (g.name, full)
+    return True
+
+
+def test_support_sizes_are_the_binomial_transform_of_the_sizes():
+    failing = {}
+    for name in zoo_names():
+        for g in (zoo_instance(name), empty_mod_min(zoo_instance(name)),
+                  empty_mod_max(zoo_instance(name))):
+            if not _check_binomial_transform(g, 6):
+                failing[g.name] = _full_support_counts(g, 6)
+    # The converse is no theorem, but each zoo instance that fails
+    # ``supports`` does have a negative g(k).
+    assert sorted(failing) == ["const2∘", "pointed∘", "twins", "twins∘"]
+    assert all(min(full) < 0 for full in failing.values()), failing
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(SHAPES, "ab", 3), st.integers(0, 4),
+       st.sampled_from(["plain", "min", "max"]))
+def test_support_sizes_are_the_binomial_transform_random(pres, max_size,
+                                                         which):
+    g = PresentationInstance(pres)
+    if which != "plain":
+        g = modify(g, ModificationKind(which))
+    _check_binomial_transform(g, max_size)

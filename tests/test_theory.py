@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +349,61 @@ def test_support_checks_the_index_before_monomorphicity():
         support(zoo_instance("twins"), 1, -1)
 
 
+class CountingActions(Overridden):
+    """A fresh instance of a zoo functor that counts its ``action`` calls."""
+
+    def __init__(self, name):
+        super().__init__(
+            PresentationInstance(parse_presentation(zoo_source(name))), {})
+        self.calls = 0
+
+    def action(self, x, y, table):
+        self.calls += 1
+        return super().action(x, y, table)
+
+
+def test_support_keeps_each_default_order_answer():
+    g = CountingActions("power3")
+    for n in range(5):
+        for a in range(g.size(n)):
+            first = support(g, n, a)
+            calls = g.calls
+            assert support(g, n, a) is first
+            assert g.calls == calls, (n, a)
+            # An explicit order is computed again and never recorded.
+            again = support(g, n, a, order=range(n))
+            assert again == first and again is not first
+            assert g._supports[n, a] is first
+    assert len(g._supports) == sum(g.size(n) for n in range(5))
+
+
+def test_a_kept_support_leaves_every_refusal_in_place():
+    up = CountingActions("upair")
+    for a in range(up.size(2)):
+        support(up, 2, a)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a permutation"):
+            support(up, 2, 0, order=[0, 0])
+        with pytest.raises(UnknownElementError):
+            support(up, 2, up.size(2))
+    tw = CountingActions("twins")
+    assert support(tw, 0, 0).support.members == ()
+    for _ in range(2):
+        with pytest.raises(MonomorphicityError):
+            support(tw, 1, 0)
+    assert list(tw._supports) == [(0, 0)]
+
+
+def test_kept_supports_stay_with_their_instance():
+    g = CountingActions("upair")
+    kept = [support(g, 3, a) for a in range(g.size(3))]
+    h = CountingActions("upair")
+    assert h._supports == {}
+    for a, first in enumerate(kept):
+        other = support(h, 3, a)
+        assert other == first and other is not first
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(MONO_ZOO), st.data())
 def test_support_shrinks_along_maps(name, data):
@@ -412,6 +468,51 @@ def test_degree_low_probe_is_a_lower_bound():
 def test_degree_requires_monomorphic():
     with pytest.raises(MonomorphicityError):
         degree(zoo_instance("twins"), 3)
+
+
+def _fresh(pres, which):
+    g = PresentationInstance(pres)
+    return g if which == "plain" else modify(g, ModificationKind(which))
+
+
+def _degree_by_support(h, bound):
+    """``degree`` by its definition: the largest ``support`` over every
+    element up to the bound, after its monomorphicity requirement."""
+    require_monomorphic(h, bound)
+    return DegreeResult(
+        max((len(support(h, n, a).support) for n in range(bound + 1)
+             for a in range(h.size(n))), default=0),
+        h.max_arity is not None and bound >= h.max_arity)
+
+
+def _assert_degree_matches_supports(pres, which, bounds):
+    h = _fresh(pres, which)
+    for bound in bounds:
+        g = _fresh(pres, which)
+        try:
+            expected = _degree_by_support(h, bound)
+        except MonomorphicityError as err:
+            with pytest.raises(MonomorphicityError, match=re.escape(str(err))):
+                degree(g, bound)
+            continue
+        assert degree(g, bound) == expected, (g.name, bound)
+        assert g._supports == {}, g.name
+
+
+@pytest.mark.parametrize("which", ["plain", "min", "max"])
+@pytest.mark.parametrize("name", zoo_names())
+def test_degree_is_the_largest_support(name, which):
+    # const2∘, pointed∘ and twins∘ have families that are not closed
+    # under intersection, so there the ascending order is what is read.
+    _assert_degree_matches_supports(parse_presentation(zoo_source(name)),
+                                    which, range(7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(SHAPES, "ab", 3), st.integers(0, 4),
+       st.sampled_from(["plain", "min", "max"]))
+def test_degree_is_the_largest_support_random(pres, bound, which):
+    _assert_degree_matches_supports(pres, which, [bound])
 
 
 def test_skeleton_chain_stabilizes_at_degree():
