@@ -76,14 +76,6 @@ class SubsetMask:
         """The members in increasing order."""
         return tuple(i for i in range(self.ambient.size) if self.bits >> i & 1)
 
-    def intersection(self, other: SubsetMask) -> SubsetMask:
-        if self.ambient != other.ambient:
-            raise ValueError("intersection needs a common ambient set")
-        return SubsetMask(self.ambient, self.bits & other.bits)
-
-    def without(self, x: int) -> SubsetMask:
-        return SubsetMask(self.ambient, self.bits & ~(1 << x))
-
     def is_subset_of(self, other: SubsetMask) -> bool:
         return not self.bits & ~other.bits
 

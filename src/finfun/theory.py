@@ -160,28 +160,33 @@ def tables_up_to(max_size: int, tables: TableSource = function_tables
 
 
 class EmptyModified(FunctorInstance):
-    """An empty-set modification of a base instance.
+    """The empty-set modification ``EmptyModified(base, kind)``.
 
-    Non-empty values and maps are the base's.  The value at the empty set
-    is the subset of F1 listed by ``empty_classes``, whose elements keep
-    their F1 names.  The maximal modification takes the subset of F1
-    equalized by the two constant maps 1 -> 2; the minimal one takes no
-    element at all, so every map out of the empty set is the empty
-    function.
+    Non-empty values and maps are the base's; a modified base is replaced
+    by its own base, since only its non-empty values count.  The value at
+    the empty set lists ``empty_classes``, a subset of F1 whose elements
+    keep their F1 names: for ``MAXIMAL``, the subset on which F of the two
+    maps 1 -> 2 agree, read off the base here; for ``MINIMAL``, no
+    element, so every map out of the empty set is the empty function and
+    the base is not read.  No other subset can be given.
 
     A map out of the empty set into a non-empty Y restricts F(c) to
     ``empty_classes``, where c: 1 -> Y is the constant with value 0.  Any
     other constant c' gives the same map: the map h: 2 -> Y through which
     both constants factor forces F(c) and F(c') to agree on the equalizer.
-    That independence is property-tested, not assumed.
     """
 
-    def __init__(self, base: FunctorInstance, kind: ModificationKind,
-                 empty_classes: tuple[int, ...]):
+    def __init__(self, base: FunctorInstance, kind: ModificationKind):
+        if isinstance(base, EmptyModified):
+            base = base.base
         super().__init__(base.name + kind.symbol)
         self.base = base
         self.kind = kind
-        self.empty_classes = empty_classes
+        self.empty_classes: tuple[int, ...] = ()
+        if kind is ModificationKind.MAXIMAL:
+            m0, m1 = base.action(1, 2, (0,)), base.action(1, 2, (1,))
+            self.empty_classes = tuple(
+                i for i in range(base.size(1)) if m0[i] == m1[i])
 
     @property
     def max_arity(self) -> int | None:
@@ -208,28 +213,21 @@ class EmptyModified(FunctorInstance):
         return table
 
     def proves_laws(self, max_size: int) -> bool:
-        """The base's laws for the maps out of non-empty sets, recorded on
-        it or proved by it (``_laws_known``), and a pass over the
-        generating maps for the maps out of the empty set.
+        """The base's laws, recorded on it or proved by it
+        (``_laws_known``): a modification's laws are its base's.
 
         A pair f, g in which f has a non-empty domain composes as the
-        base's does.  Write f_y for the one map 0 -> y; for g: y -> z,
-        g o f_y = f_z.  When y = 0, f_y = id_0, and F(id_0) = id is
-        checked.  When y > 0, g factors through non-empty sets as
-        generators s_k o ... o s_1 (see ``law_failures``), and F(g) =
-        F(s_k) o ... o F(s_1) by the base's laws; so F(s o f_y) =
-        F(s) o F(f_y), checked for each generator s out of each y, gives
-        F(g) o F(f_y) = F(f_z) by induction on k.
+        base's does.  Write f_y for the one map 0 -> y, E for
+        ``empty_classes`` and c_v for a constant map out of 1 with value
+        v; F(f_y) restricts F(c_0: 1 -> y) to E.  For g: y -> z, g o f_y = f_z.  When
+        y = 0, f_y = id_0, and F(id_0) = id by definition.  When y > 0,
+        F(g) o F(c_0) = F(c_{g(0)}) by the base's laws.  Let h: 2 -> z
+        send 0 to g(0) and 1 to 0: c_{g(0)} and c_0 are h after the two
+        maps 1 -> 2, and F of those maps agree on E.  So F(g) o F(f_y) =
+        F(f_z), from the base's laws on sizes <= max_size only.
         """
-        if (type(self).action is not EmptyModified.action
-                or not _laws_known(self.base, max_size)):
-            return False
-        sizes = range(max_size + 1)
-        out_of_0 = [self.action(0, y, ()) for y in sizes]
-        return out_of_0[0] == tuple(range(len(self.empty_classes))) and all(
-            tuple(map(self.action(y, z, s).__getitem__, out_of_0[y]))
-            == out_of_0[z]
-            for y in sizes for z in sizes for s in _elementary_maps(y, z))
+        return (type(self).action is EmptyModified.action
+                and _laws_known(self.base, max_size))
 
     def element_index(self, n: int, name: str) -> int:
         if n > 0:
@@ -246,30 +244,17 @@ class EmptyModified(FunctorInstance):
                 f"{self.base.name}(1)") from None
 
 
-def _flatten(f: FunctorInstance) -> FunctorInstance:
-    # A modification only depends on the base's non-empty values.
-    return f.base if isinstance(f, EmptyModified) else f
-
-
 def empty_mod_min(f: FunctorInstance) -> EmptyModified:
-    return EmptyModified(_flatten(f), ModificationKind.MINIMAL, ())
+    return EmptyModified(f, ModificationKind.MINIMAL)
 
 
 def empty_mod_max(f: FunctorInstance) -> EmptyModified:
-    """Compute the equalizer subset of F1 and wrap the instance.
-
-    Requires the instance to be defined at sizes 1 and 2.
-    """
-    base = _flatten(f)
-    m0, m1 = base.action(1, 2, (0,)), base.action(1, 2, (1,))
-    empty = tuple(i for i in range(base.size(1)) if m0[i] == m1[i])
-    return EmptyModified(base, ModificationKind.MAXIMAL, empty)
+    """Requires the instance to be defined at sizes 1 and 2."""
+    return EmptyModified(f, ModificationKind.MAXIMAL)
 
 
-def modify(f: FunctorInstance, kind: ModificationKind) -> FunctorInstance:
-    if kind is ModificationKind.MINIMAL:
-        return empty_mod_min(f)
-    return empty_mod_max(f)
+def modify(f: FunctorInstance, kind: ModificationKind) -> EmptyModified:
+    return EmptyModified(f, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +575,8 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
 
     An instance whose ``proves_laws`` holds passes without the walk: a
     presentation decides the laws from its congruence, reading F on the
-    identities and the generating maps only, and a modification of one
-    adds the maps out of the empty set.  Any other instance, and any
+    identities and the generating maps only, and a modification takes
+    its base's laws, reading no map.  Any other instance, and any
     whose proof fails, is walked by ``law_failures``, which lists every
     failure.  A pass is recorded on the instance (``_law_bound``), where
     the other checks read it (``_laws_known``).
@@ -640,13 +625,6 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
                         f"f={table_repr(x, y, table)}: misses "
                         f"{g.elements(y)[min(set(range(card[y])) - set(gf))]}")
     return out.report()
-
-
-def _subset_images(g: FunctorInstance, n: int) -> tuple[
-        list[SubsetMask], dict[int, frozenset[int]]]:
-    """Every subset of n, and the image of its inclusion keyed by mask."""
-    masks = list(enumerate_subsets(FiniteSet(n)))
-    return masks, {m.bits: image_of_inclusion(g, m) for m in masks}
 
 
 # A pair (A, B) of subsets of one set, and A & B.
@@ -782,7 +760,8 @@ def check_supports(g: FunctorInstance, max_size: int,
         out.add(lambda: f"refused: {err}")
         return out.report()
     for n in sizes_up_to(max_size):
-        masks, images = _subset_images(g, n)
+        masks = list(enumerate_subsets(FiniteSet(n)))
+        images = {m.bits: image_of_inclusion(g, m) for m in masks}
         names = g.elements(n)
         for element in range(g.size(n)):
             family = [m for m in masks if element in images[m.bits]]

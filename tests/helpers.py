@@ -1,6 +1,8 @@
 """Helpers that several test modules share: an instance with some action
-tables replaced, random flat presentations, the monomorphic zoo
-instances, and the truncation note of a capped report.
+tables replaced, a base with one point added at the empty set, random
+flat presentations, the monomorphic zoo instances, fresh zoo bases, the
+maps out of the empty set that a modification fails to factor, and the
+truncation note of a capped report.
 
 The test modules import it as ``helpers``; ``pyproject.toml`` puts
 ``tests/`` on ``sys.path`` in every pytest import mode.
@@ -12,9 +14,18 @@ import itertools
 
 from hypothesis import strategies as st
 
-from finfun.presentation import Equation, FlatTerm, Presentation, Shape
+from finfun.finset import function_tables
+from finfun.presentation import (
+    Equation,
+    FlatTerm,
+    Presentation,
+    PresentationInstance,
+    Shape,
+    parse_presentation,
+)
+from finfun.tabulated import export_tabulated, load_tabulated
 from finfun.theory import FunctorInstance, empty_mod_max
-from finfun.zoo import zoo_instance, zoo_names
+from finfun.zoo import zoo_instance, zoo_names, zoo_source
 
 # The most counterexamples a report lists.
 CAP = 25
@@ -55,6 +66,40 @@ class Overridden(FunctorInstance):
         if key in self.overrides:
             return self.overrides[key]
         return self.base.action(x, y, table)
+
+
+class OnePoint(FunctorInstance):
+    """A base functor with one point e at the empty set, which every map
+    out of it sends to the first element of its codomain."""
+
+    def __init__(self, base):
+        super().__init__(base.name + "+")
+        self.base = base
+
+    def elements(self, n):
+        return ("e",) if n == 0 else self.base.elements(n)
+
+    def action(self, x, y, table):
+        return (0,) if x == 0 else self.base.action(x, y, table)
+
+
+def zoo_bases(name):
+    """Fresh instances of the zoo functor ``name``: its presentation, and
+    its size-4 tabulation as loaded, which records the laws of its load
+    walk."""
+    fresh = PresentationInstance(parse_presentation(zoo_source(name)))
+    return fresh, load_tabulated(export_tabulated(zoo_instance(name), 4))
+
+
+def out_of_empty_failures(h, top):
+    """Each map g: y -> z with 0 < y, z <= top, as (y, z, table), for
+    which F(g) o F(0 -> y) != F(0 -> z): the lemma behind the laws of a
+    modification, read on every map rather than the generating ones."""
+    sizes = range(1, top + 1)
+    return [(y, z, t) for y in sizes for z in sizes
+            for t in function_tables(y, z)
+            if tuple(h.action(y, z, t)[v] for v in h.action(0, y, ()))
+            != h.action(0, z, ())]
 
 
 @st.composite

@@ -165,15 +165,12 @@ class TestSubsetMask:
         subsets = st.frozensets(st.integers(0, max(x.size - 1, 0)),
                                 max_size=x.size)
         sa, sb = data.draw(subsets), data.draw(subsets)
-        point = data.draw(st.integers(0, x.size))
         a, b = SubsetMask.of(x, sa), SubsetMask.of(x, sorted(sb, reverse=True))
         assert a.bits == sum(1 << m for m in sa)
         assert a.members == tuple(sorted(sa)) == tuple(a)
         assert repr(a) == "{" + ",".join(map(str, sorted(sa))) + "}"
         assert len(a) == len(sa)
         assert all((i in a) == (i in sa) for i in range(-1, x.size + 1))
-        assert a.intersection(b) == SubsetMask.of(x, sa & sb)
-        assert a.without(point) == SubsetMask.of(x, sa - {point})
         assert a.is_subset_of(b) == (sa <= sb)
         assert (a == b) == (sa == sb)
         assert (hash(a) == hash(b)) or sa != sb
@@ -183,16 +180,10 @@ class TestSubsetMask:
         x = FiniteSet(4)
         a = SubsetMask.of(x, [0, 1, 2])
         b = SubsetMask.of(x, [1, 3])
-        assert a.intersection(b).members == (1,)
-        assert a.without(1).members == (0, 2)
-        assert a.without(3).members == (0, 1, 2)
         assert b.is_subset_of(a) is False
-        assert a.intersection(b).is_subset_of(b)
+        assert SubsetMask.of(x, [1]).is_subset_of(b)
         assert 1 in b and 0 not in b
         assert list(a) == [0, 1, 2]
-        with pytest.raises(ValueError,
-                           match="intersection needs a common ambient set"):
-            a.intersection(SubsetMask.of(FiniteSet(5), [1]))
 
     def test_inclusion_function(self):
         m = SubsetMask.of(FiniteSet(4), [1, 3])

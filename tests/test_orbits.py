@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import SHAPES, Overridden, presentations
 
-from finfun.finset import injective_tables, surjective_tables
+from finfun.finset import SubsetMask, injective_tables, surjective_tables
 from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (
     ModificationKind,
@@ -55,7 +55,8 @@ def test_every_disjoint_pair_lies_in_one_representative_orbit():
         assert len(reps) == (n + 1) * (n + 2) // 2
         covered = set()
         for a, b, meet in reps:
-            assert meet == a.intersection(b) and not meet.bits
+            assert meet == SubsetMask(a.ambient, a.bits & b.bits)
+            assert not meet.bits
             orbit = {(permuted(a.bits, s), permuted(b.bits, s))
                      for s in itertools.permutations(range(n))}
             assert not orbit & covered, (a, b)

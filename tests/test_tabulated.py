@@ -62,17 +62,16 @@ def test_round_trip_of_modified_functor():
 @pytest.mark.parametrize("kind", ["min", "max"])
 def test_a_modified_tabulation_reuses_the_law_walk_of_its_load(
         kind, monkeypatch):
-    # The load walked every composable pair.  The modification's proof
-    # reads the base on the generating maps and the maps out of the
-    # empty set only: fewer reads than there are maps.
+    # The load walked every composable pair.  A modification's laws are
+    # its base's, so its law check reads no map.
     t = load_tabulated(export_tabulated(zoo_instance("upair"), 3))
+    g = modify(t, ModificationKind(kind))
     calls = []
     action = t.action
     monkeypatch.setattr(t, "action",
                         lambda *key: calls.append(key) or action(*key))
-    g = modify(t, ModificationKind(kind))
     assert check_functor_laws(g, 3).passed and g._law_bound == 3
-    assert 0 < len(calls) < len(list(tables_up_to(3)))
+    assert calls == []
 
 
 def test_export_is_deterministic():

@@ -19,7 +19,8 @@ The exhaustive checks stay the source of the verdicts; these tests only
 require that their reports never contradict the rules.  Once the laws
 are known, the checks apply the rules themselves, so the rules are also
 required of the walk over every map and pair, on an instance that
-proves no laws.
+proves no laws.  A modification takes its base's laws without a walk of
+its own, so the walk is also required to find none broken in it.
 """
 
 from __future__ import annotations
@@ -31,12 +32,18 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import SHAPES, Overridden, presentations
+from helpers import (
+    SHAPES,
+    OnePoint,
+    Overridden,
+    out_of_empty_failures,
+    presentations,
+    zoo_bases,
+)
 
 from finfun.finset import FiniteSet, empty_function, is_injective
 from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (
-    FunctorInstance,
     ModificationKind,
     check_epimorphic,
     check_functor_laws,
@@ -46,6 +53,7 @@ from finfun.theory import (
     degree,
     empty_mod_max,
     empty_mod_min,
+    law_failures,
     modify,
     run_standard_checks,
     support,
@@ -87,19 +95,42 @@ def test_checks_obey_trnkova_and_the_paper(pres):
     assert [r.name for r in repaired if not r.passed] == []
 
 
-class OnePoint(FunctorInstance):
-    """A base functor with one point e at the empty set, which every map
-    out of it sends to the first element of its codomain."""
+def _assert_laws_inherited(base, kind, top):
+    """For each bound n <= top: the walk finds no failure in the laws of
+    the modification of ``base``, and, once the base's laws are known,
+    ``check_functor_laws`` passes the modification reading no map of it
+    or of the base."""
+    for n in range(top + 1):
+        h = modify(base, kind)
+        assert list(law_failures(h.action, [h.size(k) for k in
+                                            range(n + 1)])) == [], (h.name, n)
+        assert check_functor_laws(base, n).passed
+        calls = []
+        for g in (h, base):
+            g.action = lambda *key, read=g.action: (
+                calls.append(key) or read(*key))
+        report = check_functor_laws(h, n)
+        for g in (h, base):
+            del g.action
+        assert report.passed and calls == [], (h.name, n)
+        assert h._law_bound == n
 
-    def __init__(self, base):
-        super().__init__(base.name + "+")
-        self.base = base
 
-    def elements(self, n):
-        return ("e",) if n == 0 else self.base.elements(n)
+@pytest.mark.parametrize("kind", list(ModificationKind),
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("name", zoo_names())
+def test_a_modification_has_the_laws_of_its_base(name, kind):
+    for base in zoo_bases(name):
+        _assert_laws_inherited(base, kind, 4)
 
-    def action(self, x, y, table):
-        return (0,) if x == 0 else self.base.action(x, y, table)
+
+@settings(max_examples=50, deadline=None)
+@given(presentations(SHAPES, "ab", 3))
+def test_a_modification_has_the_laws_of_its_base_random(pres):
+    for kind in ModificationKind:
+        _assert_laws_inherited(PresentationInstance(pres), kind, 3)
+        h = modify(PresentationInstance(pres), kind)
+        assert out_of_empty_failures(h, 3) == [], h.name
 
 
 def _probes():
