@@ -160,7 +160,7 @@ def _resolve_element(g: FunctorInstance, n: int, text: str) -> int:
     try:
         return g.element_index(n, text)
     except UnknownElementError:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise
     return int(text)
 

@@ -264,18 +264,17 @@ def modify(f: FunctorInstance, kind: ModificationKind) -> EmptyModified:
 def image_of_inclusion(g: FunctorInstance, a: SubsetMask) -> frozenset[int]:
     """The element indices of the image of F applied to A -> X: one
     frozenset per instance and subset, computed once and shared."""
-    key = (a.ambient.size, a.bits)
-    image = g._images.get(key)
+    return _image(g, a.ambient.size, a.bits)
+
+
+def _image(g: FunctorInstance, n: int, bits: int) -> frozenset[int]:
+    """The image of the inclusion of ``bits`` into n; the one reader and
+    filler of ``g._images``."""
+    image = g._images.get((n, bits))
     if image is None:
-        image = _new_image(g, *key)
-    return image
-
-
-def _new_image(g: FunctorInstance, n: int, bits: int) -> frozenset[int]:
-    """Compute the image of the inclusion of ``bits`` into n, in ``_images``."""
-    members = tuple(i for i in range(n) if bits >> i & 1)
-    image = g._images[n, bits] = frozenset(
-        g.action(len(members), n, members))
+        members = tuple(i for i in range(n) if bits >> i & 1)
+        image = g._images[n, bits] = frozenset(
+            g.action(len(members), n, members))
     return image
 
 
@@ -284,14 +283,10 @@ def _greedy_bits(g: FunctorInstance, n: int, element: int,
     """The greedy support of ``element`` of F(n) as a bit mask: from the
     full set, drop each point of ``order`` in turn whenever the element
     stays in the image of the smaller inclusion."""
-    images = g._images
     bits = (1 << n) - 1
     for point in order:
         smaller = bits & ~(1 << point)
-        image = images.get((n, smaller))
-        if image is None:
-            image = _new_image(g, n, smaller)
-        if element in image:
+        if element in _image(g, n, smaller):
             bits = smaller
     return bits
 
@@ -299,6 +294,7 @@ def _greedy_bits(g: FunctorInstance, n: int, element: int,
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     """Raise MonomorphicityError unless G(f) is injective for every
     injective f between sets of sizes <= bound (cached per instance)."""
+    FiniteSet(bound)  # refuses a negative bound
     if g._mono_bound >= bound:
         return
     for (x, y, table), collapsed in _injectivity_failures(g, bound):
@@ -404,8 +400,8 @@ def skeleton(g: FunctorInstance, n: int, size: int) -> tuple[int, ...]:
     with the support filter valid over the empty set too, where only the
     empty domain admits a map.
     """
-    FiniteSet(size)  # refuses a negative size
-    top = FiniteSet(n).size if size else 0
+    FiniteSet(size), FiniteSet(n)  # refuse negative sizes
+    top = n if size else 0
     return tuple(sorted({v for t in function_tables(top, size)
                          for v in g.action(top, size, t)}))
 
@@ -627,49 +623,36 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     return out.report()
 
 
-# A pair (A, B) of subsets of one set, and A & B.
-_SubsetPair = tuple[SubsetMask, SubsetMask, SubsetMask]
+def _subset_pairs(n: int, disjoint: bool = False
+                  ) -> Iterator[tuple[int, int]]:
+    """Every ordered pair of subsets of n as bit masks, or every disjoint
+    one, in ``enumerate_subsets`` order."""
+    masks = [m.bits for m in enumerate_subsets(FiniteSet(n))]
+    return ((a, b) for a in masks for b in masks if not (disjoint and a & b))
 
 
-def _subset_pairs(n: int, disjoint: bool = False) -> Iterator[_SubsetPair]:
-    """Every ordered pair of subsets of n, or every disjoint one, in
-    ``enumerate_subsets`` order."""
-    masks = list(enumerate_subsets(FiniteSet(n)))
-    by_bits = {m.bits: m for m in masks}
-    return ((a, b, by_bits[a.bits & b.bits]) for a in masks for b in masks
-            if not (disjoint and a.bits & b.bits))
-
-
-def _disjoint_pair_orbits(n: int) -> Iterator[_SubsetPair]:
+def _disjoint_pair_orbits(n: int) -> Iterator[tuple[int, int]]:
     """One disjoint pair (A, B) of subsets of n per orbit of the
-    permutations of n, (n+1)(n+2)/2 in all: for each i + j <= n, A is the
-    first i points and B the next j."""
-    ambient = FiniteSet(n)
+    permutations of n, as bit masks, (n+1)(n+2)/2 in all: for each
+    i + j <= n, A is the first i points and B the next j."""
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            yield (SubsetMask(ambient, (1 << i) - 1),
-                   SubsetMask(ambient, ((1 << j) - 1) << i),
-                   SubsetMask(ambient, 0))
+            yield (1 << i) - 1, ((1 << j) - 1) << i
 
 
 def _intersection_failures(
         g: FunctorInstance, max_size: int,
-        pairs: Callable[[int], Iterable[_SubsetPair]]
+        pairs: Callable[[int], Iterable[tuple[int, int]]]
 ) -> Iterator[Callable[[], str]]:
     """The text of each failing pair of ``pairs(n)``, as ``add`` takes it."""
     for n in sizes_up_to(max_size):
-        # The inclusion images by mask, each fetched once per n: the walk
-        # meets every subset at least 2^(n+1) times.
-        images: dict[int, frozenset[int]] = {}
-        for a, b, meet in pairs(n):
-            for m in (a, b, meet):
-                if m.bits not in images:
-                    images[m.bits] = image_of_inclusion(g, m)
-            lhs = images[meet.bits]
-            rhs = images[a.bits] & images[b.bits]
+        for a, b in pairs(n):
+            lhs = _image(g, n, a & b)
+            rhs = _image(g, n, a) & _image(g, n, b)
             if lhs != rhs:
-                yield lambda: (f"X={n} A={a!r} B={b!r}: image of A&B differs "
-                               f"from intersection at "
+                yield lambda: (f"X={n} A={SubsetMask(FiniteSet(n), a)!r} "
+                               f"B={SubsetMask(FiniteSet(n), b)!r}: image of "
+                               f"A&B differs from intersection at "
                                f"{g.elements(n)[min(lhs ^ rhs)]}")
 
 
@@ -734,8 +717,7 @@ def check_supports(g: FunctorInstance, max_size: int,
     computation agrees with that minimum for ascending, descending, and
     one seeded shuffled removal order.  Refuses (as a failure, with the
     violating injection) when the functor is not monomorphic up to the
-    bound.  The witness that ``support`` returns indexes the very table
-    that ``support`` read, so it is not read again.
+    bound.
 
     Each family is first decided by counting.  Every member of the family
     contains its intersection M, so the family lies in the up-set of M,
@@ -760,7 +742,8 @@ def check_supports(g: FunctorInstance, max_size: int,
         out.add(lambda: f"refused: {err}")
         return out.report()
     for n in sizes_up_to(max_size):
-        masks = list(enumerate_subsets(FiniteSet(n)))
+        ambient = FiniteSet(n)
+        masks = list(enumerate_subsets(ambient))
         images = {m.bits: image_of_inclusion(g, m) for m in masks}
         names = g.elements(n)
         for element in range(g.size(n)):
@@ -785,17 +768,16 @@ def check_supports(g: FunctorInstance, max_size: int,
                 out.add(lambda: f"X={n} {names[element]}: intersection of "
                         f"the family is not a member")
                 continue
-            least = SubsetMask(FiniteSet(n), meet)
             orders = [list(range(n)), list(range(n - 1, -1, -1))]
             shuffled = list(range(n))
             random.Random(f"{seed}:{n}:{element}").shuffle(shuffled)
             orders.append(shuffled)
             for order in orders:
-                res = support(g, n, element, order=order)
-                if res.support != least:
+                bits = _greedy_bits(g, n, element, order)
+                if bits != meet:
                     out.add(lambda: f"X={n} {names[element]}: greedy order "
-                            f"{order} gives {res.support!r}, family minimum "
-                            f"is {least!r}")
+                            f"{order} gives {SubsetMask(ambient, bits)!r}, "
+                            f"family minimum is {SubsetMask(ambient, meet)!r}")
     return out.report()
 
 

@@ -228,6 +228,14 @@ def test_supp_unknown_element(capsys):
     assert code == 2
 
 
+def test_supp_superscript_digit_is_no_index(capsys):
+    # '²'.isdigit() holds but int('²') refuses it: the parse error stands.
+    code, out, err = run(capsys, "supp", "zoo:upair", "--size", "2",
+                         "--element", "²")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse element '²'\n"
+
+
 def test_supp_index_out_of_range(capsys):
     code, out, err = run(capsys, "supp", "zoo:upair", "--size", "1",
                          "--element", "9")

@@ -46,6 +46,7 @@ from finfun.theory import (
     ModificationKind,
     MonomorphicityError,
     UnknownElementError,
+    _greedy_bits,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
@@ -605,8 +606,11 @@ def test_negative_size_is_refused(g, n):
     lambda g: check_supports(g, -1),
     lambda g: degree(g, -1),
     lambda g: export_tabulated(g, -1),
+    lambda g: skeleton(g, -1, 0),
+    lambda g: require_monomorphic(g, -1),
 ], ids=["tables_up_to", "run_standard_checks", "laws", "mono", "epi",
-        "intersections", "supports", "degree", "export_tabulated"])
+        "intersections", "supports", "degree", "export_tabulated",
+        "skeleton", "require_monomorphic"])
 def test_negative_size_bound_is_refused(entry):
     with pytest.raises(ValueError, match="size must be non-negative, got -1"):
         entry(zoo_instance("upair"))
@@ -906,10 +910,17 @@ def supports_oracle(g, max_size, seed=0):
     return found
 
 
+# upair passes the orbit pass of ``check_intersections``; const2∘,
+# pointed∘ and twins∘ fail it and take the disjoint walk; the overridden
+# twins∘ has no known laws and takes the walk over every pair.
 SUBSET_ORACLE_CASES = {
+    "const2∘": lambda: empty_mod_min(zoo_instance("const2")),
+    "pointed∘": lambda: empty_mod_min(zoo_instance("pointed")),
     "twins": lambda: zoo_instance("twins"),
     "twins°": lambda: empty_mod_max(zoo_instance("twins")),
     "twins∘": lambda: empty_mod_min(zoo_instance("twins")),
+    "twins∘ without laws": lambda: Overridden(empty_mod_min(
+        PresentationInstance(parse_presentation(zoo_source("twins")))), {}),
     "upair": lambda: zoo_instance("upair"),
 }
 
@@ -969,9 +980,8 @@ def test_up_set_families_skip_the_pair_walks(monkeypatch):
 def test_only_families_that_are_not_up_sets_run_the_greedy_orders(
         monkeypatch):
     calls = []
-    monkeypatch.setattr("finfun.theory.support",
-                        lambda *args, **kw: calls.append(args)
-                        or support(*args, **kw))
+    monkeypatch.setattr("finfun.theory._greedy_bits", lambda *args:
+                        calls.append(args) or _greedy_bits(*args))
     for name in zoo_names():
         g = zoo_instance(name)
         for h in (g, empty_mod_min(g), empty_mod_max(g)):
