@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .finset import FiniteSet, check_table
-from .theory import FunctorInstance, UnknownElementError, _elementary_maps
+from .theory import FunctorInstance, UnknownElementError
 
 
 class ParseError(Exception):
@@ -287,22 +287,6 @@ def evaluate_morphism(table: tuple[int, ...], dom_obj: EvaluatedObject,
     return tuple(image)
 
 
-def _substituted_classes(arities: list[int], table: tuple[int, ...],
-                         cod_obj: EvaluatedObject) -> list[int]:
-    """For each raw term over the domain of the map with the given
-    ``table``, in raw term order, the class in ``cod_obj`` of the term
-    with the map substituted into its slots.  ``arities`` lists the
-    presentation's shapes' arities."""
-    n, classes = cod_obj.size, cod_obj.class_of_term
-    out: list[int] = []
-    for arity, off in zip(arities, cod_obj.offsets):
-        ranks = [0]
-        for _ in range(arity):  # arguments in lexicographic order
-            ranks = [r * n + v for r in ranks for v in table]
-        out += [classes[off + r] for r in ranks]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -475,46 +459,26 @@ class PresentationInstance(FunctorInstance):
         return cached
 
     def proves_laws(self, max_size: int) -> bool:
-        """Decide the functor laws up to ``max_size`` from the congruence,
-        reading F through ``action`` on the identities and the generating
-        maps (``theory._elementary_maps``) only.
+        """The functor laws hold by construction, at every size, so no map
+        is read and ``max_size`` does not matter.
 
-        Write [t] for the class of a raw term t, r_c for the
-        representative of class c, and g.t for t with the map g
-        substituted into its slots.  ``action`` gives F(g)(c) = [g.r_c]
-        for every map g.  Two things are checked for sizes x, z up to
-        the bound: (a) F(id_x) = id, that is [r_c] = c for each class c
-        of Fx; (b) F(s)([t]) = [s.t] for each raw term t over x and each
-        generating map s: x -> z.  Write P(g) for (b) with any map g in
-        place of s.  P(id) follows from (a).  P is closed under
-        composition: given P(f) and P(g) for f: x -> y and g: y -> z, and
-        a raw term t, P(f) gives [f.r] = F(f)([t]) = [f.t] for r = r_[t],
-        so P(g) applied to f.r and to f.t gives [g.f.r] = [g.f.t], that
-        is F(g o f)([t]) = [(g o f).t].  Every map between sizes up to the
-        bound is a composite of generating maps between such sizes (see
-        ``theory.law_failures``), so P holds for every map.  Then F(id)
-        = id by (a), and F(g)(F(f)([t])) = F(g)([f.t]) = [g.f.t] =
-        F(g o f)([t]) for each class, which is [t] for t = r_c by (a).
+        Write ~x for the congruence on raw terms over x: the equivalence
+        closure of the pairs (l.θ, r.θ), one for each equation l = r and
+        each assignment θ of its variables in x (``evaluate_object``).
+        Write [t] for the class of t, r_c for the representative of class
+        c, and g.t for t with the map g substituted into its slots.  Take
+        g: x -> z.  The relation {(t, t') : g.t ~z g.t'} is an
+        equivalence, and it holds every generating pair, since g.(l.θ) =
+        l.(g o θ) and g o θ is an assignment in z.  So t ~x t' implies
+        g.t ~z g.t'.  ``action`` gives F(g)(c) = [g.r_c].  Then F(id)(c)
+        = [r_c] = c, and F(h)(F(g)(c)) = [h.r_[g.r_c]] = [h.g.r_c] =
+        F(h o g)(c), since r_[g.r_c] ~ g.r_c.
 
-        The argument needs ``action`` to be this class's: a subclass
-        that overrides it answers False, and so is walked.
+        The proof reads this class's ``object`` and ``action``: a
+        subclass that overrides either answers False, and so is walked.
         """
-        if type(self).action is not PresentationInstance.action:
-            return False
-        arities = [s.arity for s in self.presentation.shapes]
-        sizes = range(max_size + 1)
-        for x in sizes:
-            dom = self.object(x)
-            if self.action(x, x, tuple(range(x))) != tuple(range(len(dom))):
-                return False
-            for z in sizes:
-                for s in _elementary_maps(x, z):
-                    image = self.action(x, z, s)
-                    if (list(map(image.__getitem__, dom.class_of_term))
-                            != _substituted_classes(arities, s,
-                                                    self.object(z))):
-                        return False
-        return True
+        return (type(self).action is PresentationInstance.action
+                and type(self).object is PresentationInstance.object)
 
     def element_index(self, n: int, name: str) -> int:
         """Resolve a term string to its class; non-canonical spellings

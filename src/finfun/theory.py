@@ -113,8 +113,10 @@ class FunctorInstance(ABC):
         """Whether F(id) = id and F(g o f) = F(g) o F(f) are shown to hold
         for every map between sizes <= max_size without comparing every
         composable pair.  False means "not decided": ``check_functor_laws``
-        then walks the pairs.  This default always answers False; an
-        override answers True only for the ``action`` its proof reads."""
+        then walks the pairs.  This default always answers False.  An
+        override answers True only for the methods its proof reads: a
+        presentation's laws hold by construction, and a modification takes
+        its base's; neither reads a map."""
         return False
 
     def map(self, f: FiniteFunction) -> FiniteFunction:
@@ -125,7 +127,8 @@ class FunctorInstance(ABC):
 
     @property
     def max_arity(self) -> int | None:
-        """Largest shape arity for presentation-backed instances, else None."""
+        """Largest shape arity for presentation-backed instances, and at
+        least 1 for a modification of one; else None."""
         return None
 
     def size(self, n: int) -> int:
@@ -190,7 +193,12 @@ class EmptyModified(FunctorInstance):
 
     @property
     def max_arity(self) -> int | None:
-        return self.base.max_arity
+        """The base's arity, but at least 1 when it is known.  The value
+        at the empty set is not the base's: a minimal modification empties
+        it, so an element over a non-empty set that the base takes from
+        size 0 comes here from size 1 only."""
+        arity = self.base.max_arity
+        return None if arity is None else max(arity, 1)
 
     def elements(self, n: int) -> tuple[str, ...]:
         if n > 0:
@@ -419,8 +427,8 @@ def degree(g: FunctorInstance, probe_bound: int) -> DegreeResult:
     """Largest support size over all elements of G(X) with |X| <= probe_bound.
 
     For presentation-backed instances the value is exact once the probe
-    bound reaches the largest shape arity m: every element is the image of
-    an element over a set of size <= m, and supports only shrink along
+    bound reaches ``max_arity`` m: every element is the image of an
+    element over a set of size <= m, and supports only shrink along
     maps.  Tabulated instances can only ever certify a lower bound.
 
     It reads only the size of each ascending-order greedy support: it
@@ -504,7 +512,8 @@ def _elementary_maps(y: int, z: int) -> list[tuple[int, ...]]:
     """The tables of the generating maps y -> z: when z = y >= 2, the
     transposition (0 1) and, when y >= 3, the cycle i -> i+1 mod y, which
     together generate the symmetric group S_y; when z = y - 1 >= 1, the
-    merge of the last two points; when z = y + 1, the inclusion."""
+    merge of the last two points; when z = y + 1, the inclusion.  Only
+    ``law_failures`` reads them."""
     if z == y >= 2:
         swap = (1, 0) + tuple(range(2, y))
         return [swap] if y == 2 else [swap, tuple(range(1, y)) + (0,)]
@@ -569,13 +578,12 @@ def law_failures(action: _Action, sizes: Sequence[int]) -> Iterator[
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size.
 
-    An instance whose ``proves_laws`` holds passes without the walk: a
-    presentation decides the laws from its congruence, reading F on the
-    identities and the generating maps only, and a modification takes
-    its base's laws, reading no map.  Any other instance, and any
-    whose proof fails, is walked by ``law_failures``, which lists every
-    failure.  A pass is recorded on the instance (``_law_bound``), where
-    the other checks read it (``_laws_known``).
+    An instance whose ``proves_laws`` holds passes without the walk and
+    reads no map: a presentation's laws hold by construction, and a
+    modification takes its base's.  Any other instance is walked by
+    ``law_failures``, which lists every failure.  A pass is recorded on
+    the instance (``_law_bound``), where the other checks read it
+    (``_laws_known``).
     """
     out = _Collector("laws", f"sizes <= {max_size}")
     sizes = [g.size(n) for n in sizes_up_to(max_size)]

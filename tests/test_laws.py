@@ -5,10 +5,11 @@ every composable pair only to list the failures.  The oracle below is
 that pair walk on its own, so the verdicts, the reports and the load
 errors must come out identical on lawful tables, on tables broken in
 one entry, and on tables broken on a whole family of maps.
-``check_functor_laws`` decides a presentation's laws from its
-congruence instead (``proves_laws``); the last tests hold that path to
-the walk, and make sure that the walk runs wherever the proof fails or
-does not apply.
+``check_functor_laws`` reads no map of a presentation instead: its
+laws hold by construction (``proves_laws``).  The last tests hold that
+verdict to the walk, make sure that the walk runs wherever the proof
+does not apply, and that the walk alone catches a broken
+``evaluate_object``.
 """
 
 from __future__ import annotations
@@ -379,8 +380,9 @@ def test_size_5_export_loads():
 
 
 # ---------------------------------------------------------------------------
-# A presentation decides its laws from its congruence (``proves_laws``);
-# the walk runs when that proof fails or does not apply.
+# A presentation's laws hold by construction (``proves_laws``), so no
+# map is read; the walk runs where that proof does not apply, and only
+# the walk sees an ``evaluate_object`` that builds no congruence.
 
 
 def fresh(pres, kind=None):
@@ -401,8 +403,9 @@ def walk_report(g, top):
 
 
 def assert_paths_agree(pres, kind, bounds):
-    """Both paths pass ``pres`` at each bound: the congruence decides it,
-    and the walk over a wrapper that has no proof gives the same report."""
+    """Both paths pass ``pres`` at each bound: the construction proves
+    it, and the walk over a wrapper that has no proof gives the same
+    report."""
     g, walked = fresh(pres, kind), Overridden(fresh(pres, kind), {})
     for bound in bounds:
         assert g.proves_laws(bound), (g.name, bound)
@@ -423,6 +426,36 @@ def test_congruence_and_walk_agree_on_the_zoo(name, kind):
 @given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]))
 def test_congruence_and_walk_agree_on_random_presentations(pres, kind):
     assert_paths_agree(pres, kind, range(5))
+
+
+def actions_read(pres, kind, top):
+    """The maps that ``check_functor_laws`` reads of a fresh instance of
+    ``pres`` up to ``top``, which must pass; a modification's reads of
+    its base count too."""
+    g = fresh(pres, kind)
+    calls = []
+    for h in {g, getattr(g, "base", g)}:
+        def counted(*key, h=h):
+            calls.append(key)
+            return type(h).action(h, *key)
+        h.action = counted
+    assert check_functor_laws(g, top).passed
+    return calls
+
+
+@pytest.mark.parametrize("kind", [None, "min", "max"])
+@pytest.mark.parametrize("name", zoo_names())
+def test_a_presentation_reads_no_map_for_its_laws(name, kind):
+    pres = parse_presentation(zoo_source(name))
+    for top in range(6):
+        assert actions_read(pres, kind, top) == [], (name, kind, top)
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]),
+       st.integers(0, 4))
+def test_a_random_presentation_reads_no_map_for_its_laws(pres, kind, top):
+    assert actions_read(pres, kind, top) == []
 
 
 def skip_union(monkeypatch, name, size, left, right):
@@ -449,40 +482,56 @@ def skip_union(monkeypatch, name, size, left, right):
 def test_a_congruence_missing_one_equation_instance_is_walked(monkeypatch):
     # exp2 at size 2 without s2(1,1) = s1(1), the instance a = 1 of
     # s2(a,a) = s1(a): raw terms s1(0), s1(1), then s2(0,0) ... s2(1,1).
+    # The proof trusts the construction, so the walk over a wrapper with
+    # no proof is what sees the broken one.
     skip_union(monkeypatch, "exp2", 2, 5, 1)
     pres = parse_presentation(zoo_source("exp2"))
-    g = fresh(pres)
-    assert g.size(2) == 4
-    assert not g.proves_laws(2)
-    report = check_functor_laws(g, 3)
+    assert fresh(pres).size(2) == 4
+    report = check_functor_laws(Overridden(fresh(pres), {}), 3)
     assert (report.counterexamples, report.details) == walk_report(
         fresh(pres), 3)
     assert report.details == "counterexamples truncated (134 found)"
-    assert_agrees_with_oracle(fresh(pres), 3)
+    assert_agrees_with_oracle(Overridden(fresh(pres), {}), 3)
+
+
+def with_a_stray_class(obj):
+    """The identity functor's value ``obj`` at size 1 with a second class
+    whose representative is x(0) again, so that no raw term lies in it:
+    F(id_1) sends it to x(0)."""
+    (shape_idx, arity, reps), = obj.rep_groups
+    return dataclasses.replace(obj, names=obj.names + ("x(0)*",),
+                               rep_groups=((shape_idx, arity, reps + reps),))
 
 
 def test_a_class_its_representative_is_not_in_is_walked(monkeypatch):
-    # identity at size 1 with a second class whose representative is x(0)
-    # again, so that no raw term lies in it: F(id_1) sends it to x(0).
-    # No generating map goes 1 -> 1, so only the identity sees it.
+    # The identity functor with a stray class at size 1; only the walk
+    # over a wrapper with no proof sees it.
     real = presentation.evaluate_object
 
     def mutant(pres, n):
         obj = real(pres, n)
-        if n != 1:
-            return obj
-        (shape_idx, arity, reps), = obj.rep_groups
-        return dataclasses.replace(
-            obj, names=obj.names + ("x(0)*",),
-            rep_groups=((shape_idx, arity, reps + reps),))
+        return with_a_stray_class(obj) if n == 1 else obj
 
     monkeypatch.setattr(presentation, "evaluate_object", mutant)
     pres = parse_presentation(zoo_source("identity"))
-    assert not fresh(pres).proves_laws(1)
-    report = check_functor_laws(fresh(pres), 2)
+    report = check_functor_laws(Overridden(fresh(pres), {}), 2)
     assert report.counterexamples[0] == "F(id_1) is not the identity"
     assert (report.counterexamples, report.details) == walk_report(
         fresh(pres), 2)
+
+
+def test_a_subclass_that_overrides_object_is_walked():
+    class StrayClass(PresentationInstance):
+        def object(self, n):
+            obj = super().object(n)
+            return with_a_stray_class(obj) if n == 1 else obj
+
+    pres = parse_presentation(zoo_source("identity"))
+    g = StrayClass(pres)
+    assert not g.proves_laws(2)
+    assert check_functor_laws(g, 2).counterexamples[0] == \
+        "F(id_1) is not the identity"
+    assert assert_agrees_with_oracle(StrayClass(pres), 2)
 
 
 def power2_rewired(cls, *args):

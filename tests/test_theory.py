@@ -466,6 +466,21 @@ def test_degree_low_probe_is_a_lower_bound():
     assert res.exact is False
 
 
+def test_a_modification_claims_exactness_from_size_1():
+    # const2∘ is empty at ∅, so its constants have singleton supports
+    # over a non-empty set: bound 0 sees none of them.
+    assert degree(empty_mod_min(zoo_instance("const2")), 0) == \
+        DegreeResult(0, False)
+    for name in zoo_names():
+        for kind in ModificationKind:
+            g = modify(zoo_instance(name), kind)
+            results = [degree(g, bound) for bound in range(4)]
+            for bound, res in enumerate(results):
+                if res.exact:
+                    assert all(later.value <= res.value
+                               for later in results[bound:]), (g.name, bound)
+
+
 def test_degree_requires_monomorphic():
     with pytest.raises(MonomorphicityError):
         degree(zoo_instance("twins"), 3)
