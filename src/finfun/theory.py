@@ -361,7 +361,7 @@ class SupportResult:
 
 
 def support(g: FunctorInstance, n: int, element: int,
-            order: Sequence[int] | None = None) -> SupportResult:
+            order: Iterable[int] | None = None) -> SupportResult:
     """Greedy support computation for a monomorphic functor, for an
     element of F applied to the set of int size ``n``.
 
@@ -370,8 +370,9 @@ def support(g: FunctorInstance, n: int, element: int,
     inclusion.  Because the family of subsets whose inclusion image
     contains the element is closed under intersection, the result is its
     least member regardless of the removal order (``check_supports``
-    tries three orders).  The index is checked, after the removal order,
-    before the monomorphicity requirement.
+    tries three orders).  An explicit ``order`` may be any iterable of the
+    n points and is read once.  The index is checked, after the removal
+    order, before the monomorphicity requirement.
 
     A default-order result is kept in ``g._supports`` and returned again
     on later calls; a result for an explicit ``order`` is never kept.
@@ -380,9 +381,11 @@ def support(g: FunctorInstance, n: int, element: int,
         known = g._supports.get((n, element))
         if known is not None:
             return known
-    elif sorted(order) != list(range(n)):
-        raise ValueError(f"removal order {list(order)} is not a permutation "
-                         f"of range({n})")
+    else:
+        order = tuple(order)
+        if sorted(order) != list(range(n)):
+            raise ValueError(f"removal order {list(order)} is not a "
+                             f"permutation of range({n})")
     if not 0 <= element < g.size(n):
         raise UnknownElementError(
             f"index {element} is not an element of {g.name}({n})")

@@ -1,8 +1,8 @@
-"""Helpers that several test modules share: an instance with some action
-tables replaced, a base with one point added at the empty set, random
-flat presentations, the monomorphic zoo instances, fresh zoo bases, the
-maps out of the empty set that a modification fails to factor, and the
-truncation note of a capped report.
+"""The one copy of each helper that several test modules share:
+instances built fresh, wrapped (``Overridden``, ``Counting``, ``walked``)
+or given a point at the empty set; the gate that holds every fast path
+to the walk (``assert_rules_match_walk``); random flat presentations;
+and the small oracles that several modules read.
 
 The test modules import it as ``helpers``; ``pyproject.toml`` puts
 ``tests/`` on ``sys.path`` in every pytest import mode.
@@ -24,7 +24,15 @@ from finfun.presentation import (
     parse_presentation,
 )
 from finfun.tabulated import export_tabulated, load_tabulated
-from finfun.theory import FunctorInstance, empty_mod_max
+from finfun.theory import (
+    CheckReport,
+    FunctorInstance,
+    ModificationKind,
+    MonomorphicityError,
+    check_functor_laws,
+    empty_mod_max,
+    modify,
+)
 from finfun.zoo import zoo_instance, zoo_names, zoo_source
 
 # The most counterexamples a report lists.
@@ -68,6 +76,23 @@ class Overridden(FunctorInstance):
         return self.base.action(x, y, table)
 
 
+class Counting(Overridden):
+    """An ``Overridden`` that counts its own ``action`` calls in ``calls``,
+    and whose ``proves_laws`` answers ``proof``."""
+
+    def __init__(self, base, overrides=None, proof=False):
+        super().__init__(base, overrides or {})
+        self.proof = proof
+        self.calls = 0
+
+    def action(self, x, y, table):
+        self.calls += 1
+        return super().action(x, y, table)
+
+    def proves_laws(self, max_size):
+        return self.proof
+
+
 class OnePoint(FunctorInstance):
     """A base functor with one point e at the empty set, which every map
     out of it sends to the first element of its codomain."""
@@ -83,12 +108,61 @@ class OnePoint(FunctorInstance):
         return (0,) if x == 0 else self.base.action(x, y, table)
 
 
+def fresh(pres, kind=None):
+    """A new instance of ``pres``, a ``Presentation`` or a zoo name, with
+    empty caches, modified by ``kind`` unless it is None or "plain"."""
+    if isinstance(pres, str):
+        pres = parse_presentation(zoo_source(pres))
+    g = PresentationInstance(pres)
+    return g if kind in (None, "plain") else modify(g, ModificationKind(kind))
+
+
+def walked(pres, kind=None):
+    """``fresh(pres, kind)`` behind a wrapper that proves nothing, so that
+    every check takes its walk."""
+    return Overridden(fresh(pres, kind), {})
+
+
 def zoo_bases(name):
     """Fresh instances of the zoo functor ``name``: its presentation, and
     its size-4 tabulation as loaded, which records the laws of its load
     walk."""
-    fresh = PresentationInstance(parse_presentation(zoo_source(name)))
-    return fresh, load_tabulated(export_tabulated(zoo_instance(name), 4))
+    return fresh(name), load_tabulated(export_tabulated(zoo_instance(name), 4))
+
+
+def report_of(report):
+    """A report without its time."""
+    return report.name, report.scope, report.counterexamples, report.details
+
+
+def assert_rules_match_walk(pres, kind, bounds, checks):
+    """The gate of every fast path: at each bound, each of ``checks`` says
+    the same of ``fresh(pres, kind)``, which proves its laws and so takes
+    the fast paths, as of ``walked(pres, kind)``, which takes every walk.
+    A check says what it returns, a report without its time, or the
+    refusal it raises.  The laws must pass; they are walked on a wrapper
+    of their own, since a passing walk records the laws on its wrapper
+    and the other checks would then take the rules."""
+    g = fresh(pres, kind)
+    walk, laws_walk = walked(pres, kind), walked(pres, kind)
+
+    def said(check, h, bound):
+        try:
+            result = check(h, bound)
+        except MonomorphicityError as err:
+            return str(err)
+        return report_of(result) if isinstance(result, CheckReport) else result
+
+    for bound in bounds:
+        assert g.proves_laws(bound), (g.name, bound)
+        assert not walk.proves_laws(bound)
+        for check in checks:
+            other = laws_walk if check is check_functor_laws else walk
+            assert said(check, g, bound) == said(check, other, bound), (
+                g.name, check.__name__, bound)
+        if check_functor_laws in checks:
+            assert check_functor_laws(g, bound).passed, (g.name, bound)
+        assert g._law_bound == bound and walk._law_bound == -1, (g.name, bound)
 
 
 def out_of_empty_failures(h, top):

@@ -7,9 +7,10 @@ errors must come out identical on lawful tables, on tables broken in
 one entry, and on tables broken on a whole family of maps.
 ``check_functor_laws`` reads no map of a presentation instead: its
 laws hold by construction (``proves_laws``).  The last tests hold that
-verdict to the walk, make sure that the walk runs wherever the proof
-does not apply, and that the walk alone catches a broken
-``evaluate_object``.
+verdict to the walk through the shared gate,
+``helpers.assert_rules_match_walk``, and make sure that the walk runs
+wherever the proof does not apply and that the walk, over a ``walked``
+instance, alone catches a broken ``evaluate_object``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from helpers import (
     SHAPES,
     OnePoint,
     Overridden,
+    assert_rules_match_walk,
+    fresh,
     presentations,
+    walked,
     with_truncation,
 )
 
@@ -50,7 +54,6 @@ from finfun.theory import (
     check_functor_laws,
     empty_mod_max,
     law_failures,
-    modify,
     run_standard_checks,
     tables_up_to,
 )
@@ -362,10 +365,10 @@ def test_laws_keep_no_second_table():
     # The walk reads F through a fresh instance's cache, which it leaves
     # filled; a second table of F would raise its peak well above that.
     # The wrapper has no proof of its own, so the walk runs.
-    g = PresentationInstance(parse_presentation(zoo_source("upair")))
+    g = walked("upair")
     tracemalloc.start()
     try:
-        assert check_functor_laws(Overridden(g, {}), 5).passed
+        assert check_functor_laws(g, 5).passed
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -385,53 +388,30 @@ def test_size_5_export_loads():
 # the walk sees an ``evaluate_object`` that builds no congruence.
 
 
-def fresh(pres, kind=None):
-    """A new instance of ``pres``, with empty caches, modified by
-    ``kind`` ("min" or "max") if one is given."""
-    g = PresentationInstance(pres)
-    return g if kind is None else modify(g, ModificationKind(kind))
-
-
-def report_of(report):
-    return report.name, report.scope, report.counterexamples, report.details
-
-
 def walk_report(g, top):
     """The counterexamples and details of the walk over g up to top."""
     sizes = [g.size(n) for n in range(top + 1)]
     return oracle_report(list(law_failures(g.action, sizes)))
 
 
-def assert_paths_agree(pres, kind, bounds):
-    """Both paths pass ``pres`` at each bound: the construction proves
-    it, and the walk over a wrapper that has no proof gives the same
-    report."""
-    g, walked = fresh(pres, kind), Overridden(fresh(pres, kind), {})
-    for bound in bounds:
-        assert g.proves_laws(bound), (g.name, bound)
-        assert not walked.proves_laws(bound)
-        report = check_functor_laws(g, bound)
-        assert report.passed
-        assert report_of(report) == report_of(
-            check_functor_laws(walked, bound))
-
-
 @pytest.mark.parametrize("kind", [None, "min", "max"])
 @pytest.mark.parametrize("name", zoo_names())
 def test_congruence_and_walk_agree_on_the_zoo(name, kind):
-    assert_paths_agree(parse_presentation(zoo_source(name)), kind, range(6))
+    assert_rules_match_walk(name, kind, range(6), [check_functor_laws])
 
 
 @settings(max_examples=25, deadline=None)
 @given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]))
 def test_congruence_and_walk_agree_on_random_presentations(pres, kind):
-    assert_paths_agree(pres, kind, range(5))
+    assert_rules_match_walk(pres, kind, range(5), [check_functor_laws])
 
 
 def actions_read(pres, kind, top):
     """The maps that ``check_functor_laws`` reads of a fresh instance of
     ``pres`` up to ``top``, which must pass; a modification's reads of
-    its base count too."""
+    its base count too.  ``action`` is patched on the instances
+    themselves: a ``Counting`` base would be an ``Overridden``, which
+    proves nothing, so the modification would walk."""
     g = fresh(pres, kind)
     calls = []
     for h in {g, getattr(g, "base", g)}:
@@ -446,9 +426,8 @@ def actions_read(pres, kind, top):
 @pytest.mark.parametrize("kind", [None, "min", "max"])
 @pytest.mark.parametrize("name", zoo_names())
 def test_a_presentation_reads_no_map_for_its_laws(name, kind):
-    pres = parse_presentation(zoo_source(name))
     for top in range(6):
-        assert actions_read(pres, kind, top) == [], (name, kind, top)
+        assert actions_read(name, kind, top) == [], (name, kind, top)
 
 
 @settings(max_examples=25, deadline=None)
@@ -485,13 +464,12 @@ def test_a_congruence_missing_one_equation_instance_is_walked(monkeypatch):
     # The proof trusts the construction, so the walk over a wrapper with
     # no proof is what sees the broken one.
     skip_union(monkeypatch, "exp2", 2, 5, 1)
-    pres = parse_presentation(zoo_source("exp2"))
-    assert fresh(pres).size(2) == 4
-    report = check_functor_laws(Overridden(fresh(pres), {}), 3)
+    assert fresh("exp2").size(2) == 4
+    report = check_functor_laws(walked("exp2"), 3)
     assert (report.counterexamples, report.details) == walk_report(
-        fresh(pres), 3)
+        fresh("exp2"), 3)
     assert report.details == "counterexamples truncated (134 found)"
-    assert_agrees_with_oracle(Overridden(fresh(pres), {}), 3)
+    assert_agrees_with_oracle(walked("exp2"), 3)
 
 
 def with_a_stray_class(obj):
@@ -513,11 +491,10 @@ def test_a_class_its_representative_is_not_in_is_walked(monkeypatch):
         return with_a_stray_class(obj) if n == 1 else obj
 
     monkeypatch.setattr(presentation, "evaluate_object", mutant)
-    pres = parse_presentation(zoo_source("identity"))
-    report = check_functor_laws(Overridden(fresh(pres), {}), 2)
+    report = check_functor_laws(walked("identity"), 2)
     assert report.counterexamples[0] == "F(id_1) is not the identity"
     assert (report.counterexamples, report.details) == walk_report(
-        fresh(pres), 2)
+        fresh("identity"), 2)
 
 
 def test_a_subclass_that_overrides_object_is_walked():

@@ -5,8 +5,10 @@ and ``require_monomorphic`` read F on the maps out of the empty set
 only, ``check_epimorphic`` reads no map, and ``check_intersections``
 reads one disjoint pair of subsets per orbit of the permutations, and
 walks the disjoint pairs only when one fails.  These tests hold the
-representatives to brute force, the reports to the walk over an
-instance without a proof, and the rules to their gate.
+representatives to brute force, the reports to the walk over a
+``walked`` instance through the shared gate,
+``helpers.assert_rules_match_walk``, and the rules to the laws they
+need, counted by ``helpers.Counting``.
 """
 
 from __future__ import annotations
@@ -16,23 +18,26 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import SHAPES, Overridden, presentations
+from helpers import (
+    SHAPES,
+    Counting,
+    assert_rules_match_walk,
+    fresh,
+    presentations,
+)
 
 from finfun.finset import injective_tables, surjective_tables
-from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (
-    ModificationKind,
     MonomorphicityError,
     _disjoint_pair_orbits,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
     check_monomorphic,
-    modify,
     require_monomorphic,
     tables_up_to,
 )
-from finfun.zoo import zoo_names, zoo_source
+from finfun.zoo import zoo_names
 
 SIZES = range(7)
 
@@ -66,7 +71,7 @@ def test_every_disjoint_pair_lies_in_one_representative_orbit():
 
 def test_the_case_counts_are_the_closed_forms():
     tally = {"nested": 0, "disjoint": 0, "overlapping": 0}
-    g = PresentationInstance(parse_presentation(zoo_source("identity")))
+    g = fresh("identity")
     for n in SIZES:
         for a in range(1 << n):
             for b in range(1 << n):
@@ -84,64 +89,24 @@ def test_the_case_counts_are_the_closed_forms():
 # The rules give the walk's reports.
 
 
-def fresh(pres, kind=None):
-    g = PresentationInstance(pres)
-    return g if kind is None else modify(g, ModificationKind(kind))
-
-
-def reports(g, bound):
-    """What ``require_monomorphic`` and the three checks say at bound."""
-    try:
-        require_monomorphic(g, bound)
-        refusal = None
-    except MonomorphicityError as err:
-        refusal = str(err)
-    return [refusal] + [
-        (r.name, r.scope, r.counterexamples, r.details)
-        for r in (check(g, bound) for check in (
-            check_monomorphic, check_epimorphic, check_intersections))]
-
-
-def assert_orbits_agree_with_the_walk(pres, kind, bounds):
-    g, walked = fresh(pres, kind), Overridden(fresh(pres, kind), {})
-    for bound in bounds:
-        assert reports(g, bound) == reports(walked, bound), (g.name, bound)
-        assert g._law_bound == bound and walked._law_bound == -1
-
-
 @pytest.mark.parametrize("kind", [None, "min", "max"])
 @pytest.mark.parametrize("name", zoo_names())
 def test_orbits_and_walk_agree_on_the_zoo(name, kind):
-    assert_orbits_agree_with_the_walk(parse_presentation(zoo_source(name)),
-                                      kind, range(6))
+    assert_rules_match_walk(name, kind, range(6), [
+        require_monomorphic, check_monomorphic, check_epimorphic,
+        check_intersections])
 
 
 @settings(max_examples=25, deadline=None)
 @given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]))
 def test_orbits_and_walk_agree_on_random_presentations(pres, kind):
-    assert_orbits_agree_with_the_walk(pres, kind, range(5))
+    assert_rules_match_walk(pres, kind, range(5), [
+        require_monomorphic, check_monomorphic, check_epimorphic,
+        check_intersections])
 
 
 # ---------------------------------------------------------------------------
 # The rules apply only when the laws are known.
-
-
-class Counting(Overridden):
-    """Counts the calls of ``action``; ``proof`` is what ``proves_laws``
-    answers."""
-
-    def __init__(self, overrides=None, proof=False):
-        super().__init__(fresh(parse_presentation(zoo_source("upair"))),
-                         overrides or {})
-        self.proof = proof
-        self.calls = 0
-
-    def action(self, x, y, table):
-        self.calls += 1
-        return super().action(x, y, table)
-
-    def proves_laws(self, max_size):
-        return self.proof
 
 
 def calls_of(check, g, bound=4):
@@ -168,16 +133,16 @@ def inclusions(bound):
 def test_the_fast_path_needs_the_laws(check, rules, every):
     assert rules < every
     # No proof and nothing recorded: the walk.
-    assert calls_of(check, Counting()) == every
+    assert calls_of(check, Counting(fresh("upair"))) == every
     # A recorded pass below the bound is not enough.
-    g = Counting()
+    g = Counting(fresh("upair"))
     g._law_bound = 3
     assert calls_of(check, g) == every
     # A recorded pass at the bound, or a proof, which is then recorded.
-    g = Counting()
+    g = Counting(fresh("upair"))
     g._law_bound = 4
     assert calls_of(check, g) == rules
-    g = Counting(proof=True)
+    g = Counting(fresh("upair"), proof=True)
     assert calls_of(check, g) == rules
     assert g._law_bound == 4
 
@@ -187,7 +152,7 @@ def test_a_broken_injection_off_the_representatives_is_reported():
     # only the maps out of the empty set are read, and they are left as
     # they are.
     broken = {(2, 3, (0, 2)): (0, 0, 0)}
-    g = Counting(broken)
+    g = Counting(fresh("upair"), broken)
     laws = check_functor_laws(g, 4)
     assert not laws.passed and g._law_bound == -1
     assert any("f=(0,2):2->3" in c or "g=(0,2):2->3" in c
@@ -199,7 +164,7 @@ def test_a_broken_injection_off_the_representatives_is_reported():
         require_monomorphic(g, 4)
     # Only the gate keeps it in view: with the laws taken as known, the
     # maps out of the empty set alone pass.
-    forged = Counting(broken)
+    forged = Counting(fresh("upair"), broken)
     forged._law_bound = 4
     assert check_monomorphic(forged, 4).passed
 
@@ -208,9 +173,9 @@ def test_a_broken_overlapping_pair_is_reported():
     # upair's F of the inclusion of {1} into 3 sent to p(1,2), where it
     # should be p(1,1): the pair {0,1}, {1,2} overlaps, and no disjoint
     # pair sees the change.
-    names = fresh(parse_presentation(zoo_source("upair"))).elements(3)
+    names = fresh("upair").elements(3)
     broken = {(1, 3, (1,)): (names.index("p(1,2)"),)}
-    g = Counting(broken)
+    g = Counting(fresh("upair"), broken)
     laws = check_functor_laws(g, 4)
     assert not laws.passed and g._law_bound == -1
     assert any("f=(1):1->3" in c for c in laws.counterexamples)
@@ -221,6 +186,6 @@ def test_a_broken_overlapping_pair_is_reported():
                         ("{1,2}", "{0,1}", "p(1,1)")])
     # Only the gate keeps it in view: with the laws taken as known, the
     # disjoint representatives alone pass.
-    forged = Counting(broken)
+    forged = Counting(fresh("upair"), broken)
     forged._law_bound = 4
     assert check_intersections(forged, 4).passed

@@ -35,14 +35,15 @@ from hypothesis import strategies as st
 from helpers import (
     SHAPES,
     OnePoint,
-    Overridden,
+    fresh,
     out_of_empty_failures,
     presentations,
+    walked,
     zoo_bases,
 )
 
 from finfun.finset import FiniteSet, empty_function, is_injective
-from finfun.presentation import PresentationInstance, parse_presentation
+from finfun.presentation import parse_presentation
 from finfun.theory import (
     ModificationKind,
     check_epimorphic,
@@ -75,9 +76,8 @@ def _members(text):
 @example(parse_presentation(zoo_source("twins")))
 @example(parse_presentation("shape u/1\neq u(a) = u(b)"))
 def test_checks_obey_trnkova_and_the_paper(pres):
-    g = PresentationInstance(pres)
-    walked = Overridden(PresentationInstance(pres), {})
-    for h in (g, walked):
+    g, walk = fresh(pres), walked(pres)
+    for h in (g, walk):
         assert check_epimorphic(h, SIZE).passed
 
         mono = check_monomorphic(h, SIZE)
@@ -89,7 +89,7 @@ def test_checks_obey_trnkova_and_the_paper(pres):
         for c in check_intersections(h, SIZE).counterexamples:
             a, b = _PAIR_RE.search(c).groups()
             assert not _members(a) & _members(b), c
-    assert g._law_bound == SIZE and walked._law_bound == -1
+    assert g._law_bound == SIZE and walk._law_bound == -1
 
     repaired = run_standard_checks(empty_mod_max(g), SIZE)
     assert [r.name for r in repaired if not r.passed] == []
@@ -128,8 +128,8 @@ def test_a_modification_has_the_laws_of_its_base(name, kind):
 @given(presentations(SHAPES, "ab", 3))
 def test_a_modification_has_the_laws_of_its_base_random(pres):
     for kind in ModificationKind:
-        _assert_laws_inherited(PresentationInstance(pres), kind, 3)
-        h = modify(PresentationInstance(pres), kind)
+        _assert_laws_inherited(fresh(pres), kind, 3)
+        h = fresh(pres, kind)
         assert out_of_empty_failures(h, 3) == [], h.name
 
 
@@ -186,10 +186,7 @@ def test_zoo_supports_pass_exactly_when_mono_and_intersections_do(name):
        st.sampled_from(["plain", "min", "max"]))
 def test_supports_pass_exactly_when_mono_and_intersections_do(pres, max_size,
                                                               which):
-    g = PresentationInstance(pres)
-    if which != "plain":
-        g = modify(g, ModificationKind(which))
-    _supports_agree_with_mono_and_intersections(g, max_size)
+    _supports_agree_with_mono_and_intersections(fresh(pres, which), max_size)
 
 
 # The binomial transform of the sizes.  Let F be monomorphic with a least
@@ -244,7 +241,4 @@ def test_support_sizes_are_the_binomial_transform_of_the_sizes():
        st.sampled_from(["plain", "min", "max"]))
 def test_support_sizes_are_the_binomial_transform_random(pres, max_size,
                                                          which):
-    g = PresentationInstance(pres)
-    if which != "plain":
-        g = modify(g, ModificationKind(which))
-    _check_binomial_transform(g, max_size)
+    _check_binomial_transform(fresh(pres, which), max_size)

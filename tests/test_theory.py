@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from helpers import (
     MONO_ZOO,
     SHAPES,
+    Counting,
     Overridden,
+    fresh,
     mono_instances,
     out_of_empty_failures,
     presentations,
+    walked,
     with_truncation,
     zoo_bases,
 )
@@ -32,7 +35,6 @@ from finfun.finset import (
     is_surjective,
     surjective_tables,
 )
-from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.tabulated import (
     TabulatedInstance,
     export_tabulated,
@@ -64,7 +66,7 @@ from finfun.theory import (
     support,
     tables_up_to,
 )
-from finfun.zoo import zoo_instance, zoo_names, zoo_source
+from finfun.zoo import zoo_instance, zoo_names
 
 # ---------------------------------------------------------------------------
 # Modifications at the empty set.
@@ -249,7 +251,7 @@ def test_image_of_inclusion_frozen_values():
 def test_each_instance_keeps_its_own_inclusion_images():
     # F, F∘ and F° share every non-empty value of twins but differ at the
     # empty set, so images keyed alike must not be shared between them.
-    g = PresentationInstance(parse_presentation(zoo_source("twins")))
+    g = fresh("twins")
     instances = (g, empty_mod_min(g), empty_mod_max(g))
     expected = {(0, 0): [(0, 1), (), (0,)],
                 (1, 0): [(0,), (), (0,)], (1, 1): [(0,), (0,), (0,)]}
@@ -327,6 +329,22 @@ def test_support_rejects_order_that_is_not_a_permutation():
     assert support(up, 3, 0, order=[2, 0, 1]).support.members == (0,)
 
 
+def test_support_reads_an_explicit_order_once():
+    # An iterator gives what the list of its points gives: the same
+    # support, or the same refusal.
+    up = zoo_instance("upair")
+    a = up.element_index(3, "p(0,2)")
+    result = support(up, 3, a, order=reversed(range(3)))
+    assert result == support(up, 3, a, order=[2, 1, 0])
+    assert result.support.members == (0, 2)
+    with pytest.raises(ValueError) as listed:
+        support(up, 3, 0, order=[0, 0, 1])
+    with pytest.raises(ValueError) as iterated:
+        support(up, 3, 0, order=iter([0, 0, 1]))
+    assert str(iterated.value) == str(listed.value) == (
+        "removal order [0, 0, 1] is not a permutation of range(3)")
+
+
 def test_support_refuses_non_monomorphic():
     tw = zoo_instance("twins")
     with pytest.raises(MonomorphicityError) as info:
@@ -350,21 +368,8 @@ def test_support_checks_the_index_before_monomorphicity():
         support(zoo_instance("twins"), 1, -1)
 
 
-class CountingActions(Overridden):
-    """A fresh instance of a zoo functor that counts its ``action`` calls."""
-
-    def __init__(self, name):
-        super().__init__(
-            PresentationInstance(parse_presentation(zoo_source(name))), {})
-        self.calls = 0
-
-    def action(self, x, y, table):
-        self.calls += 1
-        return super().action(x, y, table)
-
-
 def test_support_keeps_each_default_order_answer():
-    g = CountingActions("power3")
+    g = Counting(fresh("power3"))
     for n in range(5):
         for a in range(g.size(n)):
             first = support(g, n, a)
@@ -379,7 +384,7 @@ def test_support_keeps_each_default_order_answer():
 
 
 def test_a_kept_support_leaves_every_refusal_in_place():
-    up = CountingActions("upair")
+    up = Counting(fresh("upair"))
     for a in range(up.size(2)):
         support(up, 2, a)
     for _ in range(2):
@@ -387,7 +392,7 @@ def test_a_kept_support_leaves_every_refusal_in_place():
             support(up, 2, 0, order=[0, 0])
         with pytest.raises(UnknownElementError):
             support(up, 2, up.size(2))
-    tw = CountingActions("twins")
+    tw = Counting(fresh("twins"))
     assert support(tw, 0, 0).support.members == ()
     for _ in range(2):
         with pytest.raises(MonomorphicityError):
@@ -396,9 +401,9 @@ def test_a_kept_support_leaves_every_refusal_in_place():
 
 
 def test_kept_supports_stay_with_their_instance():
-    g = CountingActions("upair")
+    g = Counting(fresh("upair"))
     kept = [support(g, 3, a) for a in range(g.size(3))]
-    h = CountingActions("upair")
+    h = Counting(fresh("upair"))
     assert h._supports == {}
     for a, first in enumerate(kept):
         other = support(h, 3, a)
@@ -486,11 +491,6 @@ def test_degree_requires_monomorphic():
         degree(zoo_instance("twins"), 3)
 
 
-def _fresh(pres, which):
-    g = PresentationInstance(pres)
-    return g if which == "plain" else modify(g, ModificationKind(which))
-
-
 def _degree_by_support(h, bound):
     """``degree`` by its definition: the largest ``support`` over every
     element up to the bound, after its monomorphicity requirement."""
@@ -502,9 +502,9 @@ def _degree_by_support(h, bound):
 
 
 def _assert_degree_matches_supports(pres, which, bounds):
-    h = _fresh(pres, which)
+    h = fresh(pres, which)
     for bound in bounds:
-        g = _fresh(pres, which)
+        g = fresh(pres, which)
         try:
             expected = _degree_by_support(h, bound)
         except MonomorphicityError as err:
@@ -520,8 +520,7 @@ def _assert_degree_matches_supports(pres, which, bounds):
 def test_degree_is_the_largest_support(name, which):
     # const2∘, pointed∘ and twins∘ have families that are not closed
     # under intersection, so there the ascending order is what is read.
-    _assert_degree_matches_supports(parse_presentation(zoo_source(name)),
-                                    which, range(7))
+    _assert_degree_matches_supports(name, which, range(7))
 
 
 @settings(max_examples=150, deadline=None)
@@ -663,19 +662,12 @@ def test_check_monomorphic():
 
 
 def test_passing_mono_check_spares_require_monomorphic_the_walk():
-    class Counting(Overridden):
-        calls = 0
-
-        def action(self, x, y, table):
-            Counting.calls += 1
-            return super().action(x, y, table)
-
-    g = Counting(zoo_instance("upair"), {})
+    g = Counting(zoo_instance("upair"))
     assert check_monomorphic(g, 5).passed
-    before = Counting.calls
+    before = g.calls
     require_monomorphic(g, 5)
     require_monomorphic(g, 4)
-    assert Counting.calls == before
+    assert g.calls == before
     twins = zoo_instance("twins")
     assert not check_monomorphic(twins, 5).passed
     with pytest.raises(MonomorphicityError):
@@ -934,8 +926,7 @@ SUBSET_ORACLE_CASES = {
     "twins": lambda: zoo_instance("twins"),
     "twins°": lambda: empty_mod_max(zoo_instance("twins")),
     "twins∘": lambda: empty_mod_min(zoo_instance("twins")),
-    "twins∘ without laws": lambda: Overridden(empty_mod_min(
-        PresentationInstance(parse_presentation(zoo_source("twins")))), {}),
+    "twins∘ without laws": lambda: walked("twins", "min"),
     "upair": lambda: zoo_instance("upair"),
 }
 
@@ -962,9 +953,7 @@ def test_supports_report_matches_the_pair_walks(pres, max_size, which,
                                                 seed):
     # The oracle always runs both pair walks; the check skips them on
     # families whose size shows that they are up-sets.
-    g = PresentationInstance(pres)
-    if which != "plain":
-        g = modify(g, ModificationKind(which))
+    g = fresh(pres, which)
     found = supports_oracle(g, max_size, seed)
     report = check_supports(g, max_size, seed=seed)
     assert report.counterexamples == tuple(found[:25])
