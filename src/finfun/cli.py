@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated checks to leave out "
                         f"({', '.join(STANDARD_CHECKS)})")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the shuffled support removal orders")
+                   help="a label printed in the supports scope")
     p.add_argument("--json", action="store_true",
                    help="emit the structured report instead of text")
     p.add_argument("--timing", action="store_true",

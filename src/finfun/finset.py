@@ -76,9 +76,6 @@ class SubsetMask:
         """The members in increasing order."""
         return tuple(i for i in range(self.ambient.size) if self.bits >> i & 1)
 
-    def is_subset_of(self, other: SubsetMask) -> bool:
-        return not self.bits & ~other.bits
-
     def __contains__(self, x: int) -> bool:
         return x in self.members
 
@@ -125,10 +122,6 @@ def inclusion(a: SubsetMask) -> FiniteFunction:
     return FiniteFunction(FiniteSet(len(a)), a.ambient, a.members)
 
 
-def is_injective(f: FiniteFunction) -> bool:
-    return len(set(f.table)) == len(f.table)
-
-
 def is_surjective(f: FiniteFunction) -> bool:
     return len(set(f.table)) == f.cod.size
 
@@ -162,25 +155,6 @@ def function_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
 
 # Yields the tables of some of the maps x -> y, given x and y.
 TableSource = Callable[[int, int], Iterable[tuple[int, ...]]]
-
-
-def injective_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
-    """The tables of the injections x -> y, in ``function_tables`` order."""
-    return itertools.permutations(range(y), x)
-
-
-def surjective_tables(x: int, y: int) -> Iterator[tuple[int, ...]]:
-    """The tables of the surjections x -> y, in ``function_tables`` order.
-
-    When x = y they are the permutations, 720 of the 46,656 tables at 6.
-    When y > x there are none, so no table is looked at; only when y < x
-    are the tables of all maps x -> y filtered.
-    """
-    if x == y:
-        return injective_tables(x, y)
-    if y > x:
-        return iter(())
-    return (t for t in function_tables(x, y) if len(set(t)) == y)
 
 
 def enumerate_functions(x: FiniteSet,

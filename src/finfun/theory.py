@@ -17,12 +17,13 @@ The central constructions:
 
 The ``check_*`` functions verify properties exhaustively up to a size
 bound and return a ``CheckReport``; failures carry counterexamples, never
-exceptions.
+exceptions.  Each check but ``laws`` decides the functor laws first and
+refuses an instance whose laws fail; on a lawful one, Trnková's rules
+decide what the walk over every map or pair would.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -38,9 +39,7 @@ from .finset import (
     enumerate_functions,  # noqa: F401  (the benchmark wraps it here)
     enumerate_subsets,
     function_tables,
-    injective_tables,
     is_surjective,
-    surjective_tables,
     table_repr,
 )
 
@@ -112,8 +111,8 @@ class FunctorInstance(ABC):
     def proves_laws(self, max_size: int) -> bool:
         """Whether F(id) = id and F(g o f) = F(g) o F(f) are shown to hold
         for every map between sizes <= max_size without comparing every
-        composable pair.  False means "not decided": ``check_functor_laws``
-        then walks the pairs.  This default always answers False.  An
+        composable pair.  False means "not decided": the checks then walk
+        the laws (``law_failures``).  This default always answers False.  An
         override answers True only for the methods its proof reads: a
         presentation's laws hold by construction, and a modification takes
         its base's; neither reads a map."""
@@ -148,14 +147,14 @@ def sizes_up_to(max_size: int) -> range:
     return range(FiniteSet(max_size).size + 1)
 
 
-def tables_up_to(max_size: int, tables: TableSource = function_tables
-                 ) -> Iterator[MorphismKey]:
-    """(x, y, table) for every map x -> y with x, y <= max_size whose
-    table ``tables(x, y)`` yields: by x, then y, then in the order of
-    ``tables``.  The checks over maps list their counterexamples, and
-    tabulations their records, in this order."""
+def tables_up_to(max_size: int) -> Iterator[MorphismKey]:
+    """(x, y, table) for every map x -> y with x, y <= max_size: by x,
+    then y, then in ``function_tables`` order.  The checks over maps list
+    their counterexamples, and tabulations their records, in this
+    order."""
     sizes = sizes_up_to(max_size)
-    return ((x, y, t) for x in sizes for y in sizes for t in tables(x, y))
+    return ((x, y, t) for x in sizes for y in sizes
+            for t in function_tables(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +300,15 @@ def _greedy_bits(g: FunctorInstance, n: int, element: int,
 
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     """Raise MonomorphicityError unless G(f) is injective for every
-    injective f between sets of sizes <= bound (cached per instance)."""
+    injective f between sets of sizes <= bound (cached per instance), and
+    ValueError, with the refusal text of ``_law_refusal``, when G's laws
+    fail up to the bound."""
     FiniteSet(bound)  # refuses a negative bound
     if g._mono_bound >= bound:
         return
+    refusal = _law_refusal(g, bound)
+    if refusal:
+        raise ValueError(refusal)
     for (x, y, table), collapsed in _injectivity_failures(g, bound):
         raise MonomorphicityError(
             FiniteFunction(FiniteSet(x), FiniteSet(y), table), collapsed)
@@ -323,28 +327,40 @@ def _laws_known(g: FunctorInstance, n: int) -> bool:
     return True
 
 
+def _law_refusal(g: FunctorInstance, max_size: int) -> str | None:
+    """Decide G's laws up to max_size, as every check but ``laws`` does
+    first.  None when they hold: known (``_laws_known``), or found now by
+    ``law_failures`` and then recorded as ``check_functor_laws`` records
+    them.  Otherwise the refusal, which names the first failure that
+    ``check_functor_laws`` lists.  A negative bound is refused before
+    anything else, since ``_law_bound`` starts at -1."""
+    sizes = sizes_up_to(max_size)
+    if _laws_known(g, max_size):
+        return None
+    failure = next(law_failures(g.action, [g.size(n) for n in sizes]), None)
+    if failure is None:
+        g._law_bound = max_size
+        return None
+    return f"functor laws fail: {_law_text(*failure)}"
+
+
 def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
         tuple[MorphismKey, tuple[str, str]]]:
-    """Each injective f between sets of sizes <= max_size, maps out of the
-    empty set included, for which G(f) is not injective, with the names
-    of the first two elements G(f) collapses; in ``tables_up_to`` order.
+    """Each map 0 -> y, y <= max_size, for which G(f) is not injective,
+    with the names of the first two elements G(f) collapses; by y.  The
+    caller has decided G's laws up to max_size.
 
-    Once G's laws hold up to max_size, only the maps 0 -> y can fail
-    (Trnková): an injection f: x -> y with x > 0 has a retraction r, and
-    G(r) o G(f) = G(r o f) = id, so G(f) is injective.  Those maps come
-    first in ``tables_up_to`` order, so reading them alone lists the
-    walk's failures in the walk's order."""
-    if _laws_known(g, max_size):
-        keys: Iterable[MorphismKey] = (
-            (0, y, ()) for y in sizes_up_to(max_size))
-    else:
-        keys = tables_up_to(max_size, injective_tables)
-    for key in keys:
-        gf = g.action(*key)
+    With the laws, no other injection can fail (Trnková): an injection
+    f: x -> y with x > 0 has a retraction r, and G(r) o G(f) = G(r o f) =
+    id, so G(f) is injective.  The maps out of the empty set come first in
+    ``tables_up_to`` order, so these are the failures of the walk over
+    every injection, in the walk's order."""
+    for y in sizes_up_to(max_size):
+        gf = g.action(0, y, ())
         if len(set(gf)) < len(gf):
             j = next(j for j, v in enumerate(gf) if v in gf[:j])
-            names = g.elements(key[0])
-            yield key, (names[gf.index(gf[j])], names[j])
+            names = g.elements(0)
+            yield (0, y, ()), (names[gf.index(gf[j])], names[j])
 
 
 @dataclass(frozen=True)
@@ -368,9 +384,9 @@ def support(g: FunctorInstance, n: int, element: int,
     Starting from the full subset, drop each point (ascending order by
     default) whenever the element stays in the image of the smaller
     inclusion.  Because the family of subsets whose inclusion image
-    contains the element is closed under intersection, the result is its
-    least member regardless of the removal order (``check_supports``
-    tries three orders).  An explicit ``order`` may be any iterable of the
+    contains the element is closed under intersection and, by the laws,
+    upward closed, the result is its least member regardless of the
+    removal order.  An explicit ``order`` may be any iterable of the
     n points and is read once.  The index is checked, after the removal
     order, before the monomorphicity requirement.
 
@@ -499,6 +515,12 @@ class _Collector:
         if len(self.items) < _COUNTEREXAMPLE_CAP:
             self.items.append(text())
 
+    def refuse(self, reason: str) -> CheckReport:
+        """The report of a check that refuses to run: the one
+        counterexample ``refused: <reason>``, and no details."""
+        self.add(lambda: f"refused: {reason}")
+        return self.report()
+
     def report(self, details: str = "") -> CheckReport:
         if self.total > len(self.items):
             note = f"counterexamples truncated ({self.total} found)"
@@ -578,6 +600,14 @@ def law_failures(action: _Action, sizes: Sequence[int]) -> Iterator[
     yield from _composition_failures(action, top, function_tables)
 
 
+def _law_text(f: MorphismKey, h: MorphismKey | None) -> str:
+    """How a failure (f, h) of ``law_failures`` is written in reports."""
+    if h is None:
+        return f"F(id_{f[0]}) is not the identity"
+    return (f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
+            f"g={table_repr(*h)}")
+
+
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size.
 
@@ -592,11 +622,7 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     sizes = [g.size(n) for n in sizes_up_to(max_size)]
     if not _laws_known(g, max_size):
         for f, h in law_failures(g.action, sizes):
-            if h is None:
-                out.add(lambda: f"F(id_{f[0]}) is not the identity")
-            else:
-                out.add(lambda: f"F(g o f) != F(g) o F(f) for "
-                        f"f={table_repr(*f)}, g={table_repr(*h)}")
+            out.add(lambda: _law_text(f, h))
         if not out.total:
             g._law_bound = max_size
     return out.report()
@@ -604,8 +630,12 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
 
 def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) injective for every injective f between sets of sizes <= max_size,
-    including maps out of the empty set."""
+    including maps out of the empty set.  With the laws, only the maps out
+    of the empty set are read (``_injectivity_failures``)."""
     out = _Collector("mono", f"sizes <= {max_size}")
+    refusal = _law_refusal(g, max_size)
+    if refusal:
+        return out.refuse(refusal)
     for key, (a, b) in _injectivity_failures(g, max_size):
         out.add(lambda: f"G(f) not injective for f={table_repr(*key)}: "
                 f"collapses {a} and {b}")
@@ -617,29 +647,20 @@ def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
 def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) surjective for every surjective f between sets of sizes <= max_size.
 
-    Once G's laws hold up to max_size, no map is read (Trnková): a
-    surjection p: x -> y has a section s, and G(p) o G(s) = G(p o s) =
-    id, so G(p) is onto.
+    Once G's laws hold up to max_size, no surjection can fail (Trnková):
+    a surjection p: x -> y has a section s, and G(p) o G(s) = G(p o s) =
+    id, so G(p) is onto.  So the check decides the laws and reads no map.
     """
     out = _Collector("epi", f"sizes <= {max_size}")
-    sizes = sizes_up_to(max_size)  # refuses a negative bound
-    if not _laws_known(g, max_size):
-        card = [g.size(n) for n in sizes]
-        for x, y, table in tables_up_to(max_size, surjective_tables):
-            gf = g.action(x, y, table)
-            if len(set(gf)) < card[y]:
-                out.add(lambda: f"G(f) not surjective for "
-                        f"f={table_repr(x, y, table)}: misses "
-                        f"{g.elements(y)[min(set(range(card[y])) - set(gf))]}")
-    return out.report()
+    refusal = _law_refusal(g, max_size)
+    return out.refuse(refusal) if refusal else out.report()
 
 
-def _subset_pairs(n: int, disjoint: bool = False
-                  ) -> Iterator[tuple[int, int]]:
-    """Every ordered pair of subsets of n as bit masks, or every disjoint
-    one, in ``enumerate_subsets`` order."""
+def _disjoint_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Every ordered pair of disjoint subsets of n as bit masks, in
+    ``enumerate_subsets`` order."""
     masks = [m.bits for m in enumerate_subsets(FiniteSet(n))]
-    return ((a, b) for a in masks for b in masks if not (disjoint and a & b))
+    return ((a, b) for a in masks for b in masks if not a & b)
 
 
 def _disjoint_pair_orbits(n: int) -> Iterator[tuple[int, int]]:
@@ -680,8 +701,8 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     2^(n+1) - 1 with A or B empty are nested: 3^n - 2^(n+1) + 1 are
     disjoint.  The other pairs overlap.
 
-    Once G's laws hold up to max_size, only disjoint pairs can fail
-    (Trnková).  Let A & B = C hold a point c, and let f fix A and send
+    The check decides G's laws first.  With them, only disjoint pairs can
+    fail (Trnková).  Let A & B = C hold a point c, and let f fix A and send
     the rest of X to c, and h fix B and send the rest to c.  Then f o h
     fixes C and sends the rest to c, so it factors through the inclusion
     of C.  G(f) fixes the image of A, as f does A, and G(h) the image of
@@ -699,13 +720,12 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     those of the walk over every pair.
     """
     out = _Collector("intersections", f"sizes <= {max_size}")
-    if not _laws_known(g, max_size):
-        failures = _intersection_failures(g, max_size, _subset_pairs)
-    else:
-        failures = _intersection_failures(g, max_size, _disjoint_pair_orbits)
-        if next(failures, None) is not None:
-            failures = _intersection_failures(
-                g, max_size, lambda n: _subset_pairs(n, disjoint=True))
+    refusal = _law_refusal(g, max_size)
+    if refusal:
+        return out.refuse(refusal)
+    failures = _intersection_failures(g, max_size, _disjoint_pair_orbits)
+    if next(failures, None) is not None:
+        failures = _intersection_failures(g, max_size, _disjoint_pairs)
     for text in failures:
         out.add(text)
     sizes = sizes_up_to(max_size)
@@ -718,43 +738,46 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     return out.report(details)
 
 
+def _unclosed_pairs(family: list[SubsetMask],
+                    images: dict[int, frozenset[int]], element: int
+                    ) -> Iterator[tuple[SubsetMask, SubsetMask]]:
+    """Each ordered pair of members of ``family``, the subsets whose image
+    in ``images`` holds ``element``, whose intersection is not one."""
+    return ((a, b) for a in family for b in family
+            if element not in images[a.bits & b.bits])
+
+
 def check_supports(g: FunctorInstance, max_size: int,
                    seed: int = 0) -> CheckReport:
     """Support family sanity for every element over every X, |X| <= max_size.
 
-    Verifies that the family of subsets whose inclusion image contains the
-    element is intersection-closed and upward closed, that its least
-    member is the intersection of the family, and that the greedy
-    computation agrees with that minimum for ascending, descending, and
-    one seeded shuffled removal order.  Refuses (as a failure, with the
+    The family of an element is the set of subsets whose inclusion image
+    contains it.  Verifies that each family is closed under intersection
+    and holds its own intersection, the least member that ``support``
+    finds.  Decides G's laws first, and refuses (as a failure, with the
     violating injection) when the functor is not monomorphic up to the
-    bound.
+    bound.  ``seed`` only labels the scope.
 
-    Each family is first decided by counting.  Every member of the family
-    contains its intersection M, so the family lies in the up-set of M,
-    which has 2^(n - |M|) members.  A family of that size is therefore
-    the up-set of M: closed under intersection, upward closed, and with M
-    as a member.  From a member S, the greedy computation drops a point p
-    exactly when S - {p} contains M, that is when p is not in M, so every
-    removal order ends at M.  No test can fail on such a family, and none
-    runs.  Conversely, a family that passes both pair walks and has its
-    intersection as a member is the up-set of that member.  So the tests
-    run exactly on the families that fail one, and list their
-    counterexamples in the same order and number as a run over every
-    family would.  The upward walk pairs each member with the subsets
-    outside the family only, since no other can break upward closure; on
-    a lawful instance it lists nothing, since A ⊆ B gives image(A) ⊆
-    image(B).
+    With the laws, every family is upward closed: A <= B gives image(A)
+    <= image(B), since the inclusion of A factors through that of B.
+    Every member contains the family's intersection M, so the family lies
+    in the up-set of M, which has 2^(n - |M|) members.  A family that
+    holds M is therefore that whole up-set, closed under intersection,
+    and it is told apart by its size: no test runs on it.  Past that
+    count M is never a member, so "intersection of the family is not a
+    member" is always listed, after every pair of members whose
+    intersection the family lacks.
     """
     out = _Collector("supports", f"sizes <= {max_size}, seed {seed}")
+    refusal = _law_refusal(g, max_size)
+    if refusal:
+        return out.refuse(refusal)
     try:
         require_monomorphic(g, max_size)
     except MonomorphicityError as err:
-        out.add(lambda: f"refused: {err}")
-        return out.report()
+        return out.refuse(str(err))
     for n in sizes_up_to(max_size):
-        ambient = FiniteSet(n)
-        masks = list(enumerate_subsets(ambient))
+        masks = list(enumerate_subsets(FiniteSet(n)))
         images = {m.bits: image_of_inclusion(g, m) for m in masks}
         names = g.elements(n)
         for element in range(g.size(n)):
@@ -764,31 +787,11 @@ def check_supports(g: FunctorInstance, max_size: int,
                 meet &= m.bits
             if len(family) == 1 << (n - meet.bit_count()):
                 continue
-            for ma in family:
-                for mb in family:
-                    if element not in images[ma.bits & mb.bits]:
-                        out.add(lambda: f"X={n} {names[element]}: family not "
-                                f"closed under {ma!r} & {mb!r}")
-            outside = [m for m in masks if element not in images[m.bits]]
-            for ma in family:
-                for mb in outside:
-                    if ma.is_subset_of(mb):
-                        out.add(lambda: f"X={n} {names[element]}: family not "
-                                f"upward closed at {ma!r} <= {mb!r}")
-            if element not in images[meet]:
-                out.add(lambda: f"X={n} {names[element]}: intersection of "
-                        f"the family is not a member")
-                continue
-            orders = [list(range(n)), list(range(n - 1, -1, -1))]
-            shuffled = list(range(n))
-            random.Random(f"{seed}:{n}:{element}").shuffle(shuffled)
-            orders.append(shuffled)
-            for order in orders:
-                bits = _greedy_bits(g, n, element, order)
-                if bits != meet:
-                    out.add(lambda: f"X={n} {names[element]}: greedy order "
-                            f"{order} gives {SubsetMask(ambient, bits)!r}, "
-                            f"family minimum is {SubsetMask(ambient, meet)!r}")
+            for ma, mb in _unclosed_pairs(family, images, element):
+                out.add(lambda: f"X={n} {names[element]}: family not "
+                        f"closed under {ma!r} & {mb!r}")
+            out.add(lambda: f"X={n} {names[element]}: intersection of the "
+                    f"family is not a member")
     return out.report()
 
 

@@ -1,8 +1,10 @@
 """The one copy of each helper that several test modules share:
 instances built fresh, wrapped (``Overridden``, ``Counting``, ``walked``)
-or given a point at the empty set; the gate that holds every fast path
-to the walk (``assert_rules_match_walk``); random flat presentations;
-and the small oracles that several modules read.
+or given a point at the empty set; the oracle, which writes each check
+from its definition as a walk over every map, pair of subsets or
+family; the gate that holds every check to it
+(``assert_rules_match_walk``); random flat presentations; and the small
+oracles that several modules read.
 
 The test modules import it as ``helpers``; ``pyproject.toml`` puts
 ``tests/`` on ``sys.path`` in every pytest import mode.
@@ -10,11 +12,12 @@ The test modules import it as ``helpers``; ``pyproject.toml`` puts
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hypothesis import strategies as st
 
-from finfun.finset import function_tables
+from finfun.finset import function_tables, table_repr
 from finfun.presentation import (
     Equation,
     FlatTerm,
@@ -25,11 +28,9 @@ from finfun.presentation import (
 )
 from finfun.tabulated import export_tabulated, load_tabulated
 from finfun.theory import (
-    CheckReport,
     FunctorInstance,
     ModificationKind,
     MonomorphicityError,
-    check_functor_laws,
     empty_mod_max,
     modify,
 )
@@ -119,7 +120,7 @@ def fresh(pres, kind=None):
 
 def walked(pres, kind=None):
     """``fresh(pres, kind)`` behind a wrapper that proves nothing, so that
-    every check takes its walk."""
+    every check walks the laws first."""
     return Overridden(fresh(pres, kind), {})
 
 
@@ -135,34 +136,229 @@ def report_of(report):
     return report.name, report.scope, report.counterexamples, report.details
 
 
-def assert_rules_match_walk(pres, kind, bounds, checks):
-    """The gate of every fast path: at each bound, each of ``checks`` says
-    the same of ``fresh(pres, kind)``, which proves its laws and so takes
-    the fast paths, as of ``walked(pres, kind)``, which takes every walk.
-    A check says what it returns, a report without its time, or the
-    refusal it raises.  The laws must pass; they are walked on a wrapper
-    of their own, since a passing walk records the laws on its wrapper
-    and the other checks would then take the rules."""
-    g = fresh(pres, kind)
-    walk, laws_walk = walked(pres, kind), walked(pres, kind)
+# ---------------------------------------------------------------------------
+# The oracle.  Each check is written from its definition, as a walk over
+# every map, pair of subsets or family, and reads F only through
+# ``action`` and ``elements``, on raw tables; nothing of ``finfun.theory``
+# is read.  It returns what the check reports of a lawful instance: a
+# report without its time (``report_of``), or the refusal text of
+# ``require_monomorphic``.
 
-    def said(check, h, bound):
+
+def injective(table):
+    """Whether a map with this table is injective."""
+    return len(set(table)) == len(table)
+
+
+def maps_up_to(max_size):
+    """(x, y, table) for every map x -> y with x, y <= max_size, by x,
+    then y, then in ``function_tables`` order."""
+    sizes = range(max_size + 1)
+    return ((x, y, t) for x in sizes for y in sizes
+            for t in function_tables(x, y))
+
+
+@functools.cache
+def injections(max_size):
+    """The injective maps of ``maps_up_to(max_size)``, in its order."""
+    return tuple(key for key in maps_up_to(max_size) if injective(key[2]))
+
+
+@functools.cache
+def surjections(max_size):
+    """The surjective maps of ``maps_up_to(max_size)``, in its order."""
+    return tuple((x, y, t) for x, y, t in maps_up_to(max_size)
+                 if len(set(t)) == y)
+
+
+def subsets(n):
+    """Every subset of n as a frozenset, by size and then by members."""
+    return [frozenset(c) for k in range(n + 1)
+            for c in itertools.combinations(range(n), k)]
+
+
+def subset_repr(a):
+    return "{" + ",".join(map(str, sorted(a))) + "}"
+
+
+def images(g, n):
+    """The image of F of the inclusion of each subset of n."""
+    return {a: frozenset(g.action(len(a), n, tuple(sorted(a))))
+            for a in subsets(n)}
+
+
+def as_report(name, scope, found, details=""):
+    """A report without its time that lists the first ``CAP`` of
+    ``found``."""
+    return name, scope, tuple(found[:CAP]), with_truncation(details, found)
+
+
+def oracle_law_failures(action, sizes):
+    """Every identity failure, then every composable pair (f, g) with
+    F(g o f) != F(g) o F(f), in the order ``law_failures`` documents;
+    ``action`` answers as ``FunctorInstance.action`` up to size
+    len(sizes) - 1, where F(n) has sizes[n] elements."""
+    out = []
+    top = range(len(sizes))
+    for n in top:
+        key = (n, n, tuple(range(n)))
+        if action(*key) != tuple(range(sizes[n])):
+            out.append((key, None))
+    hom = {(x, y): {t: action(x, y, t) for t in function_tables(x, y)}
+           for x in top for y in top}
+    for x in top:
+        for y in top:
+            for z in top:
+                composites = hom[x, z]
+                gs = hom[y, z].items()
+                for ft, af in hom[x, y].items():
+                    for gt, ag in gs:
+                        if (composites[tuple(map(gt.__getitem__, ft))]
+                                != tuple(map(ag.__getitem__, af))):
+                            out.append(((x, y, ft), (y, z, gt)))
+    return out
+
+
+def law_text(f, g):
+    """How a report writes the failure (f, g) of the laws."""
+    if g is None:
+        return f"F(id_{f[0]}) is not the identity"
+    return (f"F(g o f) != F(g) o F(f) for f={table_repr(*f)}, "
+            f"g={table_repr(*g)}")
+
+
+def laws_oracle(g, max_size):
+    sizes = [g.size(n) for n in range(max_size + 1)]
+    return as_report("laws", f"sizes <= {max_size}", [
+        law_text(f, h) for f, h in oracle_law_failures(g.action, sizes)])
+
+
+def collapses(g, max_size):
+    """(f, a, b) for each injection f between sizes <= max_size whose
+    image under F is not injective, in ``maps_up_to`` order: f as
+    reports write it, a and b the first two elements F(f) sends to one
+    place."""
+    for x, y, t in injections(max_size):
+        gf = g.action(x, y, t)
+        if not injective(gf):
+            i = next(i for i, v in enumerate(gf) if v in gf[:i])
+            names = g.elements(x)
+            yield table_repr(x, y, t), names[gf.index(gf[i])], names[i]
+
+
+def not_monomorphic(f, a, b):
+    """The refusal of a functor that collapses a and b along f."""
+    return f"functor is not monomorphic: injective f={f} collapses {a} and {b}"
+
+
+def require_monomorphic_oracle(g, max_size):
+    first = next(collapses(g, max_size), None)
+    return None if first is None else not_monomorphic(*first)
+
+
+def mono_oracle(g, max_size):
+    return as_report("mono", f"sizes <= {max_size}", [
+        f"G(f) not injective for f={f}: collapses {a} and {b}"
+        for f, a, b in collapses(g, max_size)])
+
+
+def epi_oracle(g, max_size):
+    found = []
+    for x, y, t in surjections(max_size):
+        missed = set(range(g.size(y))) - set(g.action(x, y, t))
+        if missed:
+            found.append(f"G(f) not surjective for f={table_repr(x, y, t)}: "
+                         f"misses {g.elements(y)[min(missed)]}")
+    return as_report("epi", f"sizes <= {max_size}", found)
+
+
+def intersections_oracle(g, max_size):
+    found = []
+    cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
+    for n in range(max_size + 1):
+        image = images(g, n)
+        for a in image:
+            for b in image:
+                if a <= b or b <= a:
+                    cases["nested"] += 1
+                elif not a & b:
+                    cases["disjoint"] += 1
+                else:
+                    cases["overlapping"] += 1
+                differ = image[a & b] ^ (image[a] & image[b])
+                if differ:
+                    found.append(
+                        f"X={n} A={subset_repr(a)} B={subset_repr(b)}: image "
+                        f"of A&B differs from intersection at "
+                        f"{g.elements(n)[min(differ)]}")
+    details = ("pairwise check; arbitrary finite families reduce to pairs. "
+               "case counts: "
+               + ", ".join(f"{k}={v}" for k, v in cases.items()))
+    return as_report("intersections", f"sizes <= {max_size}", found,
+                     details)
+
+
+def supports_oracle(g, max_size, seed=0):
+    """The family of each element is closed under intersection, upward
+    closed, and holds its own intersection; a functor that is not
+    monomorphic is refused with the first injection ``collapses``
+    finds."""
+    scope = f"sizes <= {max_size}, seed {seed}"
+    first = next(collapses(g, max_size), None)
+    if first is not None:
+        return as_report("supports", scope,
+                         [f"refused: {not_monomorphic(*first)}"])
+    found = []
+    for n in range(max_size + 1):
+        image = images(g, n)
+        names = g.elements(n)
+        for element, name in enumerate(names):
+            family = [a for a in image if element in image[a]]
+            members = set(family)
+            found += [f"X={n} {name}: family not closed under "
+                      f"{subset_repr(a)} & {subset_repr(b)}"
+                      for a in family for b in family if a & b not in members]
+            found += [f"X={n} {name}: family not upward closed at "
+                      f"{subset_repr(a)} <= {subset_repr(b)}"
+                      for a in family for b in image
+                      if a <= b and b not in members]
+            if frozenset(range(n)).intersection(*family) not in members:
+                found.append(f"X={n} {name}: intersection of the family is "
+                             f"not a member")
+    return as_report("supports", scope, found)
+
+
+ORACLES = {
+    "check_functor_laws": laws_oracle,
+    "require_monomorphic": require_monomorphic_oracle,
+    "check_monomorphic": mono_oracle,
+    "check_epimorphic": epi_oracle,
+    "check_intersections": intersections_oracle,
+    "check_supports": supports_oracle,
+}
+
+
+def assert_rules_match_walk(pres, kind, bounds, checks):
+    """The gate of every check: at each bound, each of ``checks`` says of
+    ``fresh(pres, kind)``, which proves its laws and so takes Trnková's
+    rules, what its oracle (``ORACLES``) says of another fresh instance.
+    A check says the report it returns, without its time, or the refusal
+    it raises.  Each check records the laws it proves on its instance."""
+    g, h = fresh(pres, kind), fresh(pres, kind)
+
+    def said(check, bound):
         try:
-            result = check(h, bound)
-        except MonomorphicityError as err:
+            result = check(g, bound)
+        except (MonomorphicityError, ValueError) as err:
             return str(err)
-        return report_of(result) if isinstance(result, CheckReport) else result
+        return None if result is None else report_of(result)
 
     for bound in bounds:
         assert g.proves_laws(bound), (g.name, bound)
-        assert not walk.proves_laws(bound)
         for check in checks:
-            other = laws_walk if check is check_functor_laws else walk
-            assert said(check, g, bound) == said(check, other, bound), (
+            assert said(check, bound) == ORACLES[check.__name__](h, bound), (
                 g.name, check.__name__, bound)
-        if check_functor_laws in checks:
-            assert check_functor_laws(g, bound).passed, (g.name, bound)
-        assert g._law_bound == bound and walk._law_bound == -1, (g.name, bound)
+        assert g._law_bound == bound, (g.name, bound)
 
 
 def out_of_empty_failures(h, top):

@@ -1,14 +1,14 @@
-"""Mono, epi and intersections under Trnková's rules.
+"""Mono, epi, intersections and supports under Trnková's rules.
 
-Once a functor's laws are known up to the bound, ``check_monomorphic``
-and ``require_monomorphic`` read F on the maps out of the empty set
-only, ``check_epimorphic`` reads no map, and ``check_intersections``
-reads one disjoint pair of subsets per orbit of the permutations, and
-walks the disjoint pairs only when one fails.  These tests hold the
-representatives to brute force, the reports to the walk over a
-``walked`` instance through the shared gate,
-``helpers.assert_rules_match_walk``, and the rules to the laws they
-need, counted by ``helpers.Counting``.
+Each check decides the functor's laws up to the bound first, and
+refuses an instance whose laws fail.  With the laws,
+``check_monomorphic`` and ``require_monomorphic`` read F on the maps out
+of the empty set only, ``check_epimorphic`` reads no map, and
+``check_intersections`` reads one disjoint pair of subsets per orbit of
+the permutations, and walks the disjoint pairs only when one fails.
+These tests hold the representatives to brute force, the reports to
+the oracle through the shared gate, ``helpers.assert_rules_match_walk``,
+and the rules to the laws they need, counted by ``helpers.Counting``.
 """
 
 from __future__ import annotations
@@ -23,19 +23,19 @@ from helpers import (
     Counting,
     assert_rules_match_walk,
     fresh,
+    intersections_oracle,
+    mono_oracle,
     presentations,
 )
 
-from finfun.finset import injective_tables, surjective_tables
 from finfun.theory import (
-    MonomorphicityError,
     _disjoint_pair_orbits,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
     check_monomorphic,
+    check_supports,
     require_monomorphic,
-    tables_up_to,
 )
 from finfun.zoo import zoo_names
 
@@ -86,23 +86,22 @@ def test_the_case_counts_are_the_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# The rules give the walk's reports.
+# The rules give the oracle's reports.
+
+CHECKS = [require_monomorphic, check_monomorphic, check_epimorphic,
+          check_intersections, check_supports]
 
 
 @pytest.mark.parametrize("kind", [None, "min", "max"])
 @pytest.mark.parametrize("name", zoo_names())
 def test_orbits_and_walk_agree_on_the_zoo(name, kind):
-    assert_rules_match_walk(name, kind, range(6), [
-        require_monomorphic, check_monomorphic, check_epimorphic,
-        check_intersections])
+    assert_rules_match_walk(name, kind, range(6), CHECKS)
 
 
 @settings(max_examples=25, deadline=None)
 @given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]))
 def test_orbits_and_walk_agree_on_random_presentations(pres, kind):
-    assert_rules_match_walk(pres, kind, range(5), [
-        require_monomorphic, check_monomorphic, check_epimorphic,
-        check_intersections])
+    assert_rules_match_walk(pres, kind, range(5), CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +121,25 @@ def inclusions(bound):
             for a, b in _disjoint_pair_orbits(n) for m in (a, b, a & b)}
 
 
-@pytest.mark.parametrize("check, rules, every", [
+@pytest.mark.parametrize("check, rules", [
     # The maps 0 -> y, for y <= 4.
-    (check_monomorphic, 5, len(list(tables_up_to(4, injective_tables)))),
-    (check_epimorphic, 0, len(list(tables_up_to(4, surjective_tables)))),
-    (check_intersections,
-     len(inclusions(4)),
-     sum(2 ** n for n in range(5))),
+    (check_monomorphic, 5),
+    (check_epimorphic, 0),
+    (check_intersections, len(inclusions(4))),
 ], ids=["mono", "epi", "intersections"])
-def test_the_fast_path_needs_the_laws(check, rules, every):
-    assert rules < every
-    # No proof and nothing recorded: the walk.
-    assert calls_of(check, Counting(fresh("upair"))) == every
+def test_the_fast_path_needs_the_laws(check, rules):
+    # What the law walk reads of an instance that proves nothing.
+    walk = calls_of(check_functor_laws, Counting(fresh("upair")))
+    assert walk > rules
+    # No proof and nothing recorded: the laws are walked first, then
+    # recorded, and the rules run.
+    g = Counting(fresh("upair"))
+    assert calls_of(check, g) == walk + rules
+    assert g._law_bound == 4
     # A recorded pass below the bound is not enough.
     g = Counting(fresh("upair"))
     g._law_bound = 3
-    assert calls_of(check, g) == every
+    assert calls_of(check, g) == walk + rules
     # A recorded pass at the bound, or a proof, which is then recorded.
     g = Counting(fresh("upair"))
     g._law_bound = 4
@@ -148,22 +150,24 @@ def test_the_fast_path_needs_the_laws(check, rules, every):
 
 
 def test_a_broken_injection_off_the_representatives_is_reported():
-    # upair's F((0,2): 2 -> 3) collapsed to one point.  With the laws,
-    # only the maps out of the empty set are read, and they are left as
-    # they are.
+    # upair's F((0,2): 2 -> 3) collapsed to one point.  Its laws fail, so
+    # mono refuses it, naming the laws' first failure; the oracle names
+    # the collapse.
     broken = {(2, 3, (0, 2)): (0, 0, 0)}
     g = Counting(fresh("upair"), broken)
     laws = check_functor_laws(g, 4)
     assert not laws.passed and g._law_bound == -1
     assert any("f=(0,2):2->3" in c or "g=(0,2):2->3" in c
                for c in laws.counterexamples)
-    mono = check_monomorphic(g, 4)
-    assert mono.counterexamples == (
-        "G(f) not injective for f=(0,2):2->3: collapses p(0,0) and p(0,1)",)
-    with pytest.raises(MonomorphicityError, match=r"\(0,2\):2->3"):
+    refusal = f"functor laws fail: {laws.counterexamples[0]}"
+    assert check_monomorphic(g, 4).counterexamples == (f"refused: {refusal}",)
+    with pytest.raises(ValueError) as err:
         require_monomorphic(g, 4)
-    # Only the gate keeps it in view: with the laws taken as known, the
-    # maps out of the empty set alone pass.
+    assert str(err.value) == refusal
+    assert mono_oracle(g, 4)[2] == (
+        "G(f) not injective for f=(0,2):2->3: collapses p(0,0) and p(0,1)",)
+    # Only the law walk keeps it in view: with the laws taken as known,
+    # the maps out of the empty set alone pass.
     forged = Counting(fresh("upair"), broken)
     forged._law_bound = 4
     assert check_monomorphic(forged, 4).passed
@@ -172,20 +176,25 @@ def test_a_broken_injection_off_the_representatives_is_reported():
 def test_a_broken_overlapping_pair_is_reported():
     # upair's F of the inclusion of {1} into 3 sent to p(1,2), where it
     # should be p(1,1): the pair {0,1}, {1,2} overlaps, and no disjoint
-    # pair sees the change.
+    # pair sees the change.  Its laws fail, so intersections refuses it;
+    # the oracle names the pairs.
     names = fresh("upair").elements(3)
     broken = {(1, 3, (1,)): (names.index("p(1,2)"),)}
     g = Counting(fresh("upair"), broken)
     laws = check_functor_laws(g, 4)
     assert not laws.passed and g._law_bound == -1
     assert any("f=(1):1->3" in c for c in laws.counterexamples)
-    assert check_intersections(g, 4).counterexamples == tuple(
+    report = check_intersections(g, 4)
+    assert report.counterexamples == (
+        f"refused: functor laws fail: {laws.counterexamples[0]}",)
+    assert report.details == ""
+    assert intersections_oracle(g, 4)[2] == tuple(
         f"X=3 A={a} B={b}: image of A&B differs from intersection at {e}"
         for a, b, e in [("{1}", "{0,1}", "p(1,2)"), ("{0,1}", "{1}", "p(1,2)"),
                         ("{0,1}", "{1,2}", "p(1,1)"),
                         ("{1,2}", "{0,1}", "p(1,1)")])
-    # Only the gate keeps it in view: with the laws taken as known, the
-    # disjoint representatives alone pass.
+    # Only the law walk keeps it in view: with the laws taken as known,
+    # the disjoint representatives alone pass.
     forged = Counting(fresh("upair"), broken)
     forged._law_bound = 4
     assert check_intersections(forged, 4).passed

@@ -16,11 +16,11 @@ images of inclusions are; so ``supports`` passes exactly when ``mono``
 and ``intersections`` do.
 
 The exhaustive checks stay the source of the verdicts; these tests only
-require that their reports never contradict the rules.  Once the laws
-are known, the checks apply the rules themselves, so the rules are also
-required of the walk over every map and pair, on an instance that
-proves no laws.  A modification takes its base's laws without a walk of
-its own, so the walk is also required to find none broken in it.
+require that their reports never contradict the rules.  The checks
+decide the laws and then apply the rules themselves, so the rules are
+also required of the oracle of ``helpers``, which walks every map and
+pair.  A modification takes its base's laws without a walk of its own,
+so the walk is also required to find none broken in it.
 """
 
 from __future__ import annotations
@@ -35,14 +35,17 @@ from hypothesis import strategies as st
 from helpers import (
     SHAPES,
     OnePoint,
+    assert_rules_match_walk,
+    epi_oracle,
     fresh,
+    injective,
+    intersections_oracle,
+    mono_oracle,
     out_of_empty_failures,
     presentations,
-    walked,
     zoo_bases,
 )
 
-from finfun.finset import FiniteSet, empty_function, is_injective
 from finfun.presentation import parse_presentation
 from finfun.theory import (
     ModificationKind,
@@ -76,20 +79,19 @@ def _members(text):
 @example(parse_presentation(zoo_source("twins")))
 @example(parse_presentation("shape u/1\neq u(a) = u(b)"))
 def test_checks_obey_trnkova_and_the_paper(pres):
-    g, walk = fresh(pres), walked(pres)
-    for h in (g, walk):
-        assert check_epimorphic(h, SIZE).passed
+    g = fresh(pres)
+    assert epi_oracle(g, SIZE)[2] == ()
 
-        mono = check_monomorphic(h, SIZE)
-        assert all(c.startswith("G(f) not injective for f=():0->")
-                   for c in mono.counterexamples)
-        assert mono.passed == is_injective(
-            h.map(empty_function(FiniteSet(1))))
+    mono = mono_oracle(g, SIZE)[2]
+    assert all(c.startswith("G(f) not injective for f=():0->") for c in mono)
+    assert (not mono) == injective(g.action(0, 1, ()))
 
-        for c in check_intersections(h, SIZE).counterexamples:
-            a, b = _PAIR_RE.search(c).groups()
-            assert not _members(a) & _members(b), c
-    assert g._law_bound == SIZE and walk._law_bound == -1
+    for c in intersections_oracle(g, SIZE)[2]:
+        a, b = _PAIR_RE.search(c).groups()
+        assert not _members(a) & _members(b), c
+
+    assert_rules_match_walk(pres, None, [SIZE], [
+        check_monomorphic, check_epimorphic, check_intersections])
 
     repaired = run_standard_checks(empty_mod_max(g), SIZE)
     assert [r.name for r in repaired if not r.passed] == []

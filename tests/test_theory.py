@@ -14,15 +14,22 @@ from helpers import (
     SHAPES,
     Counting,
     Overridden,
+    epi_oracle,
     fresh,
+    injective,
+    intersections_oracle,
+    law_text,
     mono_instances,
+    mono_oracle,
     out_of_empty_failures,
     presentations,
+    report_of,
+    supports_oracle,
     walked,
-    with_truncation,
     zoo_bases,
 )
 
+from finfun import theory
 from finfun.finset import (
     FiniteFunction,
     FiniteSet,
@@ -30,10 +37,7 @@ from finfun.finset import (
     enumerate_functions,
     enumerate_subsets,
     inclusion,
-    injective_tables,
-    is_injective,
     is_surjective,
-    surjective_tables,
 )
 from finfun.tabulated import (
     TabulatedInstance,
@@ -44,7 +48,6 @@ from finfun.theory import (
     STANDARD_CHECKS,
     DegreeResult,
     EmptyModified,
-    FunctorInstance,
     ModificationKind,
     MonomorphicityError,
     UnknownElementError,
@@ -59,6 +62,7 @@ from finfun.theory import (
     empty_mod_min,
     epi_witness,
     image_of_inclusion,
+    law_failures,
     modify,
     require_monomorphic,
     run_standard_checks,
@@ -424,7 +428,7 @@ def test_support_shrinks_along_maps(name, data):
     sa = set(support(g, x, a).support.members)
     sb = set(support(g, y, g.map(f).table[a]).support.members)
     assert sb <= {f.table[p] for p in sa}
-    if is_injective(f):
+    if injective(f.table):
         assert sb == {f.table[p] for p in sa}
 
 
@@ -591,15 +595,6 @@ def test_maps_up_to_is_the_nested_size_walk(n):
                             for y in range(n + 1))
 
 
-def test_maps_up_to_takes_a_table_source():
-    for tables, keep, count in ((injective_tables, is_injective, 2372),
-                                (surjective_tables, is_surjective, 5317)):
-        assert sum(1 for _ in tables_up_to(6, tables)) == count
-        assert list(tables_up_to(4, tables)) == [
-            (x, y, t) for x, y, t in tables_up_to(4)
-            if keep(FiniteFunction(FiniteSet(x), FiniteSet(y), t))]
-
-
 @pytest.mark.parametrize("g, n", [
     (zoo_instance("upair"), -1),
     (zoo_instance("pointed"), -2),
@@ -628,6 +623,34 @@ def test_negative_size_is_refused(g, n):
 def test_negative_size_bound_is_refused(entry):
     with pytest.raises(ValueError, match="size must be non-negative, got -1"):
         entry(zoo_instance("upair"))
+
+
+# Two instances that are not functors: upair with F((0,2): 2 -> 3)
+# collapsed to one point, and upair with F(id_2) a transposition.
+UNLAWFUL = {
+    "collapse": lambda: Counting(fresh("upair"), {(2, 3, (0, 2)): (0, 0, 0)}),
+    "identity": lambda: Counting(fresh("upair"),
+                                 {(2, 2, (0, 1)): (2, 1, 0)}),
+}
+
+
+@pytest.mark.parametrize("which", sorted(UNLAWFUL))
+def test_an_unlawful_instance_is_refused(which):
+    # Every check decides the laws first, and names their first failure.
+    laws = check_functor_laws(UNLAWFUL[which](), 3)
+    refusal = f"functor laws fail: {laws.counterexamples[0]}"
+    for check in (check_monomorphic, check_epimorphic, check_intersections,
+                  check_supports):
+        g = UNLAWFUL[which]()
+        report = check(g, 3)
+        assert report.counterexamples == (f"refused: {refusal}",)
+        assert report.details == ""
+        assert g._law_bound == -1
+    for needs_mono in (require_monomorphic, degree,
+                       lambda g, n: support(g, n, 0)):
+        with pytest.raises(ValueError) as err:
+            needs_mono(UNLAWFUL[which](), 3)
+        assert str(err.value) == refusal
 
 
 def test_check_functor_laws_passes_zoo():
@@ -690,63 +713,34 @@ def test_checks_and_export_walk_tables_without_building_functions(
     assert built == []
 
 
+def assert_refused(report, g, max_size):
+    """``report`` refuses g, whose laws fail, naming their first failure
+    as the laws check would list it, written by the oracle's formatter;
+    ``law_failures`` is drawn from only once, since a broken instance's
+    pairs all take a minute to compare at size 5."""
+    sizes = [g.size(n) for n in range(max_size + 1)]
+    first = law_text(*next(law_failures(g.action, sizes)))
+    assert report.counterexamples == (f"refused: functor laws fail: {first}",)
+    assert report.details == ""
+
+
 def test_check_epimorphic():
     for name in zoo_names():
         assert check_epimorphic(zoo_instance(name), 3).passed, name
     up = zoo_instance("upair")
     broken = Overridden(up, {(2, 2, (1, 0)): (2, 1, 2)})
-    report = check_epimorphic(broken, 2)
-    assert not report.passed
-    assert any("misses" in c and "p(0,0)" in c for c in report.counterexamples)
+    assert_refused(check_epimorphic(broken, 2), broken, 2)
 
 
 def test_epi_report_names_one_broken_surjection():
     # F(f) for the surjection f = (0,0,1): 3 -> 2 of upair, replaced by a
-    # table that misses p(0,1) and p(1,1); the report names the first.
+    # table that misses p(0,1) and p(1,1): the oracle names the first,
+    # and the check refuses the instance, whose laws fail.
     up = zoo_instance("upair")
     broken = Overridden(up, {(3, 2, (0, 0, 1)): (0,) * up.size(3)})
-    report = check_epimorphic(broken, 3)
-    assert report.counterexamples == (
-        "G(f) not surjective for f=(0,0,1):3->2: misses p(0,1)",)
-    assert report.details == ""
-    assert list(report.counterexamples) == epi_oracle(broken, 3)
-
-
-def mono_oracle(g, max_size):
-    """The counterexamples of ``check_monomorphic`` as the walk over every
-    map, keeping the injective ones, finds them."""
-    found = []
-    for x, y, t in tables_up_to(max_size):
-        f = FiniteFunction(FiniteSet(x), FiniteSet(y), t)
-        if not is_injective(f):
-            continue
-        gf = g.map(f)
-        if is_injective(gf):
-            continue
-        names = g.elements(x)
-        first = {}
-        for i, v in enumerate(gf.table):
-            if v in first:
-                found.append(f"G(f) not injective for f={f!r}: collapses "
-                             f"{names[first[v]]} and {names[i]}")
-                break
-            first[v] = i
-    return found
-
-
-def epi_oracle(g, max_size):
-    """The counterexamples of ``check_epimorphic`` as the walk over every
-    map, keeping the surjective ones, finds them."""
-    found = []
-    for x, y, t in tables_up_to(max_size):
-        f = FiniteFunction(FiniteSet(x), FiniteSet(y), t)
-        if not is_surjective(f):
-            continue
-        missed = set(range(g.size(y))) - set(g.map(f).table)
-        if missed:
-            found.append(f"G(f) not surjective for f={f!r}: misses "
-                         f"{g.elements(y)[min(missed)]}")
-    return found
+    assert epi_oracle(broken, 3)[2:] == (
+        ("G(f) not surjective for f=(0,0,1):3->2: misses p(0,1)",), "")
+    assert_refused(check_epimorphic(broken, 3), broken, 3)
 
 
 def scrambled(name, max_size, seed):
@@ -763,6 +757,8 @@ def scrambled(name, max_size, seed):
 
 @pytest.mark.parametrize("which", ["twins", "max", "min", "scrambled"])
 def test_mono_and_epi_reports_match_the_every_map_walk(which):
+    # The scrambled tables are no functor: the oracle finds more failures
+    # than a report lists, and each check refuses the instance.
     if which == "scrambled":
         g = scrambled("power2", 5, seed=7)
     else:
@@ -772,11 +768,11 @@ def test_mono_and_epi_reports_match_the_every_map_walk(which):
     for check, oracle in ((check_monomorphic, mono_oracle),
                           (check_epimorphic, epi_oracle)):
         report = check(g, 5)
-        found = oracle(g, 5)
-        assert report.counterexamples == tuple(found[:25])
-        assert report.details == with_truncation("", found)
         if which == "scrambled":
-            assert len(found) > 25, check.__name__
+            assert "truncated" in oracle(g, 5)[3], check.__name__
+            assert_refused(report, g, 5)
+        else:
+            assert report_of(report) == oracle(g, 5)
 
 
 def test_check_intersections_zoo_and_modifications():
@@ -829,97 +825,10 @@ def test_check_supports_min_twins_family_not_closed():
     assert any("not closed" in c for c in report.counterexamples)
 
 
-def intersections_oracle(g, max_size):
-    """The counterexamples and case-count details of
-    ``check_intersections``, as a walk over member tuples and sets finds
-    them."""
-    found = []
-    cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
-    for n in range(max_size + 1):
-        masks = list(enumerate_subsets(FiniteSet(n)))
-        images = {m.members: frozenset(g.map(inclusion(m)).table)
-                  for m in masks}
-        for a in masks:
-            for b in masks:
-                sa, sb = set(a.members), set(b.members)
-                if sa <= sb or sb <= sa:
-                    cases["nested"] += 1
-                elif not (sa & sb):
-                    cases["disjoint"] += 1
-                else:
-                    cases["overlapping"] += 1
-                lhs = images[tuple(sorted(sa & sb))]
-                rhs = images[a.members] & images[b.members]
-                if lhs != rhs:
-                    offending = min(lhs ^ rhs)
-                    found.append(
-                        f"X={n} A={a!r} B={b!r}: image of A&B differs from "
-                        f"intersection at {g.elements(n)[offending]}")
-    details = ("pairwise check; arbitrary finite families reduce to pairs. "
-               f"case counts: nested={cases['nested']}, "
-               f"disjoint={cases['disjoint']}, "
-               f"overlapping={cases['overlapping']}")
-    return found, details
-
-
-def supports_oracle(g, max_size, seed=0):
-    """The counterexamples of ``check_supports``, as a walk over member
-    tuples and sets finds them."""
-    try:
-        require_monomorphic(g, max_size)
-    except MonomorphicityError as err:
-        return [f"refused: {err}"]
-    found = []
-    for n in range(max_size + 1):
-        masks = list(enumerate_subsets(FiniteSet(n)))
-        images = {m.members: frozenset(g.map(inclusion(m)).table)
-                  for m in masks}
-        names = g.elements(n)
-        for element in range(g.size(n)):
-            family = [m for m in masks if element in images[m.members]]
-            keys = {m.members for m in family}
-            for ma in family:
-                for mb in family:
-                    meet = tuple(sorted(set(ma.members) & set(mb.members)))
-                    if meet not in keys:
-                        found.append(f"X={n} {names[element]}: family not "
-                                     f"closed under {ma!r} & {mb!r}")
-            for ma in family:
-                for mb in masks:
-                    if (set(ma.members) <= set(mb.members)
-                            and mb.members not in keys):
-                        found.append(f"X={n} {names[element]}: family not "
-                                     f"upward closed at {ma!r} <= {mb!r}")
-            meet = set(range(n))
-            for m in family:
-                meet &= set(m.members)
-            least = tuple(sorted(meet))
-            if least not in keys:
-                found.append(f"X={n} {names[element]}: intersection of the "
-                             f"family is not a member")
-                continue
-            orders = [list(range(n)), list(range(n - 1, -1, -1))]
-            shuffled = list(range(n))
-            random.Random(f"{seed}:{n}:{element}").shuffle(shuffled)
-            orders.append(shuffled)
-            for order in orders:
-                res = support(g, n, element, order=order)
-                if tuple(res.support.members) != least:
-                    found.append(
-                        f"X={n} {names[element]}: greedy order {order} "
-                        f"gives {res.support!r}, family minimum is "
-                        f"{{{','.join(map(str, least))}}}")
-                    continue
-                back = g.map(inclusion(res.support)).table[res.witness]
-                if back != element:
-                    found.append(f"X={n} {names[element]}: witness does not "
-                                 f"map back to the element")
-    return found
-
-
 # upair passes the orbit pass of ``check_intersections``; const2∘,
 # pointed∘ and twins∘ fail it and take the disjoint walk; the overridden
-# twins∘ has no known laws and takes the walk over every pair.
+# twins∘ has no known laws, so each check walks the laws first and then
+# takes the same path.
 SUBSET_ORACLE_CASES = {
     "const2∘": lambda: empty_mod_min(zoo_instance("const2")),
     "pointed∘": lambda: empty_mod_min(zoo_instance("pointed")),
@@ -934,16 +843,11 @@ SUBSET_ORACLE_CASES = {
 @pytest.mark.parametrize("which", sorted(SUBSET_ORACLE_CASES))
 def test_subset_check_reports_match_the_member_set_walk(which):
     g = SUBSET_ORACLE_CASES[which]()
-    found, details = intersections_oracle(g, 5)
-    report = check_intersections(g, 5)
-    assert report.counterexamples == tuple(found[:25])
-    assert report.details == with_truncation(details, found)
-    found = supports_oracle(g, 5)
-    report = check_supports(g, 5)
-    assert report.counterexamples == tuple(found[:25])
-    assert report.details == with_truncation("", found)
+    assert report_of(check_intersections(g, 5)) == intersections_oracle(g, 5)
+    report = report_of(check_supports(g, 5))
+    assert report == supports_oracle(g, 5)
     if which == "twins∘":
-        assert len(found) == 248
+        assert report[3] == "counterexamples truncated (248 found)"
 
 
 @settings(max_examples=40, deadline=None)
@@ -951,26 +855,20 @@ def test_subset_check_reports_match_the_member_set_walk(which):
        st.sampled_from(["plain", "min", "max"]), st.integers(0, 3))
 def test_supports_report_matches_the_pair_walks(pres, max_size, which,
                                                 seed):
-    # The oracle always runs both pair walks; the check skips them on
-    # families whose size shows that they are up-sets.
+    # The oracle walks every family; the check skips those whose size
+    # shows that they are up-sets.
     g = fresh(pres, which)
-    found = supports_oracle(g, max_size, seed)
-    report = check_supports(g, max_size, seed=seed)
-    assert report.counterexamples == tuple(found[:25])
-    assert report.details == with_truncation("", found)
+    assert report_of(check_supports(g, max_size, seed=seed)) == \
+        supports_oracle(g, max_size, seed)
 
 
 def count_pair_walks(monkeypatch):
-    """A list that gets one entry per ``is_subset_of`` call, which only
-    the upward-closure walk of ``check_supports`` makes."""
+    """A list that gets one entry per family whose pairs
+    ``check_supports`` walks (``_unclosed_pairs``)."""
     calls = []
-    is_subset_of = SubsetMask.is_subset_of
-
-    def counted(self, other):
-        calls.append(self)
-        return is_subset_of(self, other)
-
-    monkeypatch.setattr(SubsetMask, "is_subset_of", counted)
+    unclosed_pairs = theory._unclosed_pairs
+    monkeypatch.setattr(theory, "_unclosed_pairs", lambda *args: calls.append(
+        args) or unclosed_pairs(*args))
     return calls
 
 
@@ -979,26 +877,25 @@ def test_up_set_families_skip_the_pair_walks(monkeypatch):
     for g in mono_instances():
         assert check_supports(g, 3).passed, g.name
     assert calls == []
+    assert not check_supports(empty_mod_min(zoo_instance("twins")), 3).passed
+    assert calls
 
 
-def test_only_families_that_are_not_up_sets_run_the_greedy_orders(
-        monkeypatch):
+def test_supports_runs_no_greedy_order(monkeypatch):
+    # Every family of a lawful instance is upward closed, so every
+    # removal order ends at the family's intersection: none is run, not
+    # even where supports fails.
     calls = []
     monkeypatch.setattr("finfun.theory._greedy_bits", lambda *args:
                         calls.append(args) or _greedy_bits(*args))
+    failed = []
     for name in zoo_names():
         g = zoo_instance(name)
         for h in (g, empty_mod_min(g), empty_mod_max(g)):
-            check_supports(h, 4)
+            if not check_supports(h, 4).passed:
+                failed.append(h.name)
     assert calls == []
-    # {0,1} -> 3 sent onto {0,2}: the family of x(1) is {1}, {0,1,2} and
-    # {1,2}, closed under intersection but not upward closed, so its
-    # three removal orders run, and the descending one stops at {1,2}.
-    g = Overridden(zoo_instance("identity"), {(2, 3, (0, 1)): (0, 2)})
-    report = check_supports(g, 3)
-    assert len(calls) == 3
-    assert ("X=3 x(1): greedy order [2, 1, 0] gives {1,2}, family minimum "
-            "is {1}") in report.counterexamples
+    assert sorted(failed) == ["const2∘", "pointed∘", "twins", "twins∘"]
 
 
 @pytest.mark.parametrize("max_size, key, image, expected", [
@@ -1015,26 +912,23 @@ def test_only_families_that_are_not_up_sets_run_the_greedy_orders(
 def test_families_that_are_not_up_sets_are_walked(monkeypatch, max_size, key,
                                                   image, expected):
     # One inclusion of the identity functor sent elsewhere, injectively,
-    # so that the functor stays monomorphic and the family is walked.
+    # so that the functor stays monomorphic: the oracle walks the family,
+    # and the check refuses the instance, whose laws fail, walking none.
     g = Overridden(zoo_instance("identity"), {key: image})
-    calls = count_pair_walks(monkeypatch)
-    report = check_supports(g, max_size)
-    assert calls
-    walked = [c for c in report.counterexamples
+    walked = [c for c in supports_oracle(g, max_size)[2]
               if " x(0): family not " in c]
     assert walked == expected
-    found = supports_oracle(g, max_size)
-    assert report.counterexamples == tuple(found[:25])
-    assert report.details == with_truncation("", found)
+    calls = count_pair_walks(monkeypatch)
+    assert_refused(check_supports(g, max_size), g, max_size)
+    assert calls == []
 
 
 def test_intersection_report_matches_the_member_set_walk_scrambled():
+    # The scrambled tables are no functor: the oracle finds more failures
+    # than a report lists, and the check refuses the instance.
     g = scrambled("power2", 4, seed=7)
-    found, details = intersections_oracle(g, 4)
-    report = check_intersections(g, 4)
-    assert len(found) > 25
-    assert report.counterexamples == tuple(found[:25])
-    assert report.details == with_truncation(details, found)
+    assert "truncated" in intersections_oracle(g, 4)[3]
+    assert_refused(check_intersections(g, 4), g, 4)
 
 
 @pytest.mark.parametrize("max_size", range(7))
@@ -1062,22 +956,14 @@ def test_intersection_case_counts_follow_the_closed_forms(max_size):
 
 
 def test_counterexamples_truncated_with_note():
-    class Collapse(FunctorInstance):
-        def __init__(self, base):
-            super().__init__("collapse")
-            self.base = base
-
-        def elements(self, n):
-            return self.base.elements(n)
-
-        def action(self, x, y, table):
-            m = self.base.size(y)
-            n = self.base.size(x)
-            return (0,) * n if m else ()
-
-    report = check_monomorphic(Collapse(zoo_instance("power2")), 4)
+    # twins∘ fails on every disjoint pair of non-empty subsets from size
+    # 2: 2 + 12 + 50 + 180 of them up to size 5, of which 25 are listed.
+    report = check_intersections(empty_mod_min(zoo_instance("twins")), 5)
     assert len(report.counterexamples) == 25
-    assert "truncated (74 found)" in report.details
+    assert report.details == (
+        "pairwise check; arbitrary finite families reduce to pairs. case "
+        "counts: nested=665, disjoint=244, overlapping=456; "
+        "counterexamples truncated (244 found)")
 
 
 def test_run_standard_checks():
