@@ -19,11 +19,16 @@ The ``check_*`` functions verify properties exhaustively up to a size
 bound and return a ``CheckReport``; failures carry counterexamples, never
 exceptions.  Each check but ``laws`` decides the functor laws first and
 refuses an instance whose laws fail; on a lawful one, Trnková's rules
-decide what the walk over every map or pair would.
+decide what the walk over every map or pair would, from F at sizes <= 2:
+``mono`` reads F(0 -> 1), and ``intersections`` and ``supports`` read the
+strays (``_strays``), the elements of F(2) that the images of {0} and {1}
+share but the image of the empty set lacks.  A failing report writes its
+kept texts from the strays at sizes <= 4 and its total in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -348,19 +353,23 @@ def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
         tuple[MorphismKey, tuple[str, str]]]:
     """Each map 0 -> y, y <= max_size, for which G(f) is not injective,
     with the names of the first two elements G(f) collapses; by y.  The
-    caller has decided G's laws up to max_size.
+    caller has decided G's laws up to max_size.  Only G(0 -> 1) is read.
 
     With the laws, no other injection can fail (Trnková): an injection
     f: x -> y with x > 0 has a retraction r, and G(r) o G(f) = G(r o f) =
     id, so G(f) is injective.  The maps out of the empty set come first in
     ``tables_up_to`` order, so these are the failures of the walk over
-    every injection, in the walk's order."""
-    for y in sizes_up_to(max_size):
-        gf = g.action(0, y, ())
-        if len(set(gf)) < len(gf):
-            j = next(j for j, v in enumerate(gf) if v in gf[:j])
-            names = g.elements(0)
-            yield (0, y, ()), (names[gf.index(gf[j])], names[j])
+    every injection, in the walk's order.  G(0 -> 0) is G(id), the
+    identity.  For y >= 1, G(0 -> y) = G(1 -> y) o G(0 -> 1), and G(1 -> y)
+    is injective, so G(0 -> y) collapses exactly the elements G(0 -> 1)
+    does: a failure at y = 1 recurs at every y up to max_size, naming the
+    same two elements."""
+    gf = g.action(0, 1, ()) if max_size >= 1 else ()
+    j = next((j for j, v in enumerate(gf) if v in gf[:j]), None)
+    if j is not None:
+        names = g.elements(0)
+        collapsed = names[gf.index(gf[j])], names[j]
+        yield from (((0, y, ()), collapsed) for y in range(1, max_size + 1))
 
 
 @dataclass(frozen=True)
@@ -515,6 +524,14 @@ class _Collector:
         if len(self.items) < _COUNTEREXAMPLE_CAP:
             self.items.append(text())
 
+    def add_all(self, texts: Iterable[str], total: int) -> None:
+        """Count ``total`` failures, whose texts ``texts`` lists in order,
+        and keep the first of them while fewer than the cap are kept; the
+        rest of ``texts`` is never drawn."""
+        self.items += itertools.islice(texts,
+                                       _COUNTEREXAMPLE_CAP - len(self.items))
+        self.total += total
+
     def refuse(self, reason: str) -> CheckReport:
         """The report of a check that refuses to run: the one
         counterexample ``refused: <reason>``, and no details."""
@@ -619,9 +636,9 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     (``_laws_known``).
     """
     out = _Collector("laws", f"sizes <= {max_size}")
-    sizes = [g.size(n) for n in sizes_up_to(max_size)]
+    sizes = sizes_up_to(max_size)
     if not _laws_known(g, max_size):
-        for f, h in law_failures(g.action, sizes):
+        for f, h in law_failures(g.action, [g.size(n) for n in sizes]):
             out.add(lambda: _law_text(f, h))
         if not out.total:
             g._law_bound = max_size
@@ -630,8 +647,8 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
 
 def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) injective for every injective f between sets of sizes <= max_size,
-    including maps out of the empty set.  With the laws, only the maps out
-    of the empty set are read (``_injectivity_failures``)."""
+    including maps out of the empty set.  With the laws, only G(0 -> 1) is
+    read (``_injectivity_failures``)."""
     out = _Collector("mono", f"sizes <= {max_size}")
     refusal = _law_refusal(g, max_size)
     if refusal:
@@ -656,36 +673,59 @@ def check_epimorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     return out.refuse(refusal) if refusal else out.report()
 
 
-def _disjoint_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """Every ordered pair of disjoint subsets of n as bit masks, in
-    ``enumerate_subsets`` order."""
-    masks = [m.bits for m in enumerate_subsets(FiniteSet(n))]
-    return ((a, b) for a in masks for b in masks if not a & b)
+def _disjoint_pairs(n: int) -> Iterator[tuple[SubsetMask, SubsetMask]]:
+    """Every ordered pair of disjoint non-empty subsets of n, in
+    ``enumerate_subsets`` order: 3^n - 2^(n+1) + 1 pairs."""
+    masks = list(enumerate_subsets(FiniteSet(n)))[1:]
+    return ((a, b) for a in masks for b in masks if not a.bits & b.bits)
 
 
-def _disjoint_pair_orbits(n: int) -> Iterator[tuple[int, int]]:
-    """One disjoint pair (A, B) of subsets of n per orbit of the
-    permutations of n, as bit masks, (n+1)(n+2)/2 in all: for each
-    i + j <= n, A is the first i points and B the next j."""
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            yield (1 << i) - 1, ((1 << j) - 1) << i
+def _disjoint_total(max_size: int) -> int:
+    """How many pairs ``_disjoint_pairs`` yields over the sizes up to
+    max_size."""
+    return sum(3 ** n - 2 ** (n + 1) + 1 for n in sizes_up_to(max_size))
 
 
-def _intersection_failures(
-        g: FunctorInstance, max_size: int,
-        pairs: Callable[[int], Iterable[tuple[int, int]]]
-) -> Iterator[Callable[[], str]]:
-    """The text of each failing pair of ``pairs(n)``, as ``add`` takes it."""
-    for n in sizes_up_to(max_size):
-        for a, b in pairs(n):
-            lhs = _image(g, n, a & b)
-            rhs = _image(g, n, a) & _image(g, n, b)
-            if lhs != rhs:
-                yield lambda: (f"X={n} A={SubsetMask(FiniteSet(n), a)!r} "
-                               f"B={SubsetMask(FiniteSet(n), b)!r}: image of "
-                               f"A&B differs from intersection at "
-                               f"{g.elements(n)[min(lhs ^ rhs)]}")
+def _strays(g: FunctorInstance, n: int) -> list[int]:
+    """The elements of G(n), n >= 2, in the images of {0} and {1} but not
+    in the image of the empty set, sorted.  The caller has decided G's laws
+    up to n.
+
+    Write E for the equalizer of G of the two maps 1 -> 2, the value at
+    the empty set of ``empty_mod_max`` (Trnková's distinguished points),
+    and c_v: 1 -> n for the constant with value v.  The strays are the
+    G(c)(x) for x in E outside the image of G(0 -> 1), for any c; and they
+    are exactly the elements in the images of two disjoint non-empty
+    subsets A and B of n but not in the image of the empty set.
+
+    - For x in E, G(c_v)(x) = G(c_w)(x): both maps factor through the map
+      2 -> n with 0 -> v and 1 -> w.  So G(c)(x) lies in the image of
+      every {v}, hence of every non-empty subset.  G(c) has the retraction
+      G(n -> 1), which sends the image of the empty set into that of
+      G(0 -> 1); so G(c)(x) lies outside it when x does.
+    - Let e lie in the images of A and B and not of the empty set, and
+      pick a in A.  The map f that fixes A and sends the rest of n to a
+      fixes e, as G(f) fixes the image of A; and f sends B into {a}, so e
+      lies in the image of {a}: e = G(c_a)(x).  Likewise e = G(c_b)(y)
+      for b in B.  Let h: 2 -> n send 0 to a and 1 to b; G(h) has a
+      retraction, so G(i_0)(x) = G(i_1)(y) in G(2), for the two maps i_0,
+      i_1: 1 -> 2.  G of the merge 2 -> 1 takes both sides to x = y, so x
+      lies in E, and outside the image of G(0 -> 1), as e is not in that
+      of the empty set.
+
+    G(c) is injective, so every n >= 2 has the same number k of strays:
+    |E| less the size of the image of G(0 -> 1), which is |G°(∅)| - |G(∅)|
+    for a monomorphic G."""
+    return sorted(_image(g, n, 1) & _image(g, n, 2) - _image(g, n, 0))
+
+
+def _stray_names(g: FunctorInstance, max_size: int
+                 ) -> Iterator[tuple[int, list[str]]]:
+    """(n, the names of ``_strays(g, n)``) for n = 2, ..., max_size, each
+    read only when drawn."""
+    for n in range(2, max_size + 1):
+        names = g.elements(n)
+        yield n, [names[e] for e in _strays(g, n)]
 
 
 def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
@@ -709,42 +749,31 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
     B, so an element of both images is G(f o h) of itself: it lies in the
     image of C.  The image of C lies in both, through A and through B.
 
-    The disjoint pairs are read first on one representative per orbit of
-    the permutations (``_disjoint_pair_orbits``).  A permutation s of X
-    carries (A, B) to (sA, sB), and s after the inclusion of A is the
-    inclusion of sA after a permutation of A, whose G is onto; so
-    image(sA) = G(s)(image A).  As G(s) is a bijection, with inverse
-    G(s^-1), and s(A & B) = sA & sB, the pair (sA, sB) fails exactly when
-    (A, B) does.  When a representative fails, every disjoint pair is
-    walked.  Either way the failures, their order and their number are
-    those of the walk over every pair.
+    A disjoint pair fails exactly at the strays of its size
+    (``_strays``), which lie in the image of every non-empty subset.  So
+    the check reads the ∅, {0} and {1} inclusions into 2 only: with no
+    stray there, it passes; otherwise every disjoint pair of non-empty
+    subsets of every size from 2 fails, naming the least stray of its
+    size, and the total is the ``disjoint`` count.  The failures, their
+    order and their number are those of the walk over every pair.
     """
     out = _Collector("intersections", f"sizes <= {max_size}")
     refusal = _law_refusal(g, max_size)
     if refusal:
         return out.refuse(refusal)
-    failures = _intersection_failures(g, max_size, _disjoint_pair_orbits)
-    if next(failures, None) is not None:
-        failures = _intersection_failures(g, max_size, _disjoint_pairs)
-    for text in failures:
-        out.add(text)
     sizes = sizes_up_to(max_size)
     nested = sum(2 * 3 ** n - 2 ** n for n in sizes)
-    disjoint = sum(3 ** n - 2 ** (n + 1) + 1 for n in sizes)
+    disjoint = _disjoint_total(max_size)
     overlapping = sum(4 ** n for n in sizes) - nested - disjoint
+    if max_size >= 2 and _strays(g, 2):
+        out.add_all((f"X={n} A={a!r} B={b!r}: image of A&B differs from "
+                     f"intersection at {strays[0]}"
+                     for n, strays in _stray_names(g, max_size)
+                     for a, b in _disjoint_pairs(n)), disjoint)
     details = ("pairwise check; arbitrary finite families reduce to pairs. "
                f"case counts: nested={nested}, disjoint={disjoint}, "
                f"overlapping={overlapping}")
     return out.report(details)
-
-
-def _unclosed_pairs(family: list[SubsetMask],
-                    images: dict[int, frozenset[int]], element: int
-                    ) -> Iterator[tuple[SubsetMask, SubsetMask]]:
-    """Each ordered pair of members of ``family``, the subsets whose image
-    in ``images`` holds ``element``, whose intersection is not one."""
-    return ((a, b) for a in family for b in family
-            if element not in images[a.bits & b.bits])
 
 
 def check_supports(g: FunctorInstance, max_size: int,
@@ -759,14 +788,17 @@ def check_supports(g: FunctorInstance, max_size: int,
     bound.  ``seed`` only labels the scope.
 
     With the laws, every family is upward closed: A <= B gives image(A)
-    <= image(B), since the inclusion of A factors through that of B.
-    Every member contains the family's intersection M, so the family lies
-    in the up-set of M, which has 2^(n - |M|) members.  A family that
-    holds M is therefore that whole up-set, closed under intersection,
-    and it is told apart by its size: no test runs on it.  Past that
-    count M is never a member, so "intersection of the family is not a
-    member" is always listed, after every pair of members whose
-    intersection the family lacks.
+    <= image(B), since the inclusion of A factors through that of B.  Two
+    members that overlap meet in a member, by the rule of
+    ``check_intersections``, and two disjoint ones only in the family of a
+    stray (``_strays``).  So every other family is closed under
+    intersection: it holds its intersection and nothing fails.  A stray
+    lies in the image of every non-empty subset and not of the empty one,
+    so its family is every non-empty subset: it fails on each disjoint
+    pair of non-empty subsets, in ``_disjoint_pairs`` order, and then on
+    its intersection, the empty set.  With k strays at each size from 2,
+    read at size 2, the total is k times the ``disjoint`` count of
+    ``check_intersections`` plus one per size from 2 to max_size.
     """
     out = _Collector("supports", f"sizes <= {max_size}, seed {seed}")
     refusal = _law_refusal(g, max_size)
@@ -776,23 +808,21 @@ def check_supports(g: FunctorInstance, max_size: int,
         require_monomorphic(g, max_size)
     except MonomorphicityError as err:
         return out.refuse(str(err))
-    for n in sizes_up_to(max_size):
-        masks = list(enumerate_subsets(FiniteSet(n)))
-        images = {m.bits: image_of_inclusion(g, m) for m in masks}
-        names = g.elements(n)
-        for element in range(g.size(n)):
-            family = [m for m in masks if element in images[m.bits]]
-            meet = (1 << n) - 1
-            for m in family:
-                meet &= m.bits
-            if len(family) == 1 << (n - meet.bit_count()):
-                continue
-            for ma, mb in _unclosed_pairs(family, images, element):
-                out.add(lambda: f"X={n} {names[element]}: family not "
-                        f"closed under {ma!r} & {mb!r}")
-            out.add(lambda: f"X={n} {names[element]}: intersection of the "
-                    f"family is not a member")
+    k = len(_strays(g, 2)) if max_size >= 2 else 0
+    if k:
+        out.add_all(_family_texts(g, max_size),
+                    k * (_disjoint_total(max_size) + max_size - 1))
     return out.report()
+
+
+def _family_texts(g: FunctorInstance, max_size: int) -> Iterator[str]:
+    """The failures of ``check_supports`` in the walk's order: by size
+    from 2, then by stray, each disjoint pair and then the intersection."""
+    for n, strays in _stray_names(g, max_size):
+        for name in strays:
+            for a, b in _disjoint_pairs(n):
+                yield f"X={n} {name}: family not closed under {a!r} & {b!r}"
+            yield f"X={n} {name}: intersection of the family is not a member"
 
 
 # Checks are looked up at call time, so one rebound on the module runs.

@@ -79,15 +79,18 @@ class Overridden(FunctorInstance):
 
 class Counting(Overridden):
     """An ``Overridden`` that counts its own ``action`` calls in ``calls``,
-    and whose ``proves_laws`` answers ``proof``."""
+    keeps the largest domain or codomain they read in ``largest``, and
+    whose ``proves_laws`` answers ``proof``."""
 
     def __init__(self, base, overrides=None, proof=False):
         super().__init__(base, overrides or {})
         self.proof = proof
         self.calls = 0
+        self.largest = -1
 
     def action(self, x, y, table):
         self.calls += 1
+        self.largest = max(self.largest, x, y)
         return super().action(x, y, table)
 
     def proves_laws(self, max_size):
@@ -272,30 +275,65 @@ def epi_oracle(g, max_size):
     return as_report("epi", f"sizes <= {max_size}", found)
 
 
+def pair_failures(g, n):
+    """(A, B, differ) for each ordered pair of subsets of n whose meet's
+    image is not the intersection of their images, A outer and B inner
+    in ``subsets`` order; ``differ`` holds the elements where the two
+    differ."""
+    image = images(g, n)
+    for a in image:
+        for b in image:
+            differ = image[a & b] ^ (image[a] & image[b])
+            if differ:
+                yield a, b, differ
+
+
 def intersections_oracle(g, max_size):
     found = []
     cases = {"nested": 0, "disjoint": 0, "overlapping": 0}
     for n in range(max_size + 1):
-        image = images(g, n)
-        for a in image:
-            for b in image:
+        for a in subsets(n):
+            for b in subsets(n):
                 if a <= b or b <= a:
                     cases["nested"] += 1
                 elif not a & b:
                     cases["disjoint"] += 1
                 else:
                     cases["overlapping"] += 1
-                differ = image[a & b] ^ (image[a] & image[b])
-                if differ:
-                    found.append(
-                        f"X={n} A={subset_repr(a)} B={subset_repr(b)}: image "
-                        f"of A&B differs from intersection at "
-                        f"{g.elements(n)[min(differ)]}")
+        found += [f"X={n} A={subset_repr(a)} B={subset_repr(b)}: image of "
+                  f"A&B differs from intersection at "
+                  f"{g.elements(n)[min(differ)]}"
+                  for a, b, differ in pair_failures(g, n)]
     details = ("pairwise check; arbitrary finite families reduce to pairs. "
                "case counts: "
                + ", ".join(f"{k}={v}" for k, v in cases.items()))
     return as_report("intersections", f"sizes <= {max_size}", found,
                      details)
+
+
+def family_failures(g, n):
+    """(element, text) for each failure of the family of an element of
+    F(n), by element: a pair of members whose intersection is not one, a
+    member with a superset that is not one, and an intersection of the
+    family that is not a member."""
+    image = images(g, n)
+    for element, name in enumerate(g.elements(n)):
+        family = [a for a in image if element in image[a]]
+        members = set(family)
+        for a in family:
+            for b in family:
+                if a & b not in members:
+                    yield element, (f"X={n} {name}: family not closed under "
+                                    f"{subset_repr(a)} & {subset_repr(b)}")
+        for a in family:
+            for b in image:
+                if a <= b and b not in members:
+                    yield element, (f"X={n} {name}: family not upward "
+                                    f"closed at {subset_repr(a)} <= "
+                                    f"{subset_repr(b)}")
+        if frozenset(range(n)).intersection(*family) not in members:
+            yield element, (f"X={n} {name}: intersection of the family is "
+                            f"not a member")
 
 
 def supports_oracle(g, max_size, seed=0):
@@ -308,24 +346,8 @@ def supports_oracle(g, max_size, seed=0):
     if first is not None:
         return as_report("supports", scope,
                          [f"refused: {not_monomorphic(*first)}"])
-    found = []
-    for n in range(max_size + 1):
-        image = images(g, n)
-        names = g.elements(n)
-        for element, name in enumerate(names):
-            family = [a for a in image if element in image[a]]
-            members = set(family)
-            found += [f"X={n} {name}: family not closed under "
-                      f"{subset_repr(a)} & {subset_repr(b)}"
-                      for a in family for b in family if a & b not in members]
-            found += [f"X={n} {name}: family not upward closed at "
-                      f"{subset_repr(a)} <= {subset_repr(b)}"
-                      for a in family for b in image
-                      if a <= b and b not in members]
-            if frozenset(range(n)).intersection(*family) not in members:
-                found.append(f"X={n} {name}: intersection of the family is "
-                             f"not a member")
-    return as_report("supports", scope, found)
+    return as_report("supports", scope, [
+        text for n in range(max_size + 1) for _, text in family_failures(g, n)])
 
 
 ORACLES = {

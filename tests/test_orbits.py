@@ -1,19 +1,20 @@
 """Mono, epi, intersections and supports under Trnková's rules.
 
 Each check decides the functor's laws up to the bound first, and
-refuses an instance whose laws fail.  With the laws,
-``check_monomorphic`` and ``require_monomorphic`` read F on the maps out
-of the empty set only, ``check_epimorphic`` reads no map, and
-``check_intersections`` reads one disjoint pair of subsets per orbit of
-the permutations, and walks the disjoint pairs only when one fails.
-These tests hold the representatives to brute force, the reports to
-the oracle through the shared gate, ``helpers.assert_rules_match_walk``,
-and the rules to the laws they need, counted by ``helpers.Counting``.
+refuses an instance whose laws fail.  With the laws, F at sizes <= 2
+decides the rest: ``check_monomorphic`` and ``require_monomorphic`` read
+F(0 -> 1) only, ``check_epimorphic`` reads no map, and
+``check_intersections`` and ``check_supports`` read the strays at size 2
+(``_strays``), the elements in the images of {0} and {1} but not of the
+empty set.  A failing report writes its kept texts from the strays of
+each size and its total in closed form.  These tests hold the size-2
+rule to the oracle's walks at every size, the reports to the oracle
+through the shared gate, ``helpers.assert_rules_match_walk``, and the
+rules to the laws they need and the sizes they read, counted by
+``helpers.Counting``.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -22,51 +23,29 @@ from helpers import (
     SHAPES,
     Counting,
     assert_rules_match_walk,
+    family_failures,
     fresh,
     intersections_oracle,
     mono_oracle,
+    pair_failures,
     presentations,
+    subsets,
 )
 
 from finfun.theory import (
-    _disjoint_pair_orbits,
+    _strays,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
     check_monomorphic,
     check_supports,
+    empty_mod_max,
     require_monomorphic,
+    run_standard_checks,
 )
 from finfun.zoo import zoo_names
 
 SIZES = range(7)
-
-
-# ---------------------------------------------------------------------------
-# The representatives are complete, by brute force up to size 6.
-
-
-def test_representative_counts():
-    assert [len(list(_disjoint_pair_orbits(n))) for n in (6, 7)] == [28, 36]
-
-
-def permuted(bits, s):
-    return sum(1 << s[i] for i in range(len(s)) if bits >> i & 1)
-
-
-def test_every_disjoint_pair_lies_in_one_representative_orbit():
-    for n in SIZES:
-        reps = list(_disjoint_pair_orbits(n))
-        assert len(reps) == (n + 1) * (n + 2) // 2
-        covered = set()
-        for a, b in reps:
-            assert not a & b
-            orbit = {(permuted(a, s), permuted(b, s))
-                     for s in itertools.permutations(range(n))}
-            assert not orbit & covered, (a, b)
-            covered |= orbit
-        assert covered == {(a, b) for a in range(1 << n)
-                           for b in range(1 << n) if not a & b}
 
 
 def test_the_case_counts_are_the_closed_forms():
@@ -114,18 +93,12 @@ def calls_of(check, g, bound=4):
     return g.calls - before
 
 
-def inclusions(bound):
-    """The subset inclusions that the representatives and their meets
-    read, at sizes <= bound."""
-    return {(n, m) for n in range(bound + 1)
-            for a, b in _disjoint_pair_orbits(n) for m in (a, b, a & b)}
-
-
 @pytest.mark.parametrize("check, rules", [
-    # The maps 0 -> y, for y <= 4.
-    (check_monomorphic, 5),
+    # F(0 -> 1).
+    (check_monomorphic, 1),
     (check_epimorphic, 0),
-    (check_intersections, len(inclusions(4))),
+    # The inclusions of the empty set, {0} and {1} into 2.
+    (check_intersections, 3),
 ], ids=["mono", "epi", "intersections"])
 def test_the_fast_path_needs_the_laws(check, rules):
     # What the law walk reads of an instance that proves nothing.
@@ -167,7 +140,7 @@ def test_a_broken_injection_off_the_representatives_is_reported():
     assert mono_oracle(g, 4)[2] == (
         "G(f) not injective for f=(0,2):2->3: collapses p(0,0) and p(0,1)",)
     # Only the law walk keeps it in view: with the laws taken as known,
-    # the maps out of the empty set alone pass.
+    # F(0 -> 1) alone passes.
     forged = Counting(fresh("upair"), broken)
     forged._law_bound = 4
     assert check_monomorphic(forged, 4).passed
@@ -194,7 +167,63 @@ def test_a_broken_overlapping_pair_is_reported():
                         ("{0,1}", "{1,2}", "p(1,1)"),
                         ("{1,2}", "{0,1}", "p(1,1)")])
     # Only the law walk keeps it in view: with the laws taken as known,
-    # the disjoint representatives alone pass.
+    # the strays at size 2 alone pass.
     forged = Counting(fresh("upair"), broken)
     forged._law_bound = 4
     assert check_intersections(forged, 4).passed
+
+
+# ---------------------------------------------------------------------------
+# Trnková's size-2 rule, held to the oracle's walks.
+
+
+def assert_the_strays_decide(g, sizes):
+    """At each n >= 2 of ``sizes``: the elements that fail some pair of
+    the oracle's ``intersections`` walk, or some test of its ``supports``
+    families, are exactly ``_strays(g, n)``; there are k of them, with k
+    = |F°∅| less the image of F(0 -> 1), which is |F°∅| - |F∅| for a
+    monomorphic F; the failing pairs are every disjoint pair of
+    non-empty subsets or none; the totals are the closed forms; and
+    ``mono`` fails at 1 exactly when it fails at n."""
+    k = empty_mod_max(g).size(0) - len(set(g.action(0, 1, ())))
+    for n in sizes:
+        strays = _strays(g, n)
+        assert len(strays) == k, (g.name, n)
+        pairs = list(pair_failures(g, n))
+        families = list(family_failures(g, n))
+        assert set().union(*(d for _, _, d in pairs)) == set(strays)
+        assert {e for e, _ in families} == set(strays), (g.name, n)
+        disjoint = [(a, b) for a in subsets(n) for b in subsets(n)
+                    if a and b and not a & b]
+        assert len(disjoint) == 3 ** n - 2 ** (n + 1) + 1
+        assert [(a, b) for a, b, _ in pairs] == (disjoint if k else [])
+        assert len(families) == k * (len(disjoint) + 1), (g.name, n)
+        assert bool(mono_oracle(g, 1)[2]) == bool(mono_oracle(g, n)[2])
+
+
+@pytest.mark.parametrize("kind", [None, "min", "max"])
+@pytest.mark.parametrize("name", zoo_names())
+def test_the_strays_decide_on_the_zoo(name, kind):
+    assert_the_strays_decide(fresh(name, kind), range(2, 7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(SHAPES, "ab", 2), st.sampled_from([None, "min", "max"]))
+def test_the_strays_decide_on_random_presentations(pres, kind):
+    assert_the_strays_decide(fresh(pres, kind), range(2, 5))
+
+
+@pytest.mark.parametrize("name, kind, largest, failed", [
+    ("power3", None, 2, []),
+    # The 25 kept texts of each failing check end at size 4.
+    ("twins", "min", 4, ["intersections", "supports"]),
+])
+def test_the_battery_reads_small_sizes_only(name, kind, largest, failed):
+    g = Counting(fresh(name, kind), proof=True)
+    reports = run_standard_checks(g, 12, skip=("laws",))
+    assert g.largest == largest
+    assert [r.name for r in reports if not r.passed] == failed
+    disjoint = sum(3 ** n - 2 ** (n + 1) + 1 for n in range(13))
+    totals = [r.details.split("; ")[-1] for r in reports if not r.passed]
+    assert totals == [f"counterexamples truncated ({t} found)"
+                      for t in (disjoint, disjoint + 11)][:len(failed)]

@@ -825,10 +825,10 @@ def test_check_supports_min_twins_family_not_closed():
     assert any("not closed" in c for c in report.counterexamples)
 
 
-# upair passes the orbit pass of ``check_intersections``; const2∘,
-# pointed∘ and twins∘ fail it and take the disjoint walk; the overridden
-# twins∘ has no known laws, so each check walks the laws first and then
-# takes the same path.
+# upair has no strays at size 2 (``theory._strays``); const2∘, pointed∘
+# and twins∘ have one, so every disjoint pair of non-empty subsets fails;
+# the overridden twins∘ has no known laws, so each check walks the laws
+# first and then takes the same path.
 SUBSET_ORACLE_CASES = {
     "const2∘": lambda: empty_mod_min(zoo_instance("const2")),
     "pointed∘": lambda: empty_mod_min(zoo_instance("pointed")),
@@ -855,30 +855,32 @@ def test_subset_check_reports_match_the_member_set_walk(which):
        st.sampled_from(["plain", "min", "max"]), st.integers(0, 3))
 def test_supports_report_matches_the_pair_walks(pres, max_size, which,
                                                 seed):
-    # The oracle walks every family; the check skips those whose size
-    # shows that they are up-sets.
+    # The oracle walks every family; the check writes the families of the
+    # strays only.
     g = fresh(pres, which)
     assert report_of(check_supports(g, max_size, seed=seed)) == \
         supports_oracle(g, max_size, seed)
 
 
-def count_pair_walks(monkeypatch):
-    """A list that gets one entry per family whose pairs
-    ``check_supports`` walks (``_unclosed_pairs``)."""
+def count_stray_reads(monkeypatch):
+    """A list that gets the size of each ``_strays`` read of the checks."""
     calls = []
-    unclosed_pairs = theory._unclosed_pairs
-    monkeypatch.setattr(theory, "_unclosed_pairs", lambda *args: calls.append(
-        args) or unclosed_pairs(*args))
+    strays = theory._strays
+    monkeypatch.setattr(theory, "_strays", lambda g, n: calls.append(n)
+                        or strays(g, n))
     return calls
 
 
 def test_up_set_families_skip_the_pair_walks(monkeypatch):
-    calls = count_pair_walks(monkeypatch)
+    # A passing supports reads the strays at size 2 only; twins∘ fails,
+    # and its texts read them at every size up to the bound.
+    calls = count_stray_reads(monkeypatch)
     for g in mono_instances():
         assert check_supports(g, 3).passed, g.name
-    assert calls == []
+    assert calls == [2] * len(mono_instances())
+    calls.clear()
     assert not check_supports(empty_mod_min(zoo_instance("twins")), 3).passed
-    assert calls
+    assert calls == [2, 2, 3]
 
 
 def test_supports_runs_no_greedy_order(monkeypatch):
@@ -913,12 +915,13 @@ def test_families_that_are_not_up_sets_are_walked(monkeypatch, max_size, key,
                                                   image, expected):
     # One inclusion of the identity functor sent elsewhere, injectively,
     # so that the functor stays monomorphic: the oracle walks the family,
-    # and the check refuses the instance, whose laws fail, walking none.
+    # and the check refuses the instance, whose laws fail, reading no
+    # strays.
     g = Overridden(zoo_instance("identity"), {key: image})
     walked = [c for c in supports_oracle(g, max_size)[2]
               if " x(0): family not " in c]
     assert walked == expected
-    calls = count_pair_walks(monkeypatch)
+    calls = count_stray_reads(monkeypatch)
     assert_refused(check_supports(g, max_size), g, max_size)
     assert calls == []
 
