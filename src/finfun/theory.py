@@ -290,19 +290,6 @@ def _image(g: FunctorInstance, n: int, bits: int) -> frozenset[int]:
     return image
 
 
-def _greedy_bits(g: FunctorInstance, n: int, element: int,
-                 order: Iterable[int]) -> int:
-    """The greedy support of ``element`` of F(n) as a bit mask: from the
-    full set, drop each point of ``order`` in turn whenever the element
-    stays in the image of the smaller inclusion."""
-    bits = (1 << n) - 1
-    for point in order:
-        smaller = bits & ~(1 << point)
-        if element in _image(g, n, smaller):
-            bits = smaller
-    return bits
-
-
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     """Raise MonomorphicityError unless G(f) is injective for every
     injective f between sets of sizes <= bound (cached per instance), and
@@ -415,8 +402,12 @@ def support(g: FunctorInstance, n: int, element: int,
         raise UnknownElementError(
             f"index {element} is not an element of {g.name}({n})")
     require_monomorphic(g, n)
-    mask = SubsetMask(FiniteSet(n), _greedy_bits(
-        g, n, element, range(n) if order is None else order))
+    bits = (1 << n) - 1
+    for point in range(n) if order is None else order:
+        smaller = bits & ~(1 << point)
+        if element in _image(g, n, smaller):
+            bits = smaller
+    mask = SubsetMask(FiniteSet(n), bits)
     table = g.action(len(mask), n, mask.members)
     result = SupportResult(element, mask, table.index(element))
     if order is None:
@@ -430,16 +421,27 @@ def skeleton(g: FunctorInstance, n: int, size: int) -> tuple[int, ...]:
 
     Equals the set of elements with support of size at most n; the chain
     over increasing n is monotone and stabilizes at the full value once n
-    reaches the functor's degree.  For non-empty X the domains of size
-    exactly n already realize the whole union (factor smaller domains
-    through any extension); allowing smaller domains keeps the equality
-    with the support filter valid over the empty set too, where only the
-    empty domain admits a map.
+    reaches the functor's degree.  Negative sizes are refused first; then
+    G's laws are decided up to max(n, size), and ValueError carries the
+    refusal of ``_law_refusal`` when they fail.
+
+    With the laws, the union is that of the images of the inclusions of
+    the subsets with min(n, size) points, and only those are read.  A map
+    f factors as a surjection onto its image A followed by the inclusion
+    of A, and G of a surjection is onto (``check_epimorphic``), so G(f)
+    and the inclusion of A have one image.  A has at most min(n, size)
+    points, each subset with that many is the image of a map from a set of
+    size <= n, and images grow with the subset, since the inclusion of a
+    smaller subset factors through that of a larger one.  Over the empty
+    set only the empty subset is read, the identity of G(0).
     """
     FiniteSet(size), FiniteSet(n)  # refuse negative sizes
-    top = n if size else 0
-    return tuple(sorted({v for t in function_tables(top, size)
-                         for v in g.action(top, size, t)}))
+    refusal = _law_refusal(g, max(n, size))
+    if refusal:
+        raise ValueError(refusal)
+    return tuple(sorted(frozenset().union(*(
+        _image(g, size, sum(1 << p for p in members))
+        for members in itertools.combinations(range(size), min(n, size))))))
 
 
 @dataclass(frozen=True)
@@ -459,13 +461,23 @@ def degree(g: FunctorInstance, probe_bound: int) -> DegreeResult:
     element over a set of size <= m, and supports only shrink along
     maps.  Tabulated instances can only ever certify a lower bound.
 
-    It reads only the size of each ascending-order greedy support: it
-    builds no ``SupportResult`` and keeps none in ``g._supports``.
+    It is the paper's skeleton test: the largest m <= probe_bound at which
+    skeleton(g, m - 1, m) is not all of G(m), that is, G(m) has an element
+    outside the images of its m subsets of m - 1 points; 0 if there is
+    none.  Only the laws are used, through images growing with the subset.
+    Let e in G(X) have greedy support A, in any removal order.  When a
+    point p of A was tried, e lay outside the image of a superset of A
+    less p, so it lies outside that of A less p.  Write e = G(A -> X)(e'):
+    e' lies in no codimension-one image of G(|A|), else e would lie in the
+    image of A less a point.  Conversely, the greedy loop keeps every
+    point of such an element of G(m), since each subset it tries lies in
+    one of m - 1 points.  So ``degree`` reads F(0 -> 1) and the m
+    codimension-one inclusions at each size m, and builds no
+    ``SupportResult``.
     """
     require_monomorphic(g, probe_bound)
-    best = max((_greedy_bits(g, n, element, range(n)).bit_count()
-                for n in sizes_up_to(probe_bound)
-                for element in range(g.size(n))), default=0)
+    best = max((m for m in range(1, probe_bound + 1)
+                if len(skeleton(g, m - 1, m)) < g.size(m)), default=0)
     exact = g.max_arity is not None and probe_bound >= g.max_arity
     return DegreeResult(best, exact)
 

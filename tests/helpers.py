@@ -28,6 +28,7 @@ from finfun.presentation import (
 )
 from finfun.tabulated import export_tabulated, load_tabulated
 from finfun.theory import (
+    DegreeResult,
     FunctorInstance,
     ModificationKind,
     MonomorphicityError,
@@ -142,10 +143,11 @@ def report_of(report):
 # ---------------------------------------------------------------------------
 # The oracle.  Each check is written from its definition, as a walk over
 # every map, pair of subsets or family, and reads F only through
-# ``action`` and ``elements``, on raw tables; nothing of ``finfun.theory``
-# is read.  It returns what the check reports of a lawful instance: a
-# report without its time (``report_of``), or the refusal text of
-# ``require_monomorphic``.
+# ``action`` and ``elements``, on raw tables, and ``max_arity`` for the
+# exactness of a degree; nothing of ``finfun.theory`` is read.  It returns
+# what the check reports of a lawful instance: a report without its time
+# (``report_of``), a ``DegreeResult``, a skeleton's element indices, or
+# the refusal text of ``require_monomorphic``.
 
 
 def injective(table):
@@ -350,6 +352,32 @@ def supports_oracle(g, max_size, seed=0):
         text for n in range(max_size + 1) for _, text in family_failures(g, n)])
 
 
+def skeleton_oracle(g, n, size):
+    """The union of the images of F(f) over every map f from a set of
+    size <= n into ``size``, as sorted element indices."""
+    return tuple(sorted({v for m in range(n + 1)
+                         for t in function_tables(m, size)
+                         for v in g.action(m, size, t)}))
+
+
+def degree_oracle(g, max_size):
+    """The largest size of a smallest member of an element's family, over
+    every element up to max_size, exact once max_size reaches
+    ``max_arity``; a functor that is not monomorphic is refused as
+    ``require_monomorphic_oracle`` refuses it."""
+    refusal = require_monomorphic_oracle(g, max_size)
+    if refusal:
+        return refusal
+    largest = 0
+    for n in range(max_size + 1):
+        image = images(g, n)
+        for element in range(g.size(n)):
+            largest = max(largest, min(len(a) for a in image
+                                       if element in image[a]))
+    return DegreeResult(largest,
+                        g.max_arity is not None and max_size >= g.max_arity)
+
+
 ORACLES = {
     "check_functor_laws": laws_oracle,
     "require_monomorphic": require_monomorphic_oracle,
@@ -357,6 +385,7 @@ ORACLES = {
     "check_epimorphic": epi_oracle,
     "check_intersections": intersections_oracle,
     "check_supports": supports_oracle,
+    "degree": degree_oracle,
 }
 
 
@@ -364,8 +393,9 @@ def assert_rules_match_walk(pres, kind, bounds, checks):
     """The gate of every check: at each bound, each of ``checks`` says of
     ``fresh(pres, kind)``, which proves its laws and so takes Trnková's
     rules, what its oracle (``ORACLES``) says of another fresh instance.
-    A check says the report it returns, without its time, or the refusal
-    it raises.  Each check records the laws it proves on its instance."""
+    A check says the report it returns, without its time, the
+    ``DegreeResult`` of ``degree``, or the refusal it raises.  Each check
+    records the laws it proves on its instance."""
     g, h = fresh(pres, kind), fresh(pres, kind)
 
     def said(check, bound):
@@ -373,7 +403,9 @@ def assert_rules_match_walk(pres, kind, bounds, checks):
             result = check(g, bound)
         except (MonomorphicityError, ValueError) as err:
             return str(err)
-        return None if result is None else report_of(result)
+        if result is None or isinstance(result, DegreeResult):
+            return result
+        return report_of(result)
 
     for bound in bounds:
         assert g.proves_laws(bound), (g.name, bound)

@@ -1,4 +1,4 @@
-"""Mono, epi, intersections and supports under Trnková's rules.
+"""Mono, epi, intersections, supports and degree under Trnková's rules.
 
 Each check decides the functor's laws up to the bound first, and
 refuses an instance whose laws fail.  With the laws, F at sizes <= 2
@@ -7,7 +7,8 @@ F(0 -> 1) only, ``check_epimorphic`` reads no map, and
 ``check_intersections`` and ``check_supports`` read the strays at size 2
 (``_strays``), the elements in the images of {0} and {1} but not of the
 empty set.  A failing report writes its kept texts from the strays of
-each size and its total in closed form.  These tests hold the size-2
+each size and its total in closed form.  ``degree`` reads the
+codimension-one images at each size up to the bound.  These tests hold the size-2
 rule to the oracle's walks at every size, the reports to the oracle
 through the shared gate, ``helpers.assert_rules_match_walk``, and the
 rules to the laws they need and the sizes they read, counted by
@@ -39,6 +40,7 @@ from finfun.theory import (
     check_intersections,
     check_monomorphic,
     check_supports,
+    degree,
     empty_mod_max,
     require_monomorphic,
     run_standard_checks,
@@ -68,7 +70,7 @@ def test_the_case_counts_are_the_closed_forms():
 # The rules give the oracle's reports.
 
 CHECKS = [require_monomorphic, check_monomorphic, check_epimorphic,
-          check_intersections, check_supports]
+          check_intersections, check_supports, degree]
 
 
 @pytest.mark.parametrize("kind", [None, "min", "max"])

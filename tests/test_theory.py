@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from helpers import (
     SHAPES,
     Counting,
     Overridden,
+    assert_rules_match_walk,
     epi_oracle,
     fresh,
     injective,
@@ -24,6 +26,7 @@ from helpers import (
     out_of_empty_failures,
     presentations,
     report_of,
+    skeleton_oracle,
     supports_oracle,
     walked,
     zoo_bases,
@@ -51,7 +54,6 @@ from finfun.theory import (
     ModificationKind,
     MonomorphicityError,
     UnknownElementError,
-    _greedy_bits,
     check_epimorphic,
     check_functor_laws,
     check_intersections,
@@ -534,6 +536,42 @@ def test_degree_is_the_largest_support_random(pres, bound, which):
     _assert_degree_matches_supports(pres, which, [bound])
 
 
+@pytest.mark.parametrize("kind", [None, "min", "max"])
+@pytest.mark.parametrize("name", zoo_names())
+def test_degree_matches_the_oracle_on_the_zoo(name, kind):
+    # ``tests/test_orbits.py`` runs the shared gate up to size 5.
+    assert_rules_match_walk(name, kind, [6, 7], [degree])
+
+
+@pytest.mark.parametrize("kind", [None, "min", "max"])
+@pytest.mark.parametrize("name", zoo_names())
+def test_skeleton_matches_the_every_map_walk(name, kind):
+    g, h = fresh(name, kind), fresh(name, kind)
+    for size in range(6):
+        for n in range(size + 2):
+            assert skeleton(g, n, size) == skeleton_oracle(h, n, size), (
+                g.name, n, size)
+
+
+def test_degree_reads_the_codimension_one_inclusions():
+    # F(0 -> 1), then the m inclusions of the subsets of m - 1 points at
+    # each size m up to the bound.
+    for bound in range(1, 13):
+        g = Counting(fresh("power3"), proof=True)
+        assert degree(g, bound) == DegreeResult(min(bound, 3), bound >= 3)
+        assert g.calls == 1 + bound * (bound + 1) // 2, bound
+    assert g.calls == 79
+
+
+def test_skeleton_reads_the_subsets_of_its_domain_size():
+    # One inclusion per subset with min(n, size) points: 20 at (3, 6).
+    for size in range(7):
+        for n in range(size + 2):
+            g = Counting(fresh("power3"), proof=True)
+            skeleton(g, n, size)
+            assert g.calls == comb(size, min(n, size)), (n, size)
+
+
 def test_skeleton_chain_stabilizes_at_degree():
     for g in mono_instances():
         d = degree(g, 4).value
@@ -646,10 +684,13 @@ def test_an_unlawful_instance_is_refused(which):
         assert report.counterexamples == (f"refused: {refusal}",)
         assert report.details == ""
         assert g._law_bound == -1
-    for needs_mono in (require_monomorphic, degree,
-                       lambda g, n: support(g, n, 0)):
+    for needs_laws in (require_monomorphic, degree,
+                       lambda g, n: support(g, n, 0),
+                       lambda g, n: skeleton(g, n, n),
+                       lambda g, n: skeleton(g, 0, n),
+                       lambda g, n: skeleton(g, n, 0)):
         with pytest.raises(ValueError) as err:
-            needs_mono(UNLAWFUL[which](), 3)
+            needs_laws(UNLAWFUL[which](), 3)
         assert str(err.value) == refusal
 
 
@@ -885,11 +926,11 @@ def test_up_set_families_skip_the_pair_walks(monkeypatch):
 
 def test_supports_runs_no_greedy_order(monkeypatch):
     # Every family of a lawful instance is upward closed, so every
-    # removal order ends at the family's intersection: none is run, not
-    # even where supports fails.
+    # removal order ends at the family's intersection: ``support``, which
+    # holds the greedy loop, is not called, not even where supports fails.
     calls = []
-    monkeypatch.setattr("finfun.theory._greedy_bits", lambda *args:
-                        calls.append(args) or _greedy_bits(*args))
+    monkeypatch.setattr("finfun.theory.support", lambda *args:
+                        calls.append(args) or support(*args))
     failed = []
     for name in zoo_names():
         g = zoo_instance(name)
