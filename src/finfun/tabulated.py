@@ -8,12 +8,16 @@ The data file is JSON with three top-level fields:
   bound, with fields ``dom``, ``cod``, ``table`` (the function itself)
   and ``action`` (map element name -> element name).
 
-Every function must be listed explicitly; nothing is inferred.  Loading
-validates completeness and the functor laws, the latter with
-``theory.law_failures``, which reads the loaded records through a lookup
-(it decides the laws on the generating maps and walks every composable
-pair only to name the first failure), and reports the offending function
-(pair) on failure.  The laws are decided once per load: the instance
+Every function must be listed explicitly; nothing is inferred.  Each
+record's ``action`` is converted to an index table in one ``map`` call;
+its element loop runs only when that fails, to name the first bad target.
+Completeness is decided by count: every stored record is a distinct map
+within the bound, so the maps are listed, to name the first missing one,
+only when there are fewer records than maps.  Loading validates the
+functor laws with ``theory.law_failures``, which reads the loaded records
+through a lookup (it decides the laws on the generating maps and walks
+every composable pair only to name the first failure), and reports the
+offending function (pair) on failure.  The laws are decided once per load: the instance
 records the pass, and its ``laws`` check reuses it.
 This is the vehicle for feeding hypothesis-violating functors to the
 checkers: tables need not come from any presentation.  A refusal's text
@@ -167,20 +171,27 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
                 f"action of {table_repr(*key)} must cover exactly the "
                 f"elements of F({dom})")
         cod_index = indices[cod]
-        for s in objects[dom]:
-            target = action[s]
-            if not (isinstance(target, str) and target in cod_index):
-                kind = ("unknown element" if isinstance(target, str)
-                        else "non-string")
-                raise TabulatedFormatError(
-                    f"action of {table_repr(*key)} sends {s!r} to {kind} "
-                    f"{target!r}")
-        morphisms[key] = tuple([cod_index[action[s]] for s in objects[dom]])
+        try:
+            morphisms[key] = tuple(map(cod_index.__getitem__,
+                                       map(action.__getitem__, objects[dom])))
+        except (KeyError, TypeError):  # name the first bad target
+            for s in objects[dom]:
+                target = action[s]
+                if not (isinstance(target, str) and target in cod_index):
+                    kind = ("unknown element" if isinstance(target, str)
+                            else "non-string")
+                    raise TabulatedFormatError(
+                        f"action of {table_repr(*key)} sends {s!r} to "
+                        f"{kind} {target!r}") from None
 
-    for key in tables_up_to(max_size):
-        if key not in morphisms:
-            raise MissingMorphismError(
-                f"missing morphism table for {table_repr(*key)}")
+    # Each key is a distinct map within the bound, so a full count means
+    # that none is missing.
+    span = range(max_size + 1)
+    if len(morphisms) < sum(y ** x for x in span for y in span):
+        for key in tables_up_to(max_size):
+            if key not in morphisms:
+                raise MissingMorphismError(
+                    f"missing morphism table for {table_repr(*key)}")
 
     sizes = [len(names) for names in objects]
     for f, g in law_failures(lambda *key: morphisms[key], sizes):

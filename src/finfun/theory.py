@@ -29,6 +29,7 @@ kept texts from the strays at sizes <= 4 and its total in closed form.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -474,11 +475,20 @@ def degree(g: FunctorInstance, probe_bound: int) -> DegreeResult:
     one of m - 1 points.  So ``degree`` reads F(0 -> 1) and the m
     codimension-one inclusions at each size m, and builds no
     ``SupportResult``.
+
+    When ``max_arity`` is known, the scan stops at min(probe_bound,
+    max_arity).  For m above the arity, every element of G(m) is the class
+    of a term with at most max_arity < m points (a modification's arity is
+    at least 1, for the elements its base takes from size 0), so it lies in
+    the image of the inclusion of a subset of m - 1 points: the skeleton
+    test holds at m, and no such m can be the value.
     """
     require_monomorphic(g, probe_bound)
-    best = max((m for m in range(1, probe_bound + 1)
+    arity = g.max_arity
+    top = probe_bound if arity is None else min(probe_bound, arity)
+    best = max((m for m in range(1, top + 1)
                 if len(skeleton(g, m - 1, m)) < g.size(m)), default=0)
-    exact = g.max_arity is not None and probe_bound >= g.max_arity
+    exact = arity is not None and probe_bound >= arity
     return DegreeResult(best, exact)
 
 
@@ -576,11 +586,23 @@ def _elementary_maps(y: int, z: int) -> list[tuple[int, ...]]:
     return [tuple(range(y))] if z == y + 1 else []
 
 
+def _composer(t: tuple[int, ...]
+              ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map s -> s o t on tables, (s[t[0]], s[t[1]], ...), at C speed
+    through ``itemgetter``; of one index that returns a scalar, and of none
+    it raises, so shorter tables build their tuple in Python."""
+    if len(t) >= 2:
+        return operator.itemgetter(*t)
+    return lambda s: tuple(map(s.__getitem__, t))
+
+
 def _composition_failures(action: _Action, top: int, seconds: TableSource
                           ) -> Iterator[tuple[MorphismKey, MorphismKey]]:
     """Each (f, g) with F(g o f) != F(g) o F(f) for f: x -> y any map and
     g in ``seconds(y, z)``, x, y, z <= top; by x, y, z, f, then g.  Reads
-    F through ``action``, at sizes <= top only."""
+    F through ``action``, at sizes <= top only.  Each f's two composers,
+    g o f from g and F(g) o F(f) from F(g), are built once per (x, y, z)
+    block and dropped with it."""
     for x in range(top + 1):
         # F on the maps out of x, by codomain: both f and g o f are such.
         out_of_x = [{t: action(x, y, t) for t in function_tables(x, y)}
@@ -588,10 +610,13 @@ def _composition_failures(action: _Action, top: int, seconds: TableSource
         for y in range(top + 1):
             for z in range(top + 1):
                 gs = [(gt, action(y, z, gt)) for gt in seconds(y, z)]
+                if not gs:
+                    continue
+                composed = out_of_x[z]
                 for ft, af in out_of_x[y].items():
+                    after_f, after_af = _composer(ft), _composer(af)
                     for gt, ag in gs:
-                        if (out_of_x[z][tuple(map(gt.__getitem__, ft))]
-                                != tuple(map(ag.__getitem__, af))):
+                        if composed[after_f(gt)] != after_af(ag):
                             yield (x, y, ft), (y, z, gt)
 
 

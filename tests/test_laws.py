@@ -269,11 +269,15 @@ def test_loaded_tabulation_laws_are_not_walked_again(monkeypatch):
 
 
 def power2_broken_at(dom, cod, table):
-    """power2 with the first two entries of F on one map swapped."""
+    """power2 with the first two entries of F on one map swapped, or its
+    one entry moved to the next element of F(cod) when F(dom) has one."""
     g = zoo_instance("power2")
     image = list(g.map(FiniteFunction(FiniteSet(dom), FiniteSet(cod),
                                       table)).table)
-    image[0], image[1] = image[1], image[0]
+    if len(image) == 1:
+        image[0] = (image[0] + 1) % g.size(cod)
+    else:
+        image[0], image[1] = image[1], image[0]
     return Overridden(g, {(dom, cod, table): tuple(image)})
 
 
@@ -282,6 +286,7 @@ def power2_broken_at(dom, cod, table):
     (3, 2, (0, 1, 1)),  # a merge
     (2, 3, (0, 1)),     # an inclusion
     (3, 2, (0, 1, 0)),  # not a generating map
+    (1, 2, (1,)),       # F(1) has one element: a one-entry table
 ])
 def test_power2_broken_on_one_map(dom, cod, table):
     assert assert_agrees_with_oracle(power2_broken_at(dom, cod, table), 3)
