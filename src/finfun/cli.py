@@ -261,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated checks to leave out "
                         f"({', '.join(STANDARD_CHECKS)})")
     p.add_argument("--seed", type=int, default=0,
-                   help="a label printed in the supports scope")
+                   help="labels the supports scope, which neither the "
+                        "text nor the --json report prints: it changes no "
+                        "output")
     p.add_argument("--json", action="store_true",
                    help="emit the structured report instead of text")
     p.add_argument("--timing", action="store_true",

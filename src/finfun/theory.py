@@ -17,9 +17,10 @@ The central constructions:
 
 The ``check_*`` functions verify properties exhaustively up to a size
 bound and return a ``CheckReport``; failures carry counterexamples, never
-exceptions.  Each check but ``laws`` decides the functor laws first and
-refuses an instance whose laws fail; on a lawful one, Trnková's rules
-decide what the walk over every map or pair would, from F at sizes <= 2:
+exceptions.  Each check decides the functor laws first (``_law_refusal``);
+``laws`` then lists their failures, and every other check refuses an
+instance whose laws fail.  On a lawful one, Trnková's rules decide what
+the walk over every map or pair would, from F at sizes <= 2:
 ``mono`` reads F(0 -> 1), and ``intersections`` and ``supports`` read the
 strays (``_strays``), the elements of F(2) that the images of {0} and {1}
 share but the image of the empty set lacks.  A failing report writes its
@@ -90,18 +91,18 @@ class FunctorInstance(ABC):
     A subclass implements ``elements`` and ``action``; ``map`` is the
     validated wrapper.  Queries are deterministic and cached by the
     concrete classes; instances are immutable values, shared freely.  The
-    bounds up to which one passed the laws and monomorphicity are recorded
-    on it, and so is the frozenset image of each subset inclusion once
-    computed (``_images``, keyed by ambient size and mask, shared by every
-    caller), and each default-order ``support`` result (``_supports``,
-    keyed by size and element), so never mutate
-    ``TabulatedInstance.morphisms``.  A subclass that can prove its own
-    laws overrides ``proves_laws``.
+    bound up to which its laws are known is recorded on it (``_law_bound``;
+    monomorphicity is one read, never recorded), and so is the frozenset
+    image of each subset inclusion once computed (``_images``, keyed by
+    ambient size and mask, shared by every caller), and each default-order
+    ``support`` result (``_supports``, keyed by size and element), so never
+    mutate ``TabulatedInstance.morphisms``.  A subclass that can prove its
+    own laws overrides ``proves_laws``.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._mono_bound = self._law_bound = -1
+        self._law_bound = -1
         self._images: dict[tuple[int, int], frozenset[int]] = {}
         self._supports: dict[tuple[int, int], SupportResult] = {}
 
@@ -293,26 +294,25 @@ def _image(g: FunctorInstance, n: int, bits: int) -> frozenset[int]:
 
 def require_monomorphic(g: FunctorInstance, bound: int) -> None:
     """Raise MonomorphicityError unless G(f) is injective for every
-    injective f between sets of sizes <= bound (cached per instance), and
-    ValueError, with the refusal text of ``_law_refusal``, when G's laws
-    fail up to the bound."""
-    FiniteSet(bound)  # refuses a negative bound
-    if g._mono_bound >= bound:
-        return
+    injective f between sets of sizes <= bound, and ValueError first, with
+    the refusal text of ``_law_refusal``, when the bound is negative or G's
+    laws fail up to it.  With the laws, one read of G(0 -> 1) decides
+    (``_collapsed``); nothing is recorded."""
     refusal = _law_refusal(g, bound)
     if refusal:
         raise ValueError(refusal)
-    for (x, y, table), collapsed in _injectivity_failures(g, bound):
+    collapsed = _collapsed(g, bound)
+    if collapsed:
         raise MonomorphicityError(
-            FiniteFunction(FiniteSet(x), FiniteSet(y), table), collapsed)
-    g._mono_bound = bound
+            FiniteFunction(FiniteSet(0), FiniteSet(1), ()), collapsed)
 
 
 def _laws_known(g: FunctorInstance, n: int) -> bool:
     """Whether F's laws are known to hold up to size n: recorded on the
-    instance (``_law_bound``) by a passing ``laws`` check or load walk, or
-    proved now by ``proves_laws`` and then recorded.  Nothing is assumed:
-    an instance without a proof answers False until it is walked."""
+    instance (``_law_bound``) by a walk of ``_law_refusal`` or of
+    ``load_tabulated``, or proved now by ``proves_laws`` and then recorded.
+    Nothing is assumed: an instance without a proof answers False until it
+    is walked."""
     if g._law_bound < n:
         if not g.proves_laws(n):
             return False
@@ -321,12 +321,12 @@ def _laws_known(g: FunctorInstance, n: int) -> bool:
 
 
 def _law_refusal(g: FunctorInstance, max_size: int) -> str | None:
-    """Decide G's laws up to max_size, as every check but ``laws`` does
-    first.  None when they hold: known (``_laws_known``), or found now by
-    ``law_failures`` and then recorded as ``check_functor_laws`` records
-    them.  Otherwise the refusal, which names the first failure that
-    ``check_functor_laws`` lists.  A negative bound is refused before
-    anything else, since ``_law_bound`` starts at -1."""
+    """Decide G's laws up to max_size, as every check does first.  None
+    when they hold: known (``_laws_known``), or found now by
+    ``law_failures`` and then recorded in ``_law_bound``.  Otherwise the
+    refusal, which names the first failure that ``check_functor_laws``
+    lists.  A negative bound is refused before anything else, since
+    ``_law_bound`` starts at -1."""
     sizes = sizes_up_to(max_size)
     if _laws_known(g, max_size):
         return None
@@ -337,11 +337,11 @@ def _law_refusal(g: FunctorInstance, max_size: int) -> str | None:
     return f"functor laws fail: {_law_text(*failure)}"
 
 
-def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
-        tuple[MorphismKey, tuple[str, str]]]:
-    """Each map 0 -> y, y <= max_size, for which G(f) is not injective,
-    with the names of the first two elements G(f) collapses; by y.  The
-    caller has decided G's laws up to max_size.  Only G(0 -> 1) is read.
+def _collapsed(g: FunctorInstance, bound: int) -> tuple[str, str] | None:
+    """The names of the first two elements G(0 -> 1) collapses, or None
+    when it is injective or bound < 1.  The caller has decided G's laws up
+    to the bound; then G(f) fails to be injective, for an injective f
+    between sets of sizes <= bound, exactly when G(0 -> 1) does.
 
     With the laws, no other injection can fail (Trnková): an injection
     f: x -> y with x > 0 has a retraction r, and G(r) o G(f) = G(r o f) =
@@ -350,14 +350,14 @@ def _injectivity_failures(g: FunctorInstance, max_size: int) -> Iterator[
     every injection, in the walk's order.  G(0 -> 0) is G(id), the
     identity.  For y >= 1, G(0 -> y) = G(1 -> y) o G(0 -> 1), and G(1 -> y)
     is injective, so G(0 -> y) collapses exactly the elements G(0 -> 1)
-    does: a failure at y = 1 recurs at every y up to max_size, naming the
+    does: a failure at y = 1 recurs at every y up to the bound, naming the
     same two elements."""
-    gf = g.action(0, 1, ()) if max_size >= 1 else ()
+    gf = g.action(0, 1, ()) if bound >= 1 else ()
     j = next((j for j, v in enumerate(gf) if v in gf[:j]), None)
-    if j is not None:
-        names = g.elements(0)
-        collapsed = names[gf.index(gf[j])], names[j]
-        yield from (((0, y, ()), collapsed) for y in range(1, max_size + 1))
+    if j is None:
+        return None
+    names = g.elements(0)
+    return names[gf.index(gf[j])], names[j]
 
 
 @dataclass(frozen=True)
@@ -531,20 +531,15 @@ class CheckReport:
 
 
 class _Collector:
+    """The kept texts and the total of one check's failures, taken in
+    through ``add_all`` alone, and the time since the check began."""
+
     def __init__(self, name: str, scope: str):
         self.name = name
         self.scope = scope
         self.items: list[str] = []
         self.total = 0
         self.start = time.perf_counter()
-
-    def add(self, text: Callable[[], str]) -> None:
-        """Count one failure and, while fewer than the cap are kept, keep
-        its text.  ``text()`` is written here, before the walk draws the
-        next failure, so it may read the walk's loop variables."""
-        self.total += 1
-        if len(self.items) < _COUNTEREXAMPLE_CAP:
-            self.items.append(text())
 
     def add_all(self, texts: Iterable[str], total: int) -> None:
         """Count ``total`` failures, whose texts ``texts`` lists in order,
@@ -557,7 +552,7 @@ class _Collector:
     def refuse(self, reason: str) -> CheckReport:
         """The report of a check that refuses to run: the one
         counterexample ``refused: <reason>``, and no details."""
-        self.add(lambda: f"refused: {reason}")
+        self.add_all([f"refused: {reason}"], 1)
         return self.report()
 
     def report(self, details: str = "") -> CheckReport:
@@ -665,36 +660,38 @@ def _law_text(f: MorphismKey, h: MorphismKey | None) -> str:
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size.
 
-    An instance whose ``proves_laws`` holds passes without the walk and
-    reads no map: a presentation's laws hold by construction, and a
-    modification takes its base's.  Any other instance is walked by
-    ``law_failures``, which lists every failure.  A pass is recorded on
-    the instance (``_law_bound``), where the other checks read it
-    (``_laws_known``).
+    Decides the laws as every check does first (``_law_refusal``), which
+    records a pass.  An instance whose
+    ``proves_laws`` holds passes without the walk and reads no map: a
+    presentation's laws hold by construction, and a modification takes its
+    base's.  Only when the laws fail is ``law_failures`` walked again to
+    list the failures: the first 25 are written, the rest only counted.
     """
     out = _Collector("laws", f"sizes <= {max_size}")
-    sizes = sizes_up_to(max_size)
-    if not _laws_known(g, max_size):
-        for f, h in law_failures(g.action, [g.size(n) for n in sizes]):
-            out.add(lambda: _law_text(f, h))
-        if not out.total:
-            g._law_bound = max_size
+    if _law_refusal(g, max_size):
+        failures = law_failures(g.action,
+                                [g.size(n) for n in sizes_up_to(max_size)])
+        kept = [_law_text(*failure) for failure in
+                itertools.islice(failures, _COUNTEREXAMPLE_CAP)]
+        out.add_all(kept, len(kept) + sum(1 for _ in failures))
     return out.report()
 
 
 def check_monomorphic(g: FunctorInstance, max_size: int) -> CheckReport:
     """G(f) injective for every injective f between sets of sizes <= max_size,
     including maps out of the empty set.  With the laws, only G(0 -> 1) is
-    read (``_injectivity_failures``)."""
+    read (``_collapsed``): when it collapses two elements, so does each map
+    0 -> y, y = 1, ..., max_size, and nothing else fails."""
     out = _Collector("mono", f"sizes <= {max_size}")
     refusal = _law_refusal(g, max_size)
     if refusal:
         return out.refuse(refusal)
-    for key, (a, b) in _injectivity_failures(g, max_size):
-        out.add(lambda: f"G(f) not injective for f={table_repr(*key)}: "
-                f"collapses {a} and {b}")
-    if not out.total:
-        g._mono_bound = max(g._mono_bound, max_size)
+    collapsed = _collapsed(g, max_size)
+    if collapsed:
+        a, b = collapsed
+        out.add_all((f"G(f) not injective for f={table_repr(0, y, ())}: "
+                     f"collapses {a} and {b}"
+                     for y in range(1, max_size + 1)), max_size)
     return out.report()
 
 

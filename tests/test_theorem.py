@@ -25,6 +25,7 @@ so the walk is also required to find none broken in it.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 from math import comb
@@ -46,6 +47,7 @@ from helpers import (
     zoo_bases,
 )
 
+from finfun.finset import function_tables
 from finfun.presentation import parse_presentation
 from finfun.theory import (
     ModificationKind,
@@ -244,3 +246,89 @@ def test_support_sizes_are_the_binomial_transform_of_the_sizes():
 def test_support_sizes_are_the_binomial_transform_random(pres, max_size,
                                                          which):
     _check_binomial_transform(fresh(pres, which), max_size)
+
+
+# The coend oracle.  For F monomorphic of degree d, the canonical map
+# (k, a, f) -> F(f)(a) from ∫^{k<=d} F(k) × N^k to F(N) is onto for every
+# N <= the bound at which d was found, since every element there has a
+# support of at most d points.  It is one to one at every N <= B, B >= 2,
+# exactly when ``intersections`` passes at B or d >= 2.  A stray x (the
+# strays of ``theory._strays``) is glued across constants only through
+# F(2), where F(i_0)x = F(i_1)x for the two maps 1 -> 2; with d <= 1 its N
+# copies (1, x, c_v) stay apart though they have one image in F(N).  So
+# "``supports`` passes" is not what the coend decides: a stray over a
+# binary shape is glued.
+
+STRAY_PAIR = "shape c/0\nshape d/0\nshape p/2\neq p(a,a) = p(b,b)"
+
+
+def _coend_is_bijective(g, d, n):
+    """Whether ∫^{k<=d} F(k) × n^k -> F(n) is a bijection, by union-find
+    over the triples (k, a, f), related by every h: k -> k', k, k' <= d:
+    (k', F(h)(a), f') ~ (k, a, f' o h).  Reads F through ``action`` and
+    ``elements`` only."""
+    parent = {}
+
+    def find(t):
+        while parent.setdefault(t, t) != t:
+            t = parent[t]
+        return t
+
+    for k, k2 in itertools.product(range(d + 1), repeat=2):
+        for h in function_tables(k, k2):
+            fh = g.action(k, k2, h)
+            for a, f2 in itertools.product(range(len(g.elements(k))),
+                                           function_tables(k2, n)):
+                parent[find((k2, fh[a], f2))] = find(
+                    (k, a, tuple(f2[i] for i in h)))
+    images = {}
+    for k in range(d + 1):
+        for f in function_tables(k, n):
+            ff = g.action(k, n, f)
+            for a in range(len(g.elements(k))):
+                images.setdefault(find((k, a, f)), set()).add(ff[a])
+    return sorted(map(tuple, images.values())) == \
+        [(e,) for e in range(len(g.elements(n)))]
+
+
+def _assert_coend_claim(g, bound):
+    """The claim above for g at B = bound >= 2; returns (d, whether
+    ``intersections`` passes, whether the coend is bijective), or None
+    when g is not monomorphic."""
+    if not check_monomorphic(g, bound).passed:
+        return None
+    d = degree(g, bound).value
+    passed = check_intersections(g, bound).passed
+    bijective = all(_coend_is_bijective(g, d, n) for n in range(bound + 1))
+    assert bijective == (passed or d >= 2), (g.name, bound, d)
+    return d, passed, bijective
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_coend_is_bijective_exactly_when_intersections_pass_or_d_is_2(name):
+    for which in ("plain", "min", "max"):
+        for bound in (3, 4):
+            g = fresh(name, which)
+            assert _assert_coend_claim(g, bound) or g.name == "twins"
+
+
+@pytest.mark.parametrize("pres, which, expected", [
+    ("const2", "min", (1, False, False)),
+    ("twins", "min", (1, False, False)),
+    (parse_presentation(STRAY_PAIR), "plain", (2, False, True)),
+], ids=["const2-min", "twins-min", "stray-pair"])
+def test_coend_pins(pres, which, expected):
+    g = fresh(pres, which)
+    assert _assert_coend_claim(g, 4) == expected
+    # ``supports`` fails on all three, though the stray pair's coend is
+    # bijective.
+    assert check_supports(g, 4).passed == expected[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(SHAPES, "ab", 3), st.integers(2, 3),
+       st.sampled_from(["plain", "min", "max"]))
+@example(parse_presentation(STRAY_PAIR), 3, "plain")
+def test_coend_is_bijective_exactly_when_intersections_pass_or_d_is_2_random(
+        pres, bound, which):
+    _assert_coend_claim(fresh(pres, which), bound)

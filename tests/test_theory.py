@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import itertools
 import random
 import re
+import sys
 from math import comb
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -727,12 +732,16 @@ def test_check_monomorphic():
 
 
 def test_passing_mono_check_spares_require_monomorphic_the_walk():
+    # The laws recorded by ``mono`` leave one read of G(0 -> 1) per call,
+    # and none at bound 0.
     g = Counting(zoo_instance("upair"))
     assert check_monomorphic(g, 5).passed
     before = g.calls
     require_monomorphic(g, 5)
     require_monomorphic(g, 4)
-    assert g.calls == before
+    assert g.calls == before + 2
+    require_monomorphic(g, 0)
+    assert g.calls == before + 2
     twins = zoo_instance("twins")
     assert not check_monomorphic(twins, 5).passed
     with pytest.raises(MonomorphicityError):
@@ -1039,3 +1048,28 @@ def test_run_standard_checks_looks_each_check_up_at_call_time(monkeypatch):
                         lambda g, n: calls.append(n) or check_epimorphic(g, n))
     run_standard_checks(zoo_instance("upair"), 2, skip=("laws",))
     assert calls == [2]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # bench/run.py wraps each name with getattr at run time, so a deleted
+    # or renamed one would crash only a traced benchmark run.
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    before = set(sys.modules)
+    sys.path.insert(0, str(bench))
+    try:
+        sys.modules[spec.name] = run  # its dataclasses look the module up
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+    fin = SimpleNamespace(**{
+        m: importlib.import_module(f"finfun.{m}") for m in (
+            "finset", "presentation", "tabulated", "theory", "zoo", "cli")})
+    wrapped = run.patches(fin)
+    assert len(wrapped) > 20
+    for owner, attribute, name, _ in wrapped:
+        assert callable(getattr(owner, attribute, None)), name
