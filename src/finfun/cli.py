@@ -178,9 +178,12 @@ def cmd_modify(args: argparse.Namespace) -> int:
     max_size = _checked_max_size(args.max_size, True)
     h = _load_modified(args.target, args.mode)
     sym = ModificationKind(args.mode).symbol
-    print(f"F{sym}∅ = {{{', '.join(h.elements(0))}}}")
-    for y in range(1, max_size + 1):
-        print(f"F{sym}(∅→{y}) = {h.map(empty_function(FiniteSet(y)))!r}")
+    # Every line is built before any is printed, so a refusal at a larger
+    # size leaves stdout empty.
+    lines = [f"F{sym}∅ = {{{', '.join(h.elements(0))}}}"]
+    lines += [f"F{sym}(∅→{y}) = {h.map(empty_function(FiniteSet(y)))!r}"
+              for y in range(1, max_size + 1)]
+    print("\n".join(lines))
     return 0
 
 

@@ -67,10 +67,6 @@ class SubsetMask:
                 f"mask {self.bits} out of range for ambient size "
                 f"{self.ambient.size}")
 
-    @classmethod
-    def of(cls, ambient: FiniteSet, members: Iterable[int]) -> SubsetMask:
-        return cls(ambient, sum(1 << m for m in set(members)))
-
     @cached_property
     def members(self) -> tuple[int, ...]:
         """The members in increasing order."""

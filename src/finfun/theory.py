@@ -17,10 +17,11 @@ The central constructions:
 
 The ``check_*`` functions verify properties exhaustively up to a size
 bound and return a ``CheckReport``; failures carry counterexamples, never
-exceptions.  Each check decides the functor laws first (``_law_refusal``);
-``laws`` then lists their failures, and every other check refuses an
-instance whose laws fail.  On a lawful one, Trnková's rules decide what
-the walk over every map or pair would, from F at sizes <= 2:
+exceptions.  Each check decides the functor laws first
+(``_law_failures``); ``laws`` then lists their failures from the same
+walk, and every other check refuses an instance whose laws fail.  On a
+lawful one, Trnková's rules decide what the walk over every map or pair
+would, from F at sizes <= 2:
 ``mono`` reads F(0 -> 1), and ``intersections`` and ``supports`` read the
 strays (``_strays``), the elements of F(2) that the images of {0} and {1}
 share but the image of the empty set lacks.  A failing report writes its
@@ -309,7 +310,7 @@ def require_monomorphic(g: FunctorInstance, bound: int) -> None:
 
 def _laws_known(g: FunctorInstance, n: int) -> bool:
     """Whether F's laws are known to hold up to size n: recorded on the
-    instance (``_law_bound``) by a walk of ``_law_refusal`` or of
+    instance (``_law_bound``) by a walk of ``_law_failures`` or of
     ``load_tabulated``, or proved now by ``proves_laws`` and then recorded.
     Nothing is assumed: an instance without a proof answers False until it
     is walked."""
@@ -320,21 +321,34 @@ def _laws_known(g: FunctorInstance, n: int) -> bool:
     return True
 
 
-def _law_refusal(g: FunctorInstance, max_size: int) -> str | None:
-    """Decide G's laws up to max_size, as every check does first.  None
-    when they hold: known (``_laws_known``), or found now by
+def _law_failures(g: FunctorInstance, max_size: int) -> Iterator[
+        tuple[MorphismKey, MorphismKey | None]] | None:
+    """Decide G's laws up to max_size, the one place every check does so
+    first.  None when they hold: known (``_laws_known``), or found now by
     ``law_failures`` and then recorded in ``_law_bound``.  Otherwise the
-    refusal, which names the first failure that ``check_functor_laws``
-    lists.  A negative bound is refused before anything else, since
-    ``_law_bound`` starts at -1."""
+    live ``law_failures`` iterator, its first failure put back in front,
+    so the walk that decided the laws goes on to list them.  A negative
+    bound is refused before anything else, since ``_law_bound`` starts at
+    -1."""
     sizes = sizes_up_to(max_size)
     if _laws_known(g, max_size):
         return None
-    failure = next(law_failures(g.action, [g.size(n) for n in sizes]), None)
-    if failure is None:
+    failures = law_failures(g.action, [g.size(n) for n in sizes])
+    first = next(failures, None)
+    if first is None:
         g._law_bound = max_size
         return None
-    return f"functor laws fail: {_law_text(*failure)}"
+    return itertools.chain([first], failures)
+
+
+def _law_refusal(g: FunctorInstance, max_size: int) -> str | None:
+    """None when G's laws hold up to max_size (``_law_failures``);
+    otherwise the refusal ``functor laws fail: <text>``, whose text is
+    that of the first failure ``check_functor_laws`` lists."""
+    failures = _law_failures(g, max_size)
+    if failures is None:
+        return None
+    return f"functor laws fail: {_law_text(*next(failures))}"
 
 
 def _collapsed(g: FunctorInstance, bound: int) -> tuple[str, str] | None:
@@ -380,12 +394,16 @@ def support(g: FunctorInstance, n: int, element: int,
 
     Starting from the full subset, drop each point (ascending order by
     default) whenever the element stays in the image of the smaller
-    inclusion.  Because the family of subsets whose inclusion image
-    contains the element is closed under intersection and, by the laws,
-    upward closed, the result is its least member regardless of the
-    removal order.  An explicit ``order`` may be any iterable of the
-    n points and is read once.  The index is checked, after the removal
-    order, before the monomorphicity requirement.
+    inclusion.  The family of subsets whose inclusion image contains the
+    element is, by the laws, upward closed.  Unless the element is a stray
+    (``_strays``) it is also closed under intersection, so the result is
+    its least member whatever the removal order; that holds for every
+    element exactly when ``check_supports`` passes.  A stray lies in the
+    image of every non-empty subset and not of the empty one, so the pass
+    keeps only the last point it tries, and the order decides which.  An
+    explicit ``order`` may be any iterable of the n points and is read
+    once.  The index is checked, after the removal order, before the
+    monomorphicity requirement.
 
     A default-order result is kept in ``g._supports`` and returned again
     on later calls; a result for an explicit ``order`` is never kept.
@@ -660,19 +678,18 @@ def _law_text(f: MorphismKey, h: MorphismKey | None) -> str:
 def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size.
 
-    Decides the laws as every check does first (``_law_refusal``), which
-    records a pass.  An instance whose
-    ``proves_laws`` holds passes without the walk and reads no map: a
-    presentation's laws hold by construction, and a modification takes its
-    base's.  Only when the laws fail is ``law_failures`` walked again to
-    list the failures: the first 25 are written, the rest only counted.
+    Decides the laws as every check does first (``_law_failures``), which
+    records a pass.  An instance whose ``proves_laws`` holds passes without
+    the walk and reads no map: a presentation's laws hold by construction,
+    and a modification takes its base's.  When the laws fail, the walk that
+    found the first failure goes on to list the rest: the first 25 are
+    written, the others only counted.
     """
     out = _Collector("laws", f"sizes <= {max_size}")
-    if _law_refusal(g, max_size):
-        failures = law_failures(g.action,
-                                [g.size(n) for n in sizes_up_to(max_size)])
-        kept = [_law_text(*failure) for failure in
-                itertools.islice(failures, _COUNTEREXAMPLE_CAP)]
+    failures = _law_failures(g, max_size)
+    if failures is not None:
+        kept = list(itertools.starmap(
+            _law_text, itertools.islice(failures, _COUNTEREXAMPLE_CAP)))
         out.add_all(kept, len(kept) + sum(1 for _ in failures))
     return out.report()
 

@@ -135,7 +135,7 @@ def test_criterion_4_intersections():
             failures.append(f"{h.name}: {report.counterexamples[0]}")
     h = empty_mod_max(zoo_instance("twins"))
     x = FiniteSet(2)
-    a, b = SubsetMask.of(x, [0]), SubsetMask.of(x, [1])
+    a, b = SubsetMask(x, 0b01), SubsetMask(x, 0b10)
     lhs = set(image_of_inclusion(h, SubsetMask(x, a.bits & b.bits)))
     rhs = set(image_of_inclusion(h, a)) & set(image_of_inclusion(h, b))
     if not rhs:

@@ -289,6 +289,24 @@ def test_modify_max_size_floor(capsys):
     assert "at least 2" in err
 
 
+def test_modify_beyond_a_tabulated_bound_prints_nothing(tmp_path, capsys):
+    # Sizes 0 and 1 are tabulated and print before size 2 is refused,
+    # unless every line is built first.
+    p = tmp_path / "t1.json"
+    p.write_text(json.dumps({
+        "max_size": 1, "objects": {"0": [], "1": ["a"]},
+        "morphisms": [
+            {"dom": 0, "cod": 0, "table": [], "action": {}},
+            {"dom": 0, "cod": 1, "table": [], "action": {}},
+            {"dom": 1, "cod": 1, "table": [0], "action": {"a": "a"}}]}),
+        encoding="utf-8")
+    code, out, err = run(capsys, "modify", str(p), "--mode", "min",
+                         "--max-size", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: t1 is tabulated up to size 1, queried at 2\n"
+
+
 def test_degree_pinned_output(capsys):
     code, out, err = run(capsys, "degree", "zoo:power3")
     assert code == 0

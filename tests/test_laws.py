@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from helpers import (
     CAP,
     SHAPES,
+    Counting,
     OnePoint,
     Overridden,
     assert_rules_match_walk,
@@ -306,6 +307,22 @@ def test_const2_broken_on_a_family_of_maps(broken):
     overrides = {key: broken(*key) for key in tables_up_to(3)
                  if broken(*key)}
     assert assert_agrees_with_oracle(Overridden(g, overrides), 3)
+
+
+def test_a_failing_law_check_walks_once():
+    # upair's F((1): 1 -> 3) corrupted.  The walk that finds the first
+    # failure goes on to list the rest, so the check reads F exactly as
+    # often as one full law_failures walk over a twin instance.
+    names = fresh("upair").elements(3)
+    broken = {(1, 3, (1,)): (names.index("p(1,2)"),)}
+    g = Counting(fresh("upair"), broken)
+    twin = Counting(fresh("upair"), broken)
+    report = check_functor_laws(g, 4)
+    failures = list(law_failures(twin.action,
+                                 [twin.size(n) for n in range(5)]))
+    assert (report.counterexamples, report.details) == oracle_report(failures)
+    assert failures
+    assert g.calls == twin.calls
 
 
 # ---------------------------------------------------------------------------

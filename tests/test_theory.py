@@ -249,12 +249,12 @@ def support_family(g, n, element):
 
 def test_image_of_inclusion_frozen_values():
     up = zoo_instance("upair")
-    mask = SubsetMask.of(FiniteSet(3), [0, 1])
+    mask = SubsetMask(FiniteSet(3), 0b11)
     assert image_of_inclusion(up, mask) == frozenset({0, 1, 3})
     h = empty_mod_max(zoo_instance("twins"))
-    none2 = SubsetMask.of(FiniteSet(2), [])
+    none2 = SubsetMask(FiniteSet(2), 0)
     assert image_of_inclusion(h, none2) == frozenset({0})
-    none3 = SubsetMask.of(FiniteSet(3), [])
+    none3 = SubsetMask(FiniteSet(3), 0)
     assert image_of_inclusion(up, none3) == frozenset()
     assert type(image_of_inclusion(up, mask)) is frozenset
 
@@ -845,7 +845,7 @@ def test_max_twins_disjoint_case_has_nonempty_intersection():
     # sides are non-empty over disjoint subsets.
     h = empty_mod_max(zoo_instance("twins"))
     x = FiniteSet(2)
-    a, b = SubsetMask.of(x, [0]), SubsetMask.of(x, [1])
+    a, b = SubsetMask(x, 0b01), SubsetMask(x, 0b10)
     lhs = set(image_of_inclusion(h, SubsetMask(x, a.bits & b.bits)))
     rhs = set(image_of_inclusion(h, a)) & set(image_of_inclusion(h, b))
     assert lhs == rhs
