@@ -201,7 +201,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.out is None:
         print(text)
     else:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with Path(args.out).open("w", encoding="utf-8") as out:
+            out.write(text)
+            out.write("\n")
         print(f"wrote {g.name} tabulated up to size {max_size} to "
               f"{args.out}", file=sys.stderr)
     return 0

@@ -27,14 +27,16 @@ is formatted only when its check fails, so a valid file builds none.
 indent=2, ensure_ascii=False)`` for the payload ``{"max_size", "objects",
 "morphisms"}``, with one record per map in ``theory.tables_up_to`` order
 and no trailing newline (``finfun export`` adds one, on stdout and in the
-``--out`` file).
+``--out`` file).  It writes the maps block by block, one (dom, cod) pair
+at a time, from strings built once per block where they cost no more
+than the block's entries, and joins the document once.
 """
 
 from __future__ import annotations
 
 import json
 
-from .finset import check_table, table_repr
+from .finset import check_table, function_tables, table_repr
 from .theory import (FunctorInstance, MorphismKey, SizeBoundError,
                      law_failures, sizes_up_to, tables_up_to)
 
@@ -217,30 +219,50 @@ def _block(brackets: str, items: list[str], depth: int) -> str:
             f"{'  ' * depth}{brackets[1]}")
 
 
-_RECORD = ('{{\n      "dom": {},\n      "cod": {},\n      "table": {},\n'
-           '      "action": {}\n    }}')
-
-
 def export_tabulated(g: FunctorInstance, max_size: int) -> str:
     """Dump any instance to the data format, queried up to max_size.
 
     The text is the module docstring's ``json.dumps`` layout, assembled
     from strings, because with ``indent`` set the encoder runs in pure
-    Python: each element name is quoted once per size, by ``json.dumps``,
-    and each record is filled into one layout.  The names of each F(n)
-    are distinct, as loading requires.
+    Python.  Each element name is quoted once per size, by ``json.dumps``,
+    and the names of each F(n) are distinct, as loading requires.  The
+    maps are written block by block, one (dom, cod) pair at a time: the
+    block's head is built once, each table's text once for every codomain
+    it fits, and, when |F(cod)| <= cod^dom, every entry string ``"a":
+    "b"`` of the block once, so that a record's action is one join of
+    those picked by its image.  The guard keeps the entry strings no more
+    than the entries the block writes; other blocks join each entry from
+    its key and target.  The document is one list of parts, joined once.
     """
+    sizes = sizes_up_to(max_size)
     quoted = [[json.dumps(s, ensure_ascii=False) for s in g.elements(n)]
-              for n in sizes_up_to(max_size)]
-    keys = [[q + ": " for q in names] for names in quoted]
-    records = []
-    for x, y, table in tables_up_to(max_size):
-        targets = map(quoted[y].__getitem__, g.action(x, y, table))
-        records.append(_RECORD.format(
-            x, y, _block("[]", list(map(str, table)), 3),
-            _block("{}", list(map(str.__add__, keys[x], targets)), 3)))
+              for n in sizes]
     objects = [f'"{n}": {_block("[]", names, 2)}'
                for n, names in enumerate(quoted)]
-    return (f'{{\n  "max_size": {max_size},\n'
-            f'  "objects": {_block("{}", objects, 1)},\n'
-            f'  "morphisms": {_block("[]", records, 1)}\n}}')
+    parts = [f'{{\n  "max_size": {max_size},\n'
+             f'  "objects": {_block("{}", objects, 1)},\n'
+             '  "morphisms": [']
+    for x in sizes:
+        keys = ["\n        " + q + ": " for q in quoted[x]]
+        action = ',\n      "action": {' if keys else ',\n      "action": {}'
+        close = "\n      }\n    }," if keys else "\n    },"
+        texts = {t: _block("[]", list(map(str, t)), 3)
+                 for t in function_tables(x, max_size)}
+        for y in sizes:
+            head = (f'\n    {{\n      "dom": {x},\n      "cod": {y},\n'
+                    '      "table": ')
+            targets = quoted[y]
+            rows = ([[k + t for t in targets] for k in keys]
+                    if len(targets) <= y ** x else None)
+            for table in function_tables(x, y):
+                image = g.action(x, y, table)
+                entries = (map(list.__getitem__, rows, image)
+                           if rows is not None else
+                           map(str.__add__, keys, map(targets.__getitem__,
+                                                      image)))
+                parts += (head, texts[table], action, ",".join(entries),
+                          close)
+    del rows, texts  # the last block's strings, before the join copies
+    # Every bound has the map 0 -> 0, so the last part closes a record.
+    parts[-1] = parts[-1][:-1] + "\n  ]\n}"
+    return "".join(parts)

@@ -548,6 +548,23 @@ class CheckReport:
         return not self.counterexamples
 
 
+# Python refuses to convert an int of more digits than
+# ``sys.get_int_max_str_digits()`` (4300 by default, and never below 640
+# unless 0) to text in one call, and the closed-form counts of a large
+# bound have more.  ``_decimal`` writes them in chunks of 600 digits.
+_CHUNK = 10 ** 600
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int n >= 0 of any number of digits."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 class _Collector:
     """The kept texts and the total of one check's failures, taken in
     through ``add_all`` alone, and the time since the check began."""
@@ -575,7 +592,8 @@ class _Collector:
 
     def report(self, details: str = "") -> CheckReport:
         if self.total > len(self.items):
-            note = f"counterexamples truncated ({self.total} found)"
+            total = _decimal(self.total)
+            note = f"counterexamples truncated ({total} found)"
             details = f"{details}; {note}" if details else note
         return CheckReport(self.name, self.scope, tuple(self.items),
                            time.perf_counter() - self.start, details)
@@ -822,8 +840,9 @@ def check_intersections(g: FunctorInstance, max_size: int) -> CheckReport:
                      for n, strays in _stray_names(g, max_size)
                      for a, b in _disjoint_pairs(n)), disjoint)
     details = ("pairwise check; arbitrary finite families reduce to pairs. "
-               f"case counts: nested={nested}, disjoint={disjoint}, "
-               f"overlapping={overlapping}")
+               f"case counts: nested={_decimal(nested)}, "
+               f"disjoint={_decimal(disjoint)}, "
+               f"overlapping={_decimal(overlapping)}")
     return out.report(details)
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import SHAPES, presentations
+from helpers import SHAPES, fresh, presentations
 
 from finfun.finset import (FiniteFunction, FiniteSet, enumerate_functions,
                            table_repr)
@@ -21,7 +22,7 @@ from finfun.tabulated import (
     export_tabulated,
     load_tabulated,
 )
-from finfun.presentation import PresentationInstance
+from finfun.presentation import PresentationInstance, parse_presentation
 from finfun.theory import (ModificationKind, SizeBoundError,
                            check_functor_laws, empty_mod_max, modify,
                            tables_up_to)
@@ -105,11 +106,33 @@ def json_dumps_export(g, max_size):
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
 
-@pytest.mark.parametrize("name", zoo_names())
+# |F(n)| = n^5 exceeds n^m, the number of maps m -> n, when n >= 2 and
+# m < 5: up to size 3 the blocks into sizes >= 2 join each entry from its
+# key and target, where the others pick it from strings built per block.
+T5 = "shape t/5\n"
+
+
+@pytest.mark.parametrize("name", [*zoo_names(), T5], ids=str.strip)
 def test_export_writes_the_json_dumps_bytes_for_the_zoo(name):
-    g = zoo_instance(name)
+    g = fresh(parse_presentation(name)) if name == T5 else zoo_instance(name)
     for max_size in range(4):
         assert export_tabulated(g, max_size) == json_dumps_export(g, max_size)
+
+
+@pytest.mark.parametrize("name, max_size", [("power3", 4), (T5, 3)],
+                         ids=["power3", "t5"])
+def test_export_peaks_within_a_small_multiple_of_its_text(name, max_size):
+    # The text, its parts and the instance's caches, filled by the export;
+    # the per-block entry strings are built only where they cost no more
+    # than the entries written.
+    g = fresh(parse_presentation(name) if name == T5 else name)
+    tracemalloc.start()
+    try:
+        text = export_tabulated(g, max_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * len(text), peak / len(text)
 
 
 @st.composite

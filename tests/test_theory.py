@@ -1020,6 +1020,53 @@ def test_counterexamples_truncated_with_note():
         "counterexamples truncated (244 found)")
 
 
+def test_report_counts_past_the_int_to_str_limit():
+    # Python writes an int of at most 4,300 digits as text in one call, by
+    # default.  Up to 7,200 the overlapping pairs number about 4^7201 / 3,
+    # and up to 9,100 the failures of twins∘'s supports about 3^9101 / 2;
+    # both have more digits.  The oracle sums the series in closed form
+    # and writes the counts with the limit lifted.
+    n, m = 7200, 9100
+    meets = check_intersections(zoo_instance("upair"), n)
+    families = check_supports(empty_mod_min(zoo_instance("twins")), m)
+
+    def disjoint(n):
+        return (3 ** (n + 1) - 1) // 2 - 2 ** (n + 2) + n + 3
+
+    nested = 3 ** (n + 1) - 2 ** (n + 1)
+    overlapping = (4 ** (n + 1) - 1) // 3 - nested - disjoint(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(overlapping)) > limit
+        want_meets = (
+            "pairwise check; arbitrary finite families reduce to pairs. "
+            f"case counts: nested={nested}, disjoint={disjoint(n)}, "
+            f"overlapping={overlapping}")
+        total = disjoint(m) + m - 1
+        assert len(str(total)) > limit
+        want_families = f"counterexamples truncated ({total} found)"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert meets.passed and meets.details == want_meets
+    assert len(families.counterexamples) == 25
+    assert families.details == want_families
+
+
+def test_decimal_writes_what_str_writes():
+    # Chunk boundaries, a chunk of zeros, and past the limit.
+    chunk = 10 ** 600
+    numbers = [0, 7, chunk - 1, chunk, chunk + 1, chunk ** 2 + chunk - 1,
+               3 ** 9101]
+    written = list(map(theory._decimal, numbers))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert written == list(map(str, numbers))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_run_standard_checks():
     reports = run_standard_checks(zoo_instance("upair"), 3)
     assert [r.name for r in reports] == list(STANDARD_CHECKS)
