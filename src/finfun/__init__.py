@@ -16,12 +16,9 @@ from .finset import (
     FiniteFunction,
     FiniteSet,
     SubsetMask,
-    compose,
-    constant,
     empty_function,
     enumerate_functions,
     enumerate_subsets,
-    identity,
     inclusion,
 )
 from .presentation import (
@@ -68,8 +65,8 @@ from .zoo import zoo_instance, zoo_names, zoo_source
 __all__ = [
     "__version__",
     "FiniteFunction", "FiniteSet", "SubsetMask",
-    "compose", "constant", "empty_function", "enumerate_functions",
-    "enumerate_subsets", "identity", "inclusion",
+    "empty_function", "enumerate_functions", "enumerate_subsets",
+    "inclusion",
     "ParseError", "Presentation", "PresentationInstance",
     "evaluate_morphism", "evaluate_object", "parse_presentation",
     "TabulatedError", "TabulatedInstance", "export_tabulated",

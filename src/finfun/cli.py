@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .finset import FiniteFunction, FiniteSet, empty_function
@@ -194,16 +195,26 @@ def cmd_degree(args: argparse.Namespace) -> int:
     return 0
 
 
+_SLICE = 1 << 16
+
+
+def _write_in_slices(out: TextIO, text: str) -> None:
+    """Write ``text`` and a newline in slices of at most 64 Ki characters,
+    so the stream never encodes the whole document into one bytes object."""
+    for i in range(0, len(text), _SLICE):
+        out.write(text[i:i + _SLICE])
+    out.write("\n")
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     max_size = _checked_max_size(args.max_size, args.modify is not None)
     g = _load_modified(args.target, args.modify)
     text = export_tabulated(g, max_size)
     if args.out is None:
-        print(text)
+        _write_in_slices(sys.stdout, text)
     else:
         with Path(args.out).open("w", encoding="utf-8") as out:
-            out.write(text)
-            out.write("\n")
+            _write_in_slices(out, text)
         print(f"wrote {g.name} tabulated up to size {max_size} to "
               f"{args.out}", file=sys.stderr)
     return 0

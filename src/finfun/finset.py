@@ -85,28 +85,8 @@ class SubsetMask:
         return "{" + ",".join(map(str, self.members)) + "}"
 
 
-def identity(x: FiniteSet) -> FiniteFunction:
-    return FiniteFunction(x, x, tuple(range(x.size)))
-
-
-def constant(dom: FiniteSet, cod: FiniteSet, value: int) -> FiniteFunction:
-    if not 0 <= value < cod.size:
-        raise ValueError(f"constant value {value} not in codomain of size "
-                         f"{cod.size}")
-    return FiniteFunction(dom, cod, (value,) * dom.size)
-
-
 def empty_function(cod: FiniteSet) -> FiniteFunction:
     return FiniteFunction(FiniteSet(0), cod, ())
-
-
-def compose(g: FiniteFunction, f: FiniteFunction) -> FiniteFunction:
-    """The composite g after f; requires f.cod = g.dom."""
-    if f.cod != g.dom:
-        raise ValueError(
-            f"cannot compose: f has codomain of size {f.cod.size} but g has "
-            f"domain of size {g.dom.size}")
-    return FiniteFunction(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
 
 def inclusion(a: SubsetMask) -> FiniteFunction:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.metadata
 import json
 import shutil
@@ -10,12 +11,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finfun
 from finfun import __version__
 from finfun.cli import build_parser, load_input, main
+from finfun.tabulated import export_tabulated
 from finfun.theory import STANDARD_CHECKS
-from finfun.zoo import SOURCES
+from finfun.zoo import SOURCES, zoo_instance
 
 
 def run(capsys, *argv):
@@ -375,6 +379,20 @@ def test_export_stdout_round_trip(capsys):
     assert data["objects"]["0"] == ["a", "b"]
 
 
+def test_export_of_many_slices_writes_the_same_bytes_to_both_sinks(
+        tmp_path, capsys):
+    # 888,323 characters, written in 14 slices.
+    expected = export_tabulated(zoo_instance("power3"), 4) + "\n"
+    assert len(expected) > 13 << 16
+    code, out, err = run(capsys, "export", "zoo:power3", "--max-size", "4")
+    assert (code, out, err) == (0, expected, "")
+    path = tmp_path / "power3.json"
+    code, out, err = run(capsys, "export", "zoo:power3", "--max-size", "4",
+                         "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # size cap and warning
 
@@ -455,7 +473,8 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_unexpected_error_is_an_internal_error(capsys, monkeypatch):
-    # No input reaches the catch-all; it keeps the exit code within 0-2.
+    # The catch-all keeps the exit code within 0-2 for any other
+    # exception, a MemoryError from an input too large included.
     def boom(name):
         raise RuntimeError("boom")
 
@@ -463,6 +482,121 @@ def test_unexpected_error_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", "zoo:upair", "--size", "1")
     assert code == 2
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# ---------------------------------------------------------------------------
+# A bounded fuzz of the exit-code contract: every command on a malformed
+# .ffn or .json input exits 0, 1 or 2, and exit 2 is a named refusal.
+
+# Every number is one digit and a space, so no arity exceeds 3.
+DIGITS = ("0 ", "1 ", "2 ", "3 ")
+FFN_NAMES = ("a", "b", "p", "q")
+FFN_TOKENS = ("shape", "eq", "functor", *FFN_NAMES, "/", "(", ")", ",", "=",
+              "#", " ", "\n", "é", "-", *DIGITS)
+
+
+@st.composite
+def ffn_term(draw):
+    tokens = [draw(st.sampled_from(FFN_NAMES))]
+    for i, var in enumerate(draw(st.lists(st.sampled_from(FFN_NAMES),
+                                          max_size=3))):
+        tokens += [",", var] if i else ["(", var]
+    return tokens + [")"] if len(tokens) > 1 else tokens
+
+
+@st.composite
+def ffn_texts(draw):
+    """Up to 25 tokens: a header and declaration lines, then up to two
+    tokens inserted, replaced or dropped anywhere."""
+    tokens = []
+    if draw(st.booleans()):
+        tokens += ["functor", " ", draw(st.sampled_from(FFN_NAMES)), "\n"]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            line = ["shape", " ", draw(st.sampled_from(FFN_NAMES)), "/",
+                    draw(st.sampled_from(DIGITS)), "\n"]
+        else:
+            line = ["eq", " ", *draw(ffn_term()), "=", *draw(ffn_term()),
+                    "\n"]
+        if len(tokens) + len(line) <= 25 - 2:    # room for two inserts
+            tokens += line
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(("insert", "replace", "drop")))
+        if edit != "insert" and i < len(tokens):
+            del tokens[i]
+        if edit != "drop":
+            tokens.insert(i, draw(st.sampled_from(FFN_TOKENS)))
+    return "".join(tokens)
+
+
+JSON_JUNK = (None, True, 0, -1, 1.5, "x", [], {}, [0], {"a": "b"})
+UPAIR_2 = json.loads(export_tabulated(zoo_instance("upair"), 2))
+
+
+def json_slots(doc):
+    """The (container, key) pairs a mutation may replace: the top-level
+    fields, the object lists, each record's fields and action targets."""
+    slots = [(doc, key) for key in doc]
+    if isinstance(doc.get("objects"), dict):
+        slots += [(doc["objects"], key) for key in doc["objects"]]
+    if isinstance(doc.get("morphisms"), list):
+        for record in doc["morphisms"]:
+            if isinstance(record, dict):
+                slots += [(record, key) for key in record]
+                if isinstance(record.get("action"), dict):
+                    slots += [(record["action"], key)
+                              for key in record["action"]]
+    return slots
+
+
+@st.composite
+def mutated_tabulations(draw):
+    """The size-2 tabulation of upair after one to three mutations,
+    each a junk value in one slot or a dropped record."""
+    doc = copy.deepcopy(UPAIR_2)
+    for _ in range(draw(st.integers(1, 3))):
+        records = doc.get("morphisms")
+        if isinstance(records, list) and records and draw(st.booleans()):
+            del records[draw(st.integers(0, len(records) - 1))]
+        else:
+            container, key = draw(st.sampled_from(json_slots(doc)))
+            container[key] = copy.deepcopy(draw(st.sampled_from(JSON_JUNK)))
+    return json.dumps(doc)
+
+
+def assert_exit_contract(capsys, path, n):
+    for argv in (("check", "--max-size", n), ("eval", "--size", n),
+                 ("degree", "--modify", "max", "--max-size", n),
+                 ("supp", "--size", n, "--element", "0"),
+                 ("modify", "--mode", "max", "--max-size", n)):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code in (0, 1, 2), (argv, err)
+        assert "internal error:" not in err, (argv, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (argv, err)
+
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(ffn_texts(), st.sampled_from("0123"))
+def test_fuzzed_presentation_keeps_the_exit_contract(tmp_path, capsys,
+                                                     text, n):
+    path = tmp_path / "fuzz.ffn"
+    path.write_text(text, encoding="utf-8")
+    assert_exit_contract(capsys, path, n)
+
+
+@FUZZ
+@given(mutated_tabulations(), st.sampled_from("0123"))
+def test_fuzzed_tabulation_keeps_the_exit_contract(tmp_path, capsys,
+                                                   text, n):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    assert_exit_contract(capsys, path, n)
 
 
 # One process's calls share ``main``'s parser: flags, defaults and usage
