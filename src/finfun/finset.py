@@ -23,15 +23,6 @@ class FiniteSet:
         if self.size < 0:
             raise ValueError(f"size must be non-negative, got {self.size}")
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.size))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:
-        return f"FiniteSet({self.size})"
-
 
 @dataclass(frozen=True)
 class FiniteFunction:
@@ -45,9 +36,6 @@ class FiniteFunction:
         table = tuple(self.table)
         object.__setattr__(self, "table", table)
         check_table(table, self.dom.size, self.cod.size)
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
 
     def __repr__(self) -> str:
         return table_repr(self.dom.size, self.cod.size, self.table)
@@ -71,12 +59,6 @@ class SubsetMask:
     def members(self) -> tuple[int, ...]:
         """The members in increasing order."""
         return tuple(i for i in range(self.ambient.size) if self.bits >> i & 1)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
 
     def __len__(self) -> int:
         return self.bits.bit_count()

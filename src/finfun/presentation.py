@@ -46,18 +46,6 @@ class ParseError(Exception):
         super().__init__(where + message)
 
 
-class DuplicateShapeError(ParseError):
-    pass
-
-
-class UnknownShapeError(ParseError):
-    pass
-
-
-class ArityMismatchError(ParseError):
-    pass
-
-
 @dataclass(frozen=True)
 class Shape:
     """A shape declaration; ``pos`` is (line, column) if it was parsed."""
@@ -109,17 +97,17 @@ class Presentation:
         arity: dict[str, int] = {}
         for s in self.shapes:
             if s.name in arity:
-                raise DuplicateShapeError(f"duplicate shape name {s.name!r}",
-                                          *s.pos or ())
+                raise ParseError(f"duplicate shape name {s.name!r}",
+                                 *s.pos or ())
             arity[s.name] = s.arity
         for eq in self.equations:
             for term in (eq.lhs, eq.rhs):
                 if term.shape not in arity:
-                    raise UnknownShapeError(
+                    raise ParseError(
                         f"unknown shape {term.shape!r} in equation {eq!r}",
                         *term.pos or ())
                 if len(term.vars) != arity[term.shape]:
-                    raise ArityMismatchError(
+                    raise ParseError(
                         f"shape {term.shape!r} has arity {arity[term.shape]} "
                         f"but is applied to {len(term.vars)} variable(s) in "
                         f"equation {eq!r}", *term.pos or ())
@@ -181,9 +169,6 @@ class EvaluatedObject:
     names: tuple[str, ...]
     rep_groups: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
     class_of_term: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.names)
 
     def class_of(self, shape_idx: int, args: tuple[int, ...]) -> int:
         return self.class_of_term[

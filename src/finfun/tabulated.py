@@ -42,19 +42,7 @@ from .theory import (FunctorInstance, MorphismKey, SizeBoundError,
 
 
 class TabulatedError(Exception):
-    """Base class for tabulated-functor problems."""
-
-
-class TabulatedFormatError(TabulatedError):
-    pass
-
-
-class MissingMorphismError(TabulatedError):
-    pass
-
-
-class FunctorLawError(TabulatedError):
-    """Tables violate F(id) = id or F(g o f) = F(g) o F(f)."""
+    """A malformed tabulation, a missing map, or a functor-law violation."""
 
 
 class TabulatedInstance(FunctorInstance):
@@ -102,74 +90,70 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
-        raise TabulatedFormatError(f"not valid JSON: {err}") from None
+        raise TabulatedError(f"not valid JSON: {err}") from None
     if not isinstance(data, dict):
-        raise TabulatedFormatError("top level must be an object")
+        raise TabulatedError("top level must be an object")
     extra = set(data) - {"max_size", "objects", "morphisms"}
     if extra:
-        raise TabulatedFormatError(
-            f"unexpected top-level field(s): {sorted(extra)}")
+        raise TabulatedError(f"unexpected top-level field(s): {sorted(extra)}")
     for field in ("max_size", "objects", "morphisms"):
         if field not in data:
-            raise TabulatedFormatError(f"missing field {field!r}")
+            raise TabulatedError(f"missing field {field!r}")
     max_size = data["max_size"]
     # JSON true and false load as bool, a subclass of int: refuse them.
     if not (type(max_size) is int and max_size >= 0):
-        raise TabulatedFormatError(
-            "'max_size' must be a non-negative integer")
+        raise TabulatedError("'max_size' must be a non-negative integer")
 
     raw_objects = data["objects"]
     if not isinstance(raw_objects, dict):
-        raise TabulatedFormatError("'objects' must be a map")
+        raise TabulatedError("'objects' must be a map")
     objects: list[tuple[str, ...]] = []
     for k in range(max_size + 1):
         names = raw_objects.get(str(k))
         if names is None:
-            raise TabulatedFormatError(f"missing object list for size {k}")
+            raise TabulatedError(f"missing object list for size {k}")
         if not (isinstance(names, list)
                 and all(isinstance(s, str) for s in names)):
-            raise TabulatedFormatError(
+            raise TabulatedError(
                 f"object list for size {k} must be a list of strings")
         if len(set(names)) != len(names):
-            raise TabulatedFormatError(
+            raise TabulatedError(
                 f"object list for size {k} has duplicate names")
         objects.append(tuple(names))
     extra_sizes = set(raw_objects) - {str(k) for k in range(max_size + 1)}
     if extra_sizes:
-        raise TabulatedFormatError(
+        raise TabulatedError(
             f"object list for out-of-range size(s): {sorted(extra_sizes)}")
 
     raw_morphisms = data["morphisms"]
     if not isinstance(raw_morphisms, list):
-        raise TabulatedFormatError("'morphisms' must be a list")
+        raise TabulatedError("'morphisms' must be a list")
     indices = [{s: i for i, s in enumerate(names)} for names in objects]
     morphisms: dict[MorphismKey, tuple[int, ...]] = {}
     for rec in raw_morphisms:
         if not isinstance(rec, dict):
-            raise TabulatedFormatError("morphism records must be objects")
+            raise TabulatedError("morphism records must be objects")
         if rec.keys() != _RECORD_FIELDS:
-            raise TabulatedFormatError(
+            raise TabulatedError(
                 f"morphism record has fields {sorted(rec)}, expected "
                 f"dom/cod/table/action")
         dom, cod, table = rec["dom"], rec["cod"], rec["table"]
         for field in ("dom", "cod"):
             end = rec[field]
             if not (type(end) is int and 0 <= end <= max_size):
-                raise TabulatedFormatError(
-                    f"morphism {field} {end!r} out of range")
+                raise TabulatedError(f"morphism {field} {end!r} out of range")
         if not (isinstance(table, list) and len(table) == dom
                 and all(type(v) is int and 0 <= v < cod for v in table)):
-            raise TabulatedFormatError(
+            raise TabulatedError(
                 f"bad function table {table!r} for a map {dom}->{cod}")
         key: MorphismKey = (dom, cod, tuple(table))
         if key in morphisms:
-            raise TabulatedFormatError(
-                f"duplicate morphism {table_repr(*key)}")
+            raise TabulatedError(f"duplicate morphism {table_repr(*key)}")
         action = rec["action"]
         if not isinstance(action, dict):
-            raise TabulatedFormatError("morphism 'action' must be a map")
+            raise TabulatedError("morphism 'action' must be a map")
         if action.keys() != indices[dom].keys():
-            raise TabulatedFormatError(
+            raise TabulatedError(
                 f"action of {table_repr(*key)} must cover exactly the "
                 f"elements of F({dom})")
         cod_index = indices[cod]
@@ -182,7 +166,7 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
                 if not (isinstance(target, str) and target in cod_index):
                     kind = ("unknown element" if isinstance(target, str)
                             else "non-string")
-                    raise TabulatedFormatError(
+                    raise TabulatedError(
                         f"action of {table_repr(*key)} sends {s!r} to "
                         f"{kind} {target!r}") from None
 
@@ -192,15 +176,15 @@ def load_tabulated(text: str, name: str = "tabulated") -> TabulatedInstance:
     if len(morphisms) < sum(y ** x for x in span for y in span):
         for key in tables_up_to(max_size):
             if key not in morphisms:
-                raise MissingMorphismError(
+                raise TabulatedError(
                     f"missing morphism table for {table_repr(*key)}")
 
     sizes = [len(names) for names in objects]
     for f, g in law_failures(lambda *key: morphisms[key], sizes):
         if g is None:
-            raise FunctorLawError(
+            raise TabulatedError(
                 f"F({table_repr(*f)}) is not the identity on F({f[0]})")
-        raise FunctorLawError(
+        raise TabulatedError(
             f"composition mismatch for f={table_repr(*f)} and "
             f"g={table_repr(*g)}")
     instance = TabulatedInstance(tuple(objects), morphisms, name)

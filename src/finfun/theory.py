@@ -177,13 +177,16 @@ class EmptyModified(FunctorInstance):
     the empty set lists ``empty_classes``, a subset of F1 whose elements
     keep their F1 names: for ``MAXIMAL``, the subset on which F of the two
     maps 1 -> 2 agree, read off the base here; for ``MINIMAL``, no
-    element, so every map out of the empty set is the empty function and
-    the base is not read.  No other subset can be given.
+    element, so every map out of the empty set is the empty function.  No
+    other subset can be given.
 
     A map out of the empty set into a non-empty Y restricts F(c) to
     ``empty_classes``, where c: 1 -> Y is the constant with value 0.  Any
     other constant c' gives the same map: the map h: 2 -> Y through which
     both constants factor forces F(c) and F(c') to agree on the equalizer.
+    F(c) is read off the base for either kind, so a minimal modification
+    too reads the base once per such map, and a Y beyond a tabulated
+    base's bound is refused there.
     """
 
     def __init__(self, base: FunctorInstance, kind: ModificationKind):

@@ -462,6 +462,17 @@ def test_public_exports():
     assert [n for n in finfun.__all__ if not hasattr(finfun, n)] == []
 
 
+def test_every_refusal_type_is_exported():
+    from finfun import cli, finset, presentation, tabulated, theory, zoo
+    defined = [name for module in (finset, presentation, tabulated, theory,
+                                   zoo, cli)
+               for name, obj in vars(module).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == module.__name__]
+    assert defined
+    assert [n for n in defined if n not in finfun.__all__] == []
+
+
 def test_no_subcommand_is_usage_error(capsys):
     code, out, err = run(capsys)
     assert code == 2

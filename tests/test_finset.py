@@ -28,23 +28,12 @@ class TestFiniteSet:
         with pytest.raises(ValueError):
             FiniteSet(-1)
 
-    def test_iteration(self):
-        assert list(FiniteSet(3)) == [0, 1, 2]
-        assert len(FiniteSet(0)) == 0
-
-    def test_repr(self):
-        assert repr(FiniteSet(3)) == "FiniteSet(3)"
-
 
 class TestFiniteFunction:
     def test_repr(self):
         f = FiniteFunction(FiniteSet(3), FiniteSet(3), (0, 2, 1))
         assert repr(f) == "(0,2,1):3->3"
         assert repr(empty_function(FiniteSet(2))) == "():0->2"
-
-    def test_call(self):
-        f = FiniteFunction(FiniteSet(2), FiniteSet(3), (2, 0))
-        assert [f(0), f(1)] == [2, 0]
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -117,20 +106,12 @@ class TestSubsetMask:
         sa, sb = data.draw(subsets), data.draw(subsets)
         a = SubsetMask(x, sum(1 << m for m in sa))
         b = SubsetMask(x, sum(1 << m for m in sb))
-        assert a.members == tuple(sorted(sa)) == tuple(a)
+        assert a.members == tuple(sorted(sa))
         assert repr(a) == "{" + ",".join(map(str, sorted(sa))) + "}"
         assert len(a) == len(sa)
-        assert all((i in a) == (i in sa) for i in range(-1, x.size + 1))
         assert (a == b) == (sa == sb)
         assert (hash(a) == hash(b)) or sa != sb
         assert a != SubsetMask(FiniteSet(x.size + 1), a.bits)
-
-    def test_set_operations(self):
-        x = FiniteSet(4)
-        a = SubsetMask(x, 0b111)
-        b = SubsetMask(x, 0b1010)
-        assert 1 in b and 0 not in b
-        assert list(a) == [0, 1, 2]
 
     def test_inclusion_function(self):
         m = SubsetMask(FiniteSet(4), 0b1010)

@@ -49,7 +49,7 @@ from finfun.presentation import (
     Shape,
     parse_presentation,
 )
-from finfun.tabulated import FunctorLawError, export_tabulated, load_tabulated
+from finfun.tabulated import TabulatedError, export_tabulated, load_tabulated
 from finfun.theory import (
     EmptyModified,
     ModificationKind,
@@ -70,7 +70,7 @@ def oracle_report(failures):
 
 
 def oracle_load_error(failures):
-    """The message of the ``FunctorLawError`` a load raises, or None."""
+    """The message of the ``TabulatedError`` a load raises, or None."""
     if not failures:
         return None
     f, g = failures[0]
@@ -102,7 +102,7 @@ def assert_agrees_with_oracle(g, max_size):
     if message is None:
         load_tabulated(text)
     else:
-        with pytest.raises(FunctorLawError) as err:
+        with pytest.raises(TabulatedError) as err:
             load_tabulated(text)
         assert str(err.value) == message
     return expected

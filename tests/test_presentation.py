@@ -11,15 +11,12 @@ from helpers import SHAPES, injective, presentations
 
 from finfun.finset import FiniteFunction, FiniteSet
 from finfun.presentation import (
-    ArityMismatchError,
-    DuplicateShapeError,
     Equation,
     FlatTerm,
     ParseError,
     Presentation,
     PresentationInstance,
     Shape,
-    UnknownShapeError,
     evaluate_morphism,
     evaluate_object,
     parse_element,
@@ -134,8 +131,8 @@ def test_empty_set_instantiates_only_closed_equations():
     # Over the empty set the u-equations of twins cannot fire, so the
     # constants stay distinct; over any inhabited set they collapse.
     pres = zoo_instance("twins").presentation
-    assert len(evaluate_object(pres, 0)) == 2
-    assert len(evaluate_object(pres, 1)) == 1
+    assert len(evaluate_object(pres, 0).names) == 2
+    assert len(evaluate_object(pres, 1).names) == 1
 
 
 def test_noninjective_assignments_are_instantiated():
@@ -148,7 +145,7 @@ def test_noninjective_assignments_are_instantiated():
     """)
     obj = evaluate_object(pres, 2)
     # p(0,0) ~ q(0), p(1,0) ~ q(0), p(0,1) ~ q(1), p(1,1) ~ q(1)
-    assert len(obj) == 2
+    assert len(obj.names) == 2
     assert same_class(pres, 2, ("p", (0, 0)), ("p", (1, 0)))
     assert same_class(pres, 2, ("p", (0, 0)), ("q", (0,)))
     assert not same_class(pres, 2, ("q", (0,)), ("q", (1,)))
@@ -251,7 +248,7 @@ def assert_kernels_match(pres, objs, x, y, table):
     grouped representatives list the classes in order."""
     dom_obj, cod_obj = objs[x], objs[y]
     assert [dom_obj.class_of(i, args) for i, _, terms in dom_obj.rep_groups
-            for args in terms] == list(range(len(dom_obj)))
+            for args in terms] == list(range(len(dom_obj.names)))
     assert all(pres.shapes[i].arity == arity
                for i, arity, _ in dom_obj.rep_groups)
     action = evaluate_morphism(table, dom_obj, cod_obj)
@@ -436,8 +433,8 @@ def test_one_sided_variables_quantify():
         shape u/1
         eq c = u(a)
     """)
-    assert len(evaluate_object(pres, 3)) == 1
-    assert len(evaluate_object(pres, 0)) == 1
+    assert len(evaluate_object(pres, 3).names) == 1
+    assert len(evaluate_object(pres, 0).names) == 1
 
 
 class TestParseErrors:
@@ -461,15 +458,15 @@ class TestParseErrors:
         self.expect_error("form s/1", ParseError, 1, 1, "'form'")
 
     def test_duplicate_shape(self):
-        self.expect_error("shape s/1\nshape s/2", DuplicateShapeError, 2, 7,
+        self.expect_error("shape s/1\nshape s/2", ParseError, 2, 7,
                           "duplicate shape")
 
     def test_unknown_shape_in_equation(self):
-        self.expect_error("shape s/1\neq s(a) = t(a)", UnknownShapeError,
+        self.expect_error("shape s/1\neq s(a) = t(a)", ParseError,
                           2, 11, "unknown shape 't'")
 
     def test_arity_mismatch(self):
-        self.expect_error("shape s/2\neq s(a) = s(a,b)", ArityMismatchError,
+        self.expect_error("shape s/2\neq s(a) = s(a,b)", ParseError,
                           2, 4, "arity 2")
 
     def test_duplicate_header(self):
@@ -499,12 +496,12 @@ class TestParseErrors:
         self.expect_error("shape s/1 extra", ParseError, 1, 11, "trailing")
 
     def test_arity_mismatch_names_the_equation(self):
-        with pytest.raises(ArityMismatchError) as info:
+        with pytest.raises(ParseError) as info:
             parse_presentation("shape s/2\neq s(a) = s(a,b)")
         assert str(info.value) == (
             "line 2, column 4: shape 's' has arity 2 but is applied to 1 "
             "variable(s) in equation s(a) = s(a,b)")
-        with pytest.raises(ArityMismatchError) as info:
+        with pytest.raises(ParseError) as info:
             parse_presentation("shape c/1\neq c = c")
         assert str(info.value) == (
             "line 2, column 4: shape 'c' has arity 1 but is applied to 0 "
@@ -561,14 +558,14 @@ PARSE_ERRORS = [
      "line 2, column 9: expected '=', found 's'"),
     ("eq s(a) =", ParseError, 1, 10,
      "line 1, column 10: unexpected end of line"),
-    ("shape s/1\nshape s/2", DuplicateShapeError, 2, 7,
+    ("shape s/1\nshape s/2", ParseError, 2, 7,
      "line 2, column 7: duplicate shape name 's'"),
-    ("shape s/1\neq s(a) = t(a)", UnknownShapeError, 2, 11,
+    ("shape s/1\neq s(a) = t(a)", ParseError, 2, 11,
      "line 2, column 11: unknown shape 't' in equation s(a) = t(a)"),
-    ("shape s/2\neq s(a) = s(a,b)", ArityMismatchError, 2, 4,
+    ("shape s/2\neq s(a) = s(a,b)", ParseError, 2, 4,
      "line 2, column 4: shape 's' has arity 2 but is applied to 1 "
      "variable(s) in equation s(a) = s(a,b)"),
-    ("shape c/1\neq c = c", ArityMismatchError, 2, 4,
+    ("shape c/1\neq c = c", ParseError, 2, 4,
      "line 2, column 4: shape 'c' has arity 1 but is applied to 0 "
      "variable(s) in equation c = c"),
     ("shape s/1\nshape s/2\nshape !/3", ParseError, 3, 7,
@@ -614,16 +611,18 @@ def test_zoo_element_names_resolve():
 
 
 def test_programmatic_presentation_validation():
-    with pytest.raises(DuplicateShapeError) as dup:
+    with pytest.raises(ParseError) as dup:
         Presentation("p", (Shape("s", 1), Shape("s", 2)), ())
-    with pytest.raises(UnknownShapeError) as unknown:
+    with pytest.raises(ParseError) as unknown:
         Presentation("p", (Shape("s", 1),),
                      (Equation(FlatTerm("t", ("a",)), FlatTerm("s", ("a",))),))
-    with pytest.raises(ArityMismatchError) as arity:
+    with pytest.raises(ParseError) as arity:
         Presentation("p", (Shape("s", 2),),
                      (Equation(FlatTerm("s", ("a",)), FlatTerm("s", ("a", "b"))),))
     for info in (dup, unknown, arity):
         assert info.value.line is None and info.value.col is None
+    assert str(dup.value) == "duplicate shape name 's'"
+    assert str(unknown.value) == "unknown shape 't' in equation t(a) = s(a)"
     assert str(arity.value) == ("shape 's' has arity 2 but is applied to 1 "
                                 "variable(s) in equation s(a) = s(a,b)")
 

@@ -58,6 +58,7 @@ from finfun.theory import (
     EmptyModified,
     ModificationKind,
     MonomorphicityError,
+    SizeBoundError,
     UnknownElementError,
     check_epimorphic,
     check_functor_laws,
@@ -220,6 +221,20 @@ def test_min_modification_is_max_form_with_no_empty_classes():
     with pytest.raises(UnknownElementError,
                        match=r"'c' is not an element of twins∘\(0\)"):
         lo.element_index(0, "c")
+
+
+def test_min_modification_reads_the_base_once_per_map_out_of_empty():
+    up = Counting(fresh("upair"))
+    lo = EmptyModified(up, ModificationKind.MINIMAL)
+    assert up.calls == 0
+    for y in range(1, 4):
+        assert lo.action(0, y, ()) == ()
+        assert (up.calls, up.largest) == (y, y)
+    t = load_tabulated(export_tabulated(zoo_instance("upair"), 1))
+    with pytest.raises(SizeBoundError,
+                       match=r"^tabulated is tabulated up to size 1, "
+                             r"queried at 2$"):
+        EmptyModified(t, ModificationKind.MINIMAL).action(0, 2, ())
 
 
 def test_modified_element_index():
