@@ -74,12 +74,8 @@ def _checked_size(n: int, flag: str) -> int:
     return n
 
 
-def _checked_max_size(n: int, with_modification: bool) -> int:
+def _checked_max_size(n: int) -> int:
     _checked_size(n, "--max-size")
-    if with_modification and n < 2:
-        raise ValueError(
-            "--max-size must be at least 2 when a modification is involved: "
-            "the equalizer construction reads off the values at 1 and 2")
     if n > MAX_SIZE_CAP:
         raise ValueError(
             f"--max-size is capped at {MAX_SIZE_CAP}; exhaustive function "
@@ -122,7 +118,7 @@ def _print_text_report(functor: str, max_size: int, timing: bool,
 
 def cmd_check(args: argparse.Namespace) -> int:
     skip = _parse_skip(args.skip)
-    max_size = _checked_max_size(args.max_size, args.modify is not None)
+    max_size = _checked_max_size(args.max_size)
     g = _load_modified(args.target, args.modify)
     reports = run_standard_checks(g, max_size, seed=args.seed, skip=skip)
     if args.json:
@@ -176,7 +172,7 @@ def cmd_supp(args: argparse.Namespace) -> int:
 
 
 def cmd_modify(args: argparse.Namespace) -> int:
-    max_size = _checked_max_size(args.max_size, True)
+    max_size = _checked_max_size(args.max_size)
     h = _load_modified(args.target, args.mode)
     sym = ModificationKind(args.mode).symbol
     # Every line is built before any is printed, so a refusal at a larger
@@ -189,7 +185,7 @@ def cmd_modify(args: argparse.Namespace) -> int:
 
 
 def cmd_degree(args: argparse.Namespace) -> int:
-    max_size = _checked_max_size(args.max_size, args.modify is not None)
+    max_size = _checked_max_size(args.max_size)
     g = _load_modified(args.target, args.modify)
     print(repr(degree(g, max_size)))
     return 0
@@ -207,7 +203,7 @@ def _write_in_slices(out: TextIO, text: str) -> None:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    max_size = _checked_max_size(args.max_size, args.modify is not None)
+    max_size = _checked_max_size(args.max_size)
     g = _load_modified(args.target, args.modify)
     text = export_tabulated(g, max_size)
     if args.out is None:

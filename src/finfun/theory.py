@@ -90,15 +90,18 @@ class FunctorInstance(ABC):
     """An evaluable endofunctor of finite sets.
 
     A subclass implements ``elements`` and ``action``; ``map`` is the
-    validated wrapper.  Queries are deterministic and cached by the
-    concrete classes; instances are immutable values, shared freely.  The
-    bound up to which its laws are known is recorded on it (``_law_bound``;
-    monomorphicity is one read, never recorded), and so is the frozenset
-    image of each subset inclusion once computed (``_images``, keyed by
-    ambient size and mask, shared by every caller), and each default-order
-    ``support`` result (``_supports``, keyed by size and element), so never
-    mutate ``TabulatedInstance.morphisms``.  A subclass that can prove its
-    own laws overrides ``proves_laws``.
+    validated wrapper.  Queries are deterministic; instances are immutable
+    values, shared freely, so never mutate ``TabulatedInstance.morphisms``.
+    A subclass that can prove its laws overrides ``proves_laws``, which is
+    asked each time: a proof reads no map.  State kept across calls, each
+    for its reason (sweep-s6 ``wall_ref`` without it, 2-vCPU VM):
+
+    - ``_law_bound``, the bound of a passing walk, written only by
+      ``_law_failures`` and ``load_tabulated``: it saves the walk.
+    - ``_images``, each subset inclusion's image by size and mask, shared
+      by every caller: worse in 7 of 9 pairs without.
+    - ``_supports``, each default-order ``support`` result: +62 % without.
+    - ``PresentationInstance._morphisms``, the action cache: +5 to 15 %.
     """
 
     def __init__(self, name: str):
@@ -231,8 +234,9 @@ class EmptyModified(FunctorInstance):
         return table
 
     def proves_laws(self, max_size: int) -> bool:
-        """The base's laws, recorded on it or proved by it
-        (``_laws_known``): a modification's laws are its base's.
+        """The base's laws, recorded on it by a walk or proved by it
+        (``_laws_known``): a modification's laws are its base's.  Like
+        every proof, this one is asked each time and never recorded.
 
         A pair f, g in which f has a non-empty domain composes as the
         base's does.  Write f_y for the one map 0 -> y, E for
@@ -314,14 +318,11 @@ def require_monomorphic(g: FunctorInstance, bound: int) -> None:
 def _laws_known(g: FunctorInstance, n: int) -> bool:
     """Whether F's laws are known to hold up to size n: recorded on the
     instance (``_law_bound``) by a walk of ``_law_failures`` or of
-    ``load_tabulated``, or proved now by ``proves_laws`` and then recorded.
-    Nothing is assumed: an instance without a proof answers False until it
-    is walked."""
-    if g._law_bound < n:
-        if not g.proves_laws(n):
-            return False
-        g._law_bound = n
-    return True
+    ``load_tabulated``, or proved by ``proves_laws``, which is asked each
+    time and never recorded, since a proof reads no map.  Nothing is
+    assumed: an instance without a proof answers False until it is
+    walked."""
+    return g._law_bound >= n or g.proves_laws(n)
 
 
 def _law_failures(g: FunctorInstance, max_size: int) -> Iterator[
@@ -700,11 +701,11 @@ def check_functor_laws(g: FunctorInstance, max_size: int) -> CheckReport:
     """F(id) = id and F(g o f) = F(g) o F(f), exhaustively up to max_size.
 
     Decides the laws as every check does first (``_law_failures``), which
-    records a pass.  An instance whose ``proves_laws`` holds passes without
-    the walk and reads no map: a presentation's laws hold by construction,
-    and a modification takes its base's.  When the laws fail, the walk that
-    found the first failure goes on to list the rest: the first 25 are
-    written, the others only counted.
+    records a walk's pass.  An instance whose ``proves_laws`` holds passes
+    without the walk and reads no map: a presentation's laws hold by
+    construction, and a modification takes its base's.  When the laws fail,
+    the walk that found the first failure goes on to list the rest: the
+    first 25 are written, the others only counted.
     """
     out = _Collector("laws", f"sizes <= {max_size}")
     failures = _law_failures(g, max_size)

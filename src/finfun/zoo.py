@@ -1,15 +1,14 @@
 """Built-in example functors, each given by a small presentation source.
 
-The sources dict is the single point of truth; instances are parsed and
-cached on first use.  `twins` is deliberately not monomorphic: its two
-constants become equal as soon as the set is inhabited, so the map out
-of the empty set collapses them.  That makes it the stock test subject
-for the support and modification machinery.
+The sources dict is the single point of truth; each ``zoo_instance``
+call parses a fresh instance, as loading a ``.ffn`` file does.  `twins`
+is deliberately not monomorphic: its two constants become equal as soon
+as the set is inhabited, so the map out of the empty set collapses them.
+That makes it the stock test subject for the support and modification
+machinery.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .presentation import PresentationInstance, parse_presentation
 
@@ -83,6 +82,5 @@ def zoo_source(name: str) -> str:
             f"{', '.join(SOURCES)}") from None
 
 
-@lru_cache(maxsize=None)
 def zoo_instance(name: str) -> PresentationInstance:
     return PresentationInstance(parse_presentation(zoo_source(name)))

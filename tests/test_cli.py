@@ -18,7 +18,7 @@ import finfun
 from finfun import __version__
 from finfun.cli import build_parser, load_input, main
 from finfun.tabulated import export_tabulated
-from finfun.theory import STANDARD_CHECKS
+from finfun.theory import STANDARD_CHECKS, support
 from finfun.zoo import SOURCES, zoo_instance
 
 
@@ -286,24 +286,39 @@ def test_modify_requires_mode(capsys):
     assert code == 2
 
 
-def test_modify_max_size_floor(capsys):
+# A tabulation up to size 1: the identity on F(1) = {a}.
+T1 = {"max_size": 1, "objects": {"0": [], "1": ["a"]},
+      "morphisms": [
+          {"dom": 0, "cod": 0, "table": [], "action": {}},
+          {"dom": 0, "cod": 1, "table": [], "action": {}},
+          {"dom": 1, "cod": 1, "table": [0], "action": {"a": "a"}}]}
+
+
+def test_modify_max_size_floor(tmp_path, capsys):
+    # No --max-size floor under a modification: F° reads F at sizes 1
+    # and 2 whatever the bound, and F∘ reads nothing more than F.
     code, out, err = run(capsys, "modify", "zoo:twins", "--mode", "max",
                          "--max-size", "1")
-    assert code == 2
-    assert "at least 2" in err
+    assert (code, err) == (0, "")
+    assert out == "F°∅ = {c}\nF°(∅→1) = (0):1->1\n"
+    code, out, err = run(capsys, "degree", "zoo:twins", "--modify", "min",
+                         "--max-size", "1")
+    assert (code, out, err) == (0, "1 (exact)\n", "")
+    # Only a base that F° cannot read at size 2 is refused, when the
+    # modification is built.
+    p = tmp_path / "t1.json"
+    p.write_text(json.dumps(T1), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(p), "--modify", "max",
+                         "--max-size", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: t1 is tabulated up to size 1, queried at 2\n"
 
 
 def test_modify_beyond_a_tabulated_bound_prints_nothing(tmp_path, capsys):
     # Sizes 0 and 1 are tabulated and print before size 2 is refused,
     # unless every line is built first.
     p = tmp_path / "t1.json"
-    p.write_text(json.dumps({
-        "max_size": 1, "objects": {"0": [], "1": ["a"]},
-        "morphisms": [
-            {"dom": 0, "cod": 0, "table": [], "action": {}},
-            {"dom": 0, "cod": 1, "table": [], "action": {}},
-            {"dom": 1, "cod": 1, "table": [0], "action": {"a": "a"}}]}),
-        encoding="utf-8")
+    p.write_text(json.dumps(T1), encoding="utf-8")
     code, out, err = run(capsys, "modify", str(p), "--mode", "min",
                          "--max-size", "2")
     assert code == 2
@@ -460,6 +475,16 @@ def test_version_flag(capsys):
 def test_public_exports():
     assert len(set(finfun.__all__)) == len(finfun.__all__)
     assert [n for n in finfun.__all__ if not hasattr(finfun, n)] == []
+
+
+def test_zoo_instances_are_isolated():
+    # Each zoo: load parses a fresh instance, as a .ffn file does, so a
+    # query on one leaves the caches of the next empty.
+    for load in (zoo_instance, lambda name: load_input(f"zoo:{name}")):
+        first, second = load("upair"), load("upair")
+        assert first is not second
+        support(first, 2, 0)
+        assert first._supports and load("upair")._supports == {}
 
 
 def test_every_refusal_type_is_exported():

@@ -115,13 +115,13 @@ def test_the_fast_path_needs_the_laws(check, rules):
     g = Counting(fresh("upair"))
     g._law_bound = 3
     assert calls_of(check, g) == walk + rules
-    # A recorded pass at the bound, or a proof, which is then recorded.
+    # A recorded pass at the bound, or a proof, which is not recorded.
     g = Counting(fresh("upair"))
     g._law_bound = 4
     assert calls_of(check, g) == rules
     g = Counting(fresh("upair"), proof=True)
     assert calls_of(check, g) == rules
-    assert g._law_bound == 4
+    assert g._law_bound == -1
 
 
 def test_a_broken_injection_off_the_representatives_is_reported():

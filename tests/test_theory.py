@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import itertools
@@ -1135,3 +1136,29 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     assert len(wrapped) > 20
     for owner, attribute, name, _ in wrapped:
         assert callable(getattr(owner, attribute, None)), name
+
+
+def test_the_readme_library_example_runs():
+    # Each bare expression of the example is evaluated in turn, and its
+    # value held to the comment beside it.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n")[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README",
+                                       "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    elements, supp, deg, empty, battery, u2_elements, u2_bound = values
+    assert elements[:2] == ("p(0,0)", "p(0,1)") and elements[-1] == "p(2,2)"
+    assert repr(supp) == "{0,2}"
+    assert repr(deg) == "2 (exact)"
+    assert empty == ("c",)
+    assert battery is True
+    assert u2_elements == ("p(0,0)", "p(0,1)", "p(1,1)")
+    assert u2_bound == 2
+    with pytest.raises(SizeBoundError):
+        namespace["u2"].elements(3)
